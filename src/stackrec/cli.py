@@ -8,44 +8,24 @@ import logging
 import sys
 from pathlib import Path
 
-from . import corpus, harness, lccn, locate, stacksmap, telemetry
+from . import corpus, harness, lccn, stacksmap, telemetry
 from .config import ServiceConfig
 from .gateway import Gateway, GatewayServer, TransactionLog
-from .recommend import Recommender
-
-
-def _load_service(cfg: ServiceConfig):
-    store = corpus.load_corpus(cfg.catalog, cfg.circulation, cfg.articles, cfg.databases)
-    stack = stacksmap.load_stackmap(cfg.stackmap, background=cfg.background)
-    outline = lccn.load_outline(cfg.outline)
-    beacons = locate.load_beacons(cfg.beacons) if cfg.beacons else []
-    recommender = Recommender(
-        stack, store, outline,
-        radius=cfg.radius,
-        max_items=cfg.max_items,
-        max_ebooks=cfg.max_ebooks,
-        majority_threshold=cfg.majority_threshold,
-    )
-    return store, stack, outline, beacons, recommender
 
 
 def cmd_serve(args) -> int:
     cfg = ServiceConfig.from_json(args.config)
-    store, stack, outline, beacons, recommender = _load_service(cfg)
     txn_log = TransactionLog(args.log)
-    gw = Gateway(
-        stack, store, outline, txn_log,
-        beacons=beacons,
-        recommender=recommender,
-        path_loss_exponent=cfg.path_loss_exponent,
-        k_nearest_beacons=cfg.k_nearest_beacons,
-    )
-    with GatewayServer(gw, host=args.host, port=args.port) as server:
-        print(f"serving on {server.base_url}, logging to {args.log}")
-        try:
-            server.thread.join()
-        except KeyboardInterrupt:
-            pass
+    try:
+        gw = Gateway.from_config(cfg, txn_log)
+        with GatewayServer(gw, host=args.host, port=args.port) as server:
+            print(f"serving on {server.base_url}, logging to {args.log}")
+            try:
+                server.thread.join()
+            except KeyboardInterrupt:
+                pass
+    finally:
+        txn_log.close()
     return 0
 
 
@@ -85,14 +65,7 @@ def _parse_mode(text: str):
 
 
 def cmd_heatmap(args) -> int:
-    entries = _parsed_entries(args)
-    points = []
-    for e in entries:
-        if "x" in e.params and "y" in e.params:
-            try:
-                points.append((float(e.params["x"]), float(e.params["y"])))
-            except ValueError:
-                pass
+    points = [p for e in _parsed_entries(args) if (p := telemetry.request_point(e.params))]
     if args.stackmap:
         extent = stacksmap.load_stackmap(args.stackmap).map_extent
     elif points:
@@ -179,8 +152,6 @@ def cmd_report(args) -> int:
     config = harness.ReportConfig.from_json(args.config) if args.config else harness.ReportConfig()
     if args.out:
         config.out_dir = args.out
-    if args.parallel is not None:
-        config.parallel = args.parallel
     try:
         summary = harness.run_report(config)
     except harness.ReportError as exc:
@@ -278,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = har.add_parser("report", help="full end-to-end run: gen, replay, analyze")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--parallel", type=int, default=None, help="concurrent replay workers")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
 
-from . import lccn, locate, stacksmap
+from . import corpus, lccn, locate, stacksmap
+from .config import ServiceConfig
 from .corpus import CorpusStore
 from .lccn import ClassificationOutline
 from .locate import Beacon, BeaconObservation, NoKnownBeacons
@@ -77,15 +79,21 @@ class ApiLogEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "ApiLogEntry":
+        """One log line as an entry; ValueError or KeyError when it is not one."""
         raw = json.loads(line)
-        return cls(
-            timestamp=raw["timestamp"],
-            module=raw["module"],
-            uri=raw["uri"],
-            params=dict(raw.get("params", {})),
-            status=int(raw["status"]),
-            bib_ids=tuple(raw.get("bib_ids", [])),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError(f"log line is a JSON {type(raw).__name__}, not an object")
+        timestamp, status = raw["timestamp"], raw["status"]
+        params, bib_ids = raw.get("params", {}), raw.get("bib_ids", [])
+        if not (
+            isinstance(timestamp, str) and isinstance(raw["module"], str)
+            and isinstance(raw["uri"], str) and type(status) is int
+            and isinstance(params, dict) and all(isinstance(v, str) for v in params.values())
+            and isinstance(bib_ids, list) and all(isinstance(b, str) for b in bib_ids)
+        ):
+            raise ValueError("log line has a field of the wrong type")
+        datetime.fromisoformat(timestamp)  # ValueError unless ISO 8601
+        return cls(timestamp, raw["module"], raw["uri"], params, status, tuple(bib_ids))
 
 
 class TransactionLog:
@@ -110,23 +118,6 @@ class TransactionLog:
     def close(self) -> None:
         with self._lock:
             self._fh.close()
-
-
-@dataclass(frozen=True)
-class MapDataResponse:
-    x: int
-    y: int
-    shelf_number: int
-    call_number: str
-
-    def to_dict(self) -> dict:
-        return {
-            "v": 1,
-            "x": self.x,
-            "y": self.y,
-            "shelf_number": self.shelf_number,
-            "call_number": self.call_number,
-        }
 
 
 def _utc_now() -> datetime:
@@ -158,6 +149,34 @@ class Gateway:
         self.k_nearest_beacons = k_nearest_beacons
         self.clock = clock or _utc_now
 
+    @classmethod
+    def from_config(
+        cls,
+        cfg: ServiceConfig,
+        txn_log: TransactionLog,
+        clock: Callable[[], datetime] | None = None,
+    ) -> "Gateway":
+        """Load the data files cfg names and wire a gateway with its tunables."""
+        store = corpus.load_corpus(cfg.catalog, cfg.circulation, cfg.articles, cfg.databases)
+        stack = stacksmap.load_stackmap(cfg.stackmap, background=cfg.background)
+        outline = lccn.load_outline(cfg.outline)
+        beacons = locate.load_beacons(cfg.beacons) if cfg.beacons else []
+        recommender = Recommender(
+            stack, store, outline,
+            radius=cfg.radius,
+            max_items=cfg.max_items,
+            max_ebooks=cfg.max_ebooks,
+            majority_threshold=cfg.majority_threshold,
+        )
+        return cls(
+            stack, store, outline, txn_log,
+            beacons=beacons,
+            recommender=recommender,
+            path_loss_exponent=cfg.path_loss_exponent,
+            k_nearest_beacons=cfg.k_nearest_beacons,
+            clock=clock,
+        )
+
     def _timestamp(self) -> str:
         return self.clock().isoformat()
 
@@ -174,26 +193,31 @@ class Gateway:
             )
         )
 
+    def refuse(self, module: str, uri: str, params: dict[str, str], status: int,
+               message: str) -> tuple[int, dict]:
+        """Log a refused request and return its error answer."""
+        self._log(module, uri, params, status)
+        return status, {"error": message}
+
     def handle_map_data(self, collection: str, bib_id: str) -> tuple[int, dict]:
         uri = f"/api/wayfinder/map_data/{collection}/{bib_id}"
         params = {"collection": collection, "bib_id": bib_id}
         record = self.corpus.records.get(bib_id)
         if record is None:
-            self._log("wayfinder", uri, params, 404)
-            return 404, {"error": f"unknown bib_id {bib_id!r}"}
+            return self.refuse("wayfinder", uri, params, 404, f"unknown bib_id {bib_id!r}")
         shelf = stacksmap.shelf_for_call(record.call_number, self.stackmap)
         if shelf is None:
-            self._log("wayfinder", uri, params, 404)
-            return 404, {"error": f"call number not in open stacks: {record.call_number}"}
+            return self.refuse("wayfinder", uri, params, 404,
+                               f"call number not in open stacks: {record.call_number}")
         cx, cy = shelf.bounds.center
-        response = MapDataResponse(
-            x=round(cx),
-            y=round(cy),
-            shelf_number=shelf.shelf_number,
-            call_number=lccn.canonical_format(record.call_number),
-        )
         self._log("wayfinder", uri, params, 200, (bib_id,))
-        return 200, response.to_dict()
+        return 200, {
+            "v": 1,
+            "x": round(cx),
+            "y": round(cy),
+            "shelf_number": shelf.shelf_number,
+            "call_number": lccn.canonical_format(record.call_number),
+        }
 
     def handle_popular_near(self, x_raw: str | None, y_raw: str | None) -> tuple[int, dict]:
         uri = f"/api/recommend/popularnear?x={x_raw}&y={y_raw}"
@@ -202,35 +226,41 @@ class Gateway:
             if x_raw is None or y_raw is None:
                 raise ValueError("x and y are required")
             x, y = float(x_raw), float(y_raw)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("x and y must be finite")
         except ValueError as exc:
-            self._log("recommend", uri, params, 400)
-            return 400, {"error": str(exc)}
+            return self.refuse("recommend", uri, params, 400, str(exc))
         result = self.recommender.recommend_near((x, y))
         self._log("recommend", uri, params, 200, tuple(result.bib_ids))
         return 200, result.to_dict()
 
-    def handle_locate(self, body: dict) -> tuple[int, dict]:
+    def handle_locate(self, body: object) -> tuple[int, dict]:
+        """Position from a decoded JSON body; anything but an observations object is a 400."""
         uri = "/api/locate"
+        if not isinstance(body, dict):
+            return self.refuse("wayfinder", uri, {}, 400, "body must be a JSON object")
         try:
-            observations = [
-                BeaconObservation(o["beacon_id"], float(o["rssi"]))
-                for o in body.get("observations", [])
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            self._log("wayfinder", uri, {}, 400)
-            return 400, {"error": f"bad observation payload: {exc}"}
+            observations = []
+            for o in body.get("observations", []):
+                if not isinstance(o["beacon_id"], str):
+                    raise TypeError("beacon_id must be a string")
+                observations.append(BeaconObservation(o["beacon_id"], float(o["rssi"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return self.refuse("wayfinder", uri, {}, 400, f"bad observation payload: {exc}")
         try:
             loc = locate.estimate_position(
                 observations, self.beacons, self.k_nearest_beacons, self.path_loss_exponent
             )
         except NoKnownBeacons as exc:
-            self._log("wayfinder", uri, {}, 404)
-            return 404, {"error": str(exc)}
+            return self.refuse("wayfinder", uri, {}, 404, str(exc))
         self._log("wayfinder", uri, {}, 200)
         return 200, {"v": 1, "x": loc.x, "y": loc.y, "confidence_radius": loc.confidence_radius}
 
 
 _MAP_DATA_RE = re.compile(r"^/api/wayfinder/map_data/([^/]+)/([^/]+)$")
+
+# Largest POST body read; a beacon scan with hundreds of readings is a few KB.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -262,29 +292,37 @@ class _Handler(BaseHTTPRequestHandler):
         if urlsplit(self.path).path != "/api/locate":
             self._send(404, {"error": "no such endpoint"})
             return
-        length = int(self.headers.get("Content-Length", 0))
+        self._send(*self._locate())
+
+    def _locate(self) -> tuple[int, dict]:
+        def refuse(status: int, message: str) -> tuple[int, dict]:
+            return self.gateway.refuse("wayfinder", "/api/locate", {}, status, message)
+
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            return refuse(400, "Content-Length must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            # left unread: the connection closes after this answer
+            return refuse(413, f"body over {MAX_BODY_BYTES} bytes")
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError:
-            self._send(400, {"error": "body must be JSON"})
-            return
-        status, payload = self.gateway.handle_locate(body)
-        self._send(status, payload)
+        except (ValueError, RecursionError):  # malformed JSON, bad UTF-8, or nested too deep
+            return refuse(400, "body must be JSON")
+        return self.gateway.handle_locate(body)
 
     def log_message(self, fmt, *args):
         log.debug("http: " + fmt, *args)
-
-
-def make_server(gateway: Gateway, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
-    handler = type("GatewayHandler", (_Handler,), {"gateway": gateway})
-    return ThreadingHTTPServer((host, port), handler)
 
 
 class GatewayServer:
     """A gateway served on a background thread; usable as a context manager."""
 
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 0):
-        self.httpd = make_server(gateway, host, port)
+        handler = type("GatewayHandler", (_Handler,), {"gateway": gateway})
+        self.httpd = ThreadingHTTPServer((host, port), handler)
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 
     @property

@@ -15,15 +15,14 @@ import random
 import shutil
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from importlib import resources
 from pathlib import Path
 
 from . import corpus, lccn, locate, stacksmap, telemetry
+from .config import ServiceConfig
 from .gateway import ApiLogEntry, Gateway, GatewayServer, TransactionLog
-from .recommend import Recommender
 from .telemetry import GridSpec
 
 log = logging.getLogger(__name__)
@@ -113,6 +112,11 @@ class FixtureSet:
     @property
     def outline(self) -> Path:
         return self.root / "outline.tsv"
+
+    @property
+    def service(self) -> Path:
+        """A ``stackrec serve --config`` file naming the other files by relative path."""
+        return self.root / "service.json"
 
 
 def _random_call_number(rng: random.Random, letters: str, lo: int, hi: int) -> lccn.CallNumber:
@@ -242,6 +246,11 @@ def gen_corpus(
             fh.write(f"b{i + 1:02d},{bx},{by},{locate.DEFAULT_TX_POWER}\n")
 
     shutil.copyfile(packaged_outline_path(), fixtures.outline)
+    data_files = ("catalog", "stackmap", "outline", "circulation", "articles", "databases", "beacons")
+    fixtures.service.write_text(
+        json.dumps({name: getattr(fixtures, name).name for name in data_files}, indent=2) + "\n",
+        encoding="utf-8",
+    )
     return fixtures
 
 
@@ -391,7 +400,6 @@ class ReportConfig:
     collection: str = "uiu_undergrad"
     catalog_searches: int = 600
     journal_searches: int = 200
-    parallel: int = 1
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ReportConfig":
@@ -479,15 +487,18 @@ def run_report(config: ReportConfig) -> dict:
     except Exception as exc:
         raise ReportError("gen_corpus", str(exc)) from exc
 
+    sim = {"now": STUDY_START}
+    log_path = out / "gateway.jsonl"
+    log_path.unlink(missing_ok=True)
+    txn_log = TransactionLog(log_path)
     try:
-        store = corpus.load_corpus(
-            fixtures.catalog, fixtures.circulation, fixtures.articles, fixtures.databases
+        gw = Gateway.from_config(
+            ServiceConfig.from_json(fixtures.service), txn_log, clock=lambda: sim["now"]
         )
-        stack = stacksmap.load_stackmap(fixtures.stackmap)
-        outline = lccn.load_outline(fixtures.outline)
-        beacons = locate.load_beacons(fixtures.beacons)
     except Exception as exc:
+        txn_log.close()
         raise ReportError("load", str(exc)) from exc
+    store, stack, outline = gw.corpus, gw.stackmap, gw.outline
 
     walk = gen_walk(
         config.seed + 1, stack, config.recommend_requests + config.wayfind_requests,
@@ -499,47 +510,18 @@ def run_report(config: ReportConfig) -> dict:
     )
     (out / "walk.json").write_text(walk.to_json(), encoding="utf-8")
 
-    sim = {"now": STUDY_START}
-    log_path = out / "gateway.jsonl"
-    log_path.unlink(missing_ok=True)
-    txn_log = TransactionLog(log_path)
-    gw = Gateway(
-        stack, store, outline, txn_log, beacons=beacons,
-        recommender=Recommender(stack, store, outline),
-        clock=lambda: sim["now"],
-    )
-
-    def step_url(server, step) -> str:
-        if step.action == "wayfind":
-            return f"{server.base_url}/api/wayfinder/map_data/{config.collection}/{step.bib_id}"
-        return f"{server.base_url}/api/recommend/popularnear?x={step.x:.6f}&y={step.y:.6f}"
-
-    def fetch(url: str) -> None:
-        with urllib.request.urlopen(url, timeout=10) as resp:
-            resp.read()
-
     try:
         with GatewayServer(gw) as server:
-            if config.parallel <= 1:
-                for step in walk.steps:
-                    sim["now"] = sim["now"] + timedelta(seconds=step.dwell)
-                    if step.action == "idle":
-                        continue
-                    fetch(step_url(server, step))
-            else:
-                # requests within a batch share the batch-end clock reading;
-                # line atomicity under concurrency is the log's contract
-                with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-                    batch: list[str] = []
-                    for step in walk.steps:
-                        sim["now"] = sim["now"] + timedelta(seconds=step.dwell)
-                        if step.action != "idle":
-                            batch.append(step_url(server, step))
-                        if len(batch) >= config.parallel:
-                            list(pool.map(fetch, batch))
-                            batch.clear()
-                    if batch:
-                        list(pool.map(fetch, batch))
+            for step in walk.steps:
+                sim["now"] = sim["now"] + timedelta(seconds=step.dwell)
+                if step.action == "idle":
+                    continue
+                if step.action == "wayfind":
+                    path = f"/api/wayfinder/map_data/{config.collection}/{step.bib_id}"
+                else:
+                    path = f"/api/recommend/popularnear?x={step.x:.6f}&y={step.y:.6f}"
+                with urllib.request.urlopen(server.base_url + path, timeout=10) as resp:
+                    resp.read()
     except Exception as exc:
         raise ReportError("replay", str(exc)) from exc
     finally:

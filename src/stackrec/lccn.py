@@ -269,10 +269,6 @@ class ClassificationOutline:
         return min(candidates, key=lambda e: e.line_no).label
 
 
-def classify(cn: CallNumber, outline: ClassificationOutline) -> str:
-    return outline.classify(cn)
-
-
 class OutlineLoadError(ValueError):
     pass
 

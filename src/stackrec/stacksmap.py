@@ -145,14 +145,6 @@ def shelf_for_call(cn: CallNumber, m: StackMap) -> Shelf | None:
     return None
 
 
-def nearest_shelves(p: Point, m: StackMap, k: int) -> list[Shelf]:
-    """k shelves by ascending rectangle distance, ties by shelf number."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranked = sorted(m.shelves, key=lambda s: (s.bounds.distance_to(p), s.shelf_number))
-    return ranked[:k]
-
-
 def ranges_for_location(p: Point, m: StackMap, radius: float) -> list[CallNumberRange]:
     """Ranges of shelves within `radius` of p, nearest first.
 

@@ -48,19 +48,22 @@ class ParsedLogs:
 def parse_logs(paths: list[str | Path]) -> ParsedLogs:
     """Parse one or more log files; malformed lines are counted, not dropped silently.
 
+    A line is malformed when it is not UTF-8, not JSON, not a JSON object, or
+    not an entry with fields of the right types (see ``ApiLogEntry.from_json``).
+
     Entries are ordered by (timestamp, file, line) so multi-file input is a
     stable merge.
     """
     keyed: list[tuple[tuple, ApiLogEntry]] = []
     malformed: list[tuple[str, int, str]] = []
     for file_idx, path in enumerate(paths):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    entry = ApiLogEntry.from_json(line)
-                except (ValueError, KeyError) as exc:
+                    entry = ApiLogEntry.from_json(line.decode("utf-8"))
+                except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
                     malformed.append((str(path), line_no, str(exc)))
                     continue
                 keyed.append(((entry.timestamp, file_idx, line_no), entry))
@@ -69,6 +72,15 @@ def parse_logs(paths: list[str | Path]) -> ParsedLogs:
     if malformed:
         log.warning("parse_logs: %d malformed line(s)", len(malformed))
     return result
+
+
+def request_point(params: dict[str, str]) -> tuple[float, float] | None:
+    """The x/y request params as a point; None unless both are present and finite."""
+    try:
+        x, y = float(params["x"]), float(params["y"])
+    except (KeyError, ValueError):
+        return None
+    return (x, y) if math.isfinite(x) and math.isfinite(y) else None
 
 
 @dataclass(frozen=True)
@@ -95,10 +107,10 @@ def annotate(
 ) -> list[AnnotatedEntry]:
     """Join each entry's bib ids to call numbers and subject labels.
 
-    x/y come from the request params when present (recommendation requests);
-    otherwise, when a stack map is given, from the shelf target of the first
-    bib id (wayfinding requests).  Unknown bib ids annotate as "unknown" and
-    never fail the batch.
+    x/y come from the request params when present (recommendation requests),
+    and stay None unless both are finite numbers; otherwise, when a stack map
+    is given, from the shelf target of the first bib id (wayfinding requests).
+    Unknown bib ids annotate as "unknown" and never fail the batch.
     """
     out: list[AnnotatedEntry] = []
     unknown_bibs = 0
@@ -120,10 +132,7 @@ def annotate(
         x = y = None
         shelf_number = None
         if "x" in entry.params and "y" in entry.params:
-            try:
-                x, y = float(entry.params["x"]), float(entry.params["y"])
-            except ValueError:
-                pass
+            x, y = request_point(entry.params) or (None, None)
         elif stackmap_ is not None and entry.bib_ids:
             record = corpus_.records.get(entry.bib_ids[0])
             if record is not None:

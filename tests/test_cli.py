@@ -1,0 +1,48 @@
+import shutil
+
+from stackrec import cli
+from stackrec.config import ServiceConfig
+from stackrec.gateway import ApiLogEntry, Gateway, TransactionLog
+
+
+def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
+    out = tmp_path / "generated"
+    assert cli.main(["harness", "gen", "--seed", "3", "--records", "60", "--out", str(out)]) == 0
+    assert str(out) in capsys.readouterr().out
+    # the config names its files by relative path, so the directory can move
+    moved = shutil.copytree(out, tmp_path / "moved")
+    shutil.rmtree(out)
+    cfg = ServiceConfig.from_json(moved / "service.json")
+    assert cfg.catalog == str(moved / "catalog.csv")
+
+    txn_log = TransactionLog(tmp_path / "api.jsonl")
+    try:
+        gw = Gateway.from_config(cfg, txn_log)
+        assert len(gw.corpus.records) == 60
+        assert len(gw.beacons) == 12
+        assert gw.stackmap.shelves
+        bib_id = next(r.bib_id for r in gw.corpus.records.values() if r.format == "print")
+        status, body = gw.handle_map_data("uiu_undergrad", bib_id)
+        assert status == 200
+        assert gw.stackmap.map_extent.contains((body["x"], body["y"]))
+    finally:
+        txn_log.close()
+
+
+def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
+    log = tmp_path / "api.jsonl"
+    lines = [
+        ApiLogEntry(
+            timestamp="2016-09-01T10:00:00", module="recommend",
+            uri=f"/api/recommend/popularnear?x={x}&y={y}", params={"x": x, "y": y},
+        ).to_json()
+        for x, y in (("nan", "1"), ("1", "inf"), ("15", "5"), ("5", "15"))
+    ]
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    grid = tmp_path / "grid.csv"
+    code = cli.main(["telemetry", "heatmap", "--logs", str(log), "--cell-size", "10",
+                     "--out", str(grid)])
+    assert code == 0
+    assert "2 points, mass 2" in capsys.readouterr().out
+    assert grid.exists()
+

@@ -1,19 +1,27 @@
+import http.client
 import json
+import math
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackrec import telemetry
+from stackrec.config import ServiceConfig
 from stackrec.gateway import (
+    MAX_BODY_BYTES,
     ApiLogEntry,
     Gateway,
     GatewayServer,
     TransactionLog,
 )
-from stackrec.recommend import Recommender
+
+from conftest import REFERENCE
 
 MAP_DATA_URI = "/api/wayfinder/map_data/uiu_undergrad/uiu_8127460"
 POPULAR_URI = "/api/recommend/popularnear?x=4362.047852&y=3160.110596"
@@ -207,3 +215,169 @@ def test_concurrent_requests_yield_atomic_lines(gateway):
     assert not parsed.malformed
     assert len(parsed.entries) == n
     assert all(e.uri == POPULAR_URI for e in parsed.entries)
+
+
+def test_from_config_matches_hand_wired_gateway(gateway, tmp_path):
+    txn_log = TransactionLog(tmp_path / "configured.jsonl")
+    configured = Gateway.from_config(ServiceConfig.from_json(REFERENCE / "config.json"), txn_log)
+    ext = gateway.stackmap.map_extent
+    points = [("4362.047852", "3160.110596")] + [
+        (f"{ext.x_min + i * ext.width / 6:.3f}", f"{ext.y_min + j * ext.height / 6:.3f}")
+        for i in range(7) for j in range(7)
+    ]
+    try:
+        for bib_id in sorted(gateway.corpus.records) + ["uiu_0"]:
+            assert json.dumps(configured.handle_map_data("uiu_undergrad", bib_id)) == json.dumps(
+                gateway.handle_map_data("uiu_undergrad", bib_id)
+            )
+        for x, y in points:
+            assert json.dumps(configured.handle_popular_near(x, y)) == json.dumps(
+                gateway.handle_popular_near(x, y)
+            )
+    finally:
+        txn_log.close()
+
+
+# --- one answer and one log line for every request ---------------------------
+
+def _log_lines(gw) -> list[dict]:
+    return [json.loads(line) for line in gw.txn_log.path.read_text(encoding="utf-8").splitlines()]
+
+
+def _post_locate(base_url: str, body: bytes, content_length: str | None = None):
+    """POST body to /api/locate; with content_length, send that header and no body."""
+    conn = http.client.HTTPConnection(urllib.parse.urlsplit(base_url).netloc, timeout=10)
+    try:
+        conn.putrequest("POST", "/api/locate")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(len(body)) if content_length is None else content_length)
+        conn.endheaders(body if content_length is None else None)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+BAD_LOCATE_POSTS = [  # (body, Content-Length sent instead of the body's, expected status)
+    (b"[1]", None, 400),
+    (b"null", None, 400),
+    (b'"observations"', None, 400),
+    (b"{bad", None, 400),
+    (b"\xff\xfe{}", None, 400),
+    (b"[" * 50_000, None, 400),
+    (b'{"observations": [{"beacon_id": "b1", "rssi": 1e999}]}', None, 400),
+    (b'{"observations": [{"beacon_id": ["b1"], "rssi": -60}]}', None, 400),
+    (b'{"observations": [{"beacon_id": "b1", "rssi": 1' + b"0" * 400 + b"}]}", None, 400),
+    (b"", "abc", 400),
+    (b"", "-1", 400),
+    (b"", str(MAX_BODY_BYTES + 1), 413),
+]
+
+
+def test_bad_locate_posts_get_4xx_and_one_log_line_each(gateway):
+    with GatewayServer(gateway) as server:
+        answers = [_post_locate(server.base_url, body, length) for body, length, _ in BAD_LOCATE_POSTS]
+    assert [status for status, _ in answers] == [status for _, _, status in BAD_LOCATE_POSTS]
+    assert all("error" in payload for _, payload in answers)
+    assert [(line["module"], line["uri"], line["status"]) for line in _log_lines(gateway)] == [
+        ("wayfinder", "/api/locate", status) for _, _, status in BAD_LOCATE_POSTS
+    ]
+
+
+@pytest.mark.parametrize("x, y", [("nan", "1"), ("1", "inf"), ("-Infinity", "2"), ("1e999", "3")])
+def test_popular_near_non_finite_400_logged(gateway, x, y):
+    status, body = gateway.handle_popular_near(x, y)
+    assert status == 400
+    assert "finite" in body["error"]
+    entry = _log_entries(gateway)[-1]
+    assert (entry.module, entry.status, entry.params) == ("recommend", 400, {"x": x, "y": y})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_OBSERVATION = st.fixed_dictionaries({
+    "beacon_id": st.sampled_from(["b1", "b2", "b3", "ghost"]) | _JSON,
+    "rssi": st.floats(-130, 10) | _JSON,
+})
+_LOCATE_BODY = st.fixed_dictionaries({"observations": st.lists(_OBSERVATION | _JSON, max_size=4)})
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+_BAD_LENGTH = (
+    st.text(alphabet="0123456789abc.-+_eE", max_size=6).filter(lambda t: not _is_int(t))
+    | st.integers(max_value=-1).map(str)
+    | st.integers(min_value=MAX_BODY_BYTES + 1, max_value=10**12).map(str)
+)
+
+
+def test_fuzz_locate_posts_one_answer_one_log_line(gateway):
+    answers = []
+    with GatewayServer(gateway) as server:
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            body=st.binary(max_size=64)
+            | (_JSON | _LOCATE_BODY).map(lambda v: json.dumps(v).encode()),
+            content_length=st.none() | _BAD_LENGTH,
+        )
+        def post(body, content_length):
+            status, payload = _post_locate(server.base_url, body, content_length)
+            answers.append(status)
+            last = _log_lines(gateway)[-1]
+            assert len(_log_lines(gateway)) == len(answers)
+            assert (last["module"], last["uri"], last["status"]) == ("wayfinder", "/api/locate", status)
+            assert status in (200, 400, 404, 413)
+            assert (status == 200) == ("error" not in payload)
+            if content_length is not None:
+                assert status == (400 if not _is_int(content_length) or int(content_length) < 0 else 413)
+
+        post()
+    assert len(_log_lines(gateway)) == len(answers)
+
+
+def _finite(value: str | None) -> bool:
+    try:
+        return value is not None and math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
+_QUERY_VALUE = (
+    st.none()
+    | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=10)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "-inf", "Infinity", "1e999", " 12.5 ", "4362.047852"])
+)
+
+
+def test_fuzz_popular_near_one_answer_one_log_line(gateway):
+    answers = []
+    with GatewayServer(gateway) as server:
+
+        @settings(max_examples=150, deadline=None)
+        @given(x=_QUERY_VALUE, y=_QUERY_VALUE)
+        def get(x, y):
+            params = {k: v for k, v in (("x", x), ("y", y)) if v is not None}
+            status, _ = _get(
+                f"{server.base_url}/api/recommend/popularnear?{urllib.parse.urlencode(params)}"
+            )
+            answers.append(status)
+            lines = _log_lines(gateway)
+            assert len(lines) == len(answers)
+            assert (lines[-1]["module"], lines[-1]["status"], lines[-1]["params"]) == (
+                "recommend", status, params,
+            )
+            assert status == (200 if _finite(x) and _finite(y) else 400)
+
+        get()
+    assert len(_log_lines(gateway)) == len(answers)

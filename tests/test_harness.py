@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from stackrec import corpus, harness, lccn, locate, stacksmap, telemetry
+from stackrec.gateway import TransactionLog
 from stackrec.harness import (
     FixtureSet,
     ReportConfig,
@@ -158,14 +159,6 @@ def test_run_report_rerun_is_identical(tmp_path):
     assert a["subject_distribution"] == b["subject_distribution"]
 
 
-def test_run_report_parallel_matches_request_count(tmp_path):
-    summary = run_report(ReportConfig(out_dir=str(tmp_path), parallel=8, **SMALL))
-    assert summary["requests"] == 90
-    parsed = telemetry.parse_logs([tmp_path / "gateway.jsonl"])
-    assert not parsed.malformed
-    assert len(parsed.entries) == 90
-
-
 def test_report_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"records": 100, "bogus": 1}', encoding="utf-8")
@@ -177,6 +170,25 @@ def test_report_error_names_stage(tmp_path):
     with pytest.raises(ReportError) as exc:
         run_report(ReportConfig(out_dir=str(tmp_path), records=5))
     assert exc.value.stage == "gen_corpus"
+
+
+def test_report_load_failure_names_stage_and_closes_log(tmp_path, monkeypatch):
+    logs = []
+
+    class RecordedLog(TransactionLog):
+        def __init__(self, path):
+            super().__init__(path)
+            logs.append(self)
+
+    def broken_loader(*args, **kwargs):
+        raise ValueError("unreadable stack map")
+
+    monkeypatch.setattr(harness, "TransactionLog", RecordedLog)
+    monkeypatch.setattr(stacksmap, "load_stackmap", broken_loader)
+    with pytest.raises(ReportError, match="unreadable stack map") as exc:
+        run_report(ReportConfig(out_dir=str(tmp_path), **SMALL))
+    assert exc.value.stage == "load"
+    assert [log._fh.closed for log in logs] == [True]
 
 
 def test_report_walk_file_replayable(tmp_path):

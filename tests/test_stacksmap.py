@@ -12,7 +12,6 @@ from stackrec.stacksmap import (
     StackMap,
     StackMapLoadError,
     load_stackmap,
-    nearest_shelves,
     ranges_for_location,
     shelf_for_call,
 )
@@ -88,9 +87,10 @@ def test_equidistant_tie_broken_by_shelf_number(tmp_path):
         [(2, 20, 0, 30, 10, "SF440", "SF450"), (1, 0, 0, 10, 10, "PN1990", "PN1999")],
     )
     m = load_stackmap(path)
+    by_number = {s.shelf_number: s for s in m.shelves}
     # (15, 5) is 5 units from both shelves
-    shelves = nearest_shelves((15, 5), m, 2)
-    assert [s.shelf_number for s in shelves] == [1, 2]
+    ranges = ranges_for_location((15, 5), m, radius=10)
+    assert ranges == [by_number[1].range, by_number[2].range]
 
 
 def _synthetic_map(n=10):
@@ -127,21 +127,6 @@ def test_radius_covering_three_shelves():
     ranges = ranges_for_location(p, m, radius=45.0)
     assert len(ranges) == 3
     assert ranges[0] == m.shelves[4].range
-
-
-def test_nearest_shelves_matches_sort_oracle():
-    m = _synthetic_map()
-    rng = random.Random(6)
-    for _ in range(30):
-        p = (rng.uniform(-50, 550), rng.uniform(-50, 60))
-        k = rng.randint(1, len(m.shelves))
-        expected = sorted(m.shelves, key=lambda s: (s.bounds.distance_to(p), s.shelf_number))[:k]
-        assert nearest_shelves(p, m, k) == expected
-
-
-def test_nearest_shelves_k_larger_than_map():
-    m = _synthetic_map(3)
-    assert len(nearest_shelves((0, 0), m, 10)) == 3
 
 
 def test_radius_zero_returns_containing_shelves():

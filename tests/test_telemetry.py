@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,82 @@ def test_parse_merges_ordered_by_timestamp(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["[1]", "null", '"s"', "3.5", '{"timestamp": 5, "module": "recommend", "uri": "/x", "status": 200}',
+     '{"timestamp": "2016-09-01T10:00:00", "module": "catalog", "uri": "/x", "status": 200, '
+     '"params": {"q": 5}}',
+     '{"timestamp": "2016-09-01T10:00:00", "module": "recommend", "uri": "/x", "status": "200"}',
+     '{"timestamp": "last tuesday", "module": "recommend", "uri": "/x", "status": 200}',
+     '{"timestamp": "2016-09-01T10:00:00", "module": "display", "uri": "/x", "status": 200, '
+     '"bib_ids": "uiu_1"}'],
+)
+def test_parse_counts_non_entry_json_as_malformed(tmp_path, line):
+    path = tmp_path / "log.jsonl"
+    path.write_text(_entry().to_json() + "\n" + line + "\n", encoding="utf-8")
+    parsed = parse_logs([path])
+    assert len(parsed.entries) == 1
+    assert [line_no for _, line_no, _ in parsed.malformed] == [2]
+
+
+def test_parse_counts_undecodable_line_as_malformed(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"timestamp": "\xff"}\n' + _entry().to_json().encode() + b"\n")
+    parsed = parse_logs([path])
+    assert len(parsed.entries) == 1
+    assert parsed.malformed[0][1] == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_FIELDS = st.fixed_dictionaries({
+    "timestamp": st.datetimes().map(lambda d: d.isoformat()),
+    "module": st.sampled_from(["recommend", "wayfinder", "catalog"]),
+    "uri": st.just("/api/x"),
+    "params": st.dictionaries(st.sampled_from(["x", "y", "q"]), st.text(max_size=6), max_size=3),
+    "status": st.just(200),
+    "bib_ids": st.lists(st.sampled_from(["uiu_8127460", "uiu_0"]), max_size=3),
+})
+# a well-formed entry with one field replaced by any JSON value, or dropped
+_MUTATED = st.builds(
+    lambda fields, name, value, drop: {
+        **{k: v for k, v in fields.items() if not (drop and k == name)},
+        **({} if drop else {name: value}),
+    },
+    _FIELDS,
+    st.sampled_from(["timestamp", "module", "uri", "params", "status", "bib_ids"]),
+    _JSON,
+    st.booleans(),
+)
+_LINE = st.one_of(
+    _FIELDS.map(json.dumps),
+    _MUTATED.map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)), max_size=30),
+).map(str.encode) | st.binary(max_size=30).map(lambda b: b.replace(b"\n", b""))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LINE, max_size=8))
+def test_fuzz_parse_logs_never_raises_and_accounts_for_every_line(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        parsed = parse_logs([path])
+    assert len(parsed.entries) + len(parsed.malformed) == sum(1 for line in lines if line.strip())
+    # what parsed cleanly flows through the batch analyses
+    time_series(parsed.entries)
+    mine_queries(parsed.entries, "catalog")
+    trace_identifier("uiu_8127460", parsed.entries)
+    heatmap_points(
+        [p for e in parsed.entries if (p := telemetry.request_point(e.params))],
+        GridSpec(0.0, 0.0, 10.0, 4, 4),
+    )
+
+
 # --- annotate --------------------------------------------------------------
 
 def test_annotate_joins_call_numbers_and_subjects(ref_corpus, ref_outline):
@@ -102,6 +181,14 @@ def test_annotate_no_bibs_empty_annotations(ref_corpus, ref_outline):
 def test_annotate_xy_from_params(ref_corpus, ref_outline):
     annotated = annotate([_entry(params={"x": "12.5", "y": "7.25"})], ref_corpus, ref_outline)
     assert (annotated[0].x, annotated[0].y) == (12.5, 7.25)
+
+
+@pytest.mark.parametrize("x, y", [("nan", "1"), ("1", "inf"), ("-Infinity", "2"), ("abc", "2")])
+def test_annotate_skips_point_that_is_not_finite(ref_corpus, ref_outline, x, y):
+    annotated = annotate([_entry(params={"x": x, "y": y})], ref_corpus, ref_outline)
+    assert (annotated[0].x, annotated[0].y) == (None, None)
+    grid = telemetry.heatmap(annotated, GridSpec(0.0, 0.0, 10.0, 2, 2))
+    assert grid.total_mass == 0 and grid.out_of_extent == 0
 
 
 def test_annotate_xy_from_shelf_target(ref_corpus, ref_outline, ref_stackmap):
