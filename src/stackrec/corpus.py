@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,24 +64,20 @@ class CorpusStore:
     _keys: list[tuple] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self._sorted = sorted(
-            self.records.values(), key=lambda r: (r.call_number.sort_key(), r.bib_id)
-        )
-        self._keys = [r.call_number.sort_key() for r in self._sorted]
+        pairs = sorted((r.call_number.sort_key(), bib_id) for bib_id, r in self.records.items())
+        self._keys = [key for key, _ in pairs]
+        self._sorted = [self.records[bib_id] for _, bib_id in pairs]
 
     def books_in_range(self, r: CallNumberRange, fmt: str | None = None) -> list[BibRecord]:
         """All records whose call number falls in r, in call-number order.
 
-        fmt filters to "print" or "ebook"; None keeps both.
+        fmt filters to "print" or "ebook"; None keeps both.  Bisects the
+        store's sort keys at both ends and slices: the records in r are
+        exactly those keyed from r.start's key up to lccn.end_upper_key(r.end).
         """
         lo = bisect_left(self._keys, r.start.sort_key())
-        out = []
-        for rec in self._sorted[lo:]:
-            if not lccn.in_range(rec.call_number, r):
-                break
-            if fmt is None or rec.format == fmt:
-                out.append(rec)
-        return out
+        hi = bisect_right(self._keys, lccn.end_upper_key(r.end), lo)
+        return [rec for rec in self._sorted[lo:hi] if fmt is None or rec.format == fmt]
 
     def circulation_count(self, bib_id: str) -> int:
         return self.charges.get(bib_id, 0)

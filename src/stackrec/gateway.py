@@ -80,6 +80,16 @@ class ApiLogEntry:
     @classmethod
     def from_json(cls, line: str) -> "ApiLogEntry":
         """One log line as an entry; ValueError or KeyError when it is not one."""
+        return cls.parse(line)[0]
+
+    @classmethod
+    def parse(cls, line: str) -> tuple["ApiLogEntry", datetime]:
+        """One log line as an entry and the instant it is stamped with.
+
+        A stamp without a UTC offset is read as UTC, so instants from naive
+        (simulated-clock) and offset-aware (live-clock) stamps compare.
+        ValueError or KeyError when the line is not an entry.
+        """
         raw = json.loads(line)
         if not isinstance(raw, dict):
             raise ValueError(f"log line is a JSON {type(raw).__name__}, not an object")
@@ -92,8 +102,10 @@ class ApiLogEntry:
             and isinstance(bib_ids, list) and all(isinstance(b, str) for b in bib_ids)
         ):
             raise ValueError("log line has a field of the wrong type")
-        datetime.fromisoformat(timestamp)  # ValueError unless ISO 8601
-        return cls(timestamp, raw["module"], raw["uri"], params, status, tuple(bib_ids))
+        stamped = datetime.fromisoformat(timestamp)  # ValueError unless ISO 8601
+        if stamped.tzinfo is None:
+            stamped = stamped.replace(tzinfo=timezone.utc)
+        return cls(timestamp, raw["module"], raw["uri"], params, status, tuple(bib_ids)), stamped
 
 
 class TransactionLog:
@@ -261,10 +273,15 @@ _MAP_DATA_RE = re.compile(r"^/api/wayfinder/map_data/([^/]+)/([^/]+)$")
 
 # Largest POST body read; a beacon scan with hundreds of readings is a few KB.
 MAX_BODY_BYTES = 64 * 1024
+# Longest wait for any one read or write on a client's socket.  A request whose
+# body stops short of its Content-Length is answered 408 once a read waits this
+# long; a connection that sends no request line is closed.
+READ_TIMEOUT_S = 5.0
 
 
 class _Handler(BaseHTTPRequestHandler):
     gateway: Gateway  # set on the server class
+    timeout = READ_TIMEOUT_S  # socket timeout, set on each connection by StreamRequestHandler
 
     def _send(self, status: int, body: dict) -> None:
         payload = json.dumps(body).encode("utf-8")
@@ -308,7 +325,12 @@ class _Handler(BaseHTTPRequestHandler):
             # left unread: the connection closes after this answer
             return refuse(413, f"body over {MAX_BODY_BYTES} bytes")
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True  # the unread rest would be read as the next request
+            return refuse(408, f"body shorter than Content-Length after {READ_TIMEOUT_S:g} s")
+        try:
+            body = json.loads(raw or b"{}")
         except (ValueError, RecursionError):  # malformed JSON, bad UTF-8, or nested too deep
             return refuse(400, "body must be JSON")
         return self.gateway.handle_locate(body)

@@ -228,7 +228,12 @@ def parse_range(start_text: str, end_text: str) -> CallNumberRange:
 _KEY_MAX = (("￿", Fraction(0)),)
 
 
-def _end_upper_key(end: CallNumber):
+def end_upper_key(end: CallNumber):
+    """The largest sort key a range ending at `end` contains.
+
+    cn.sort_key() <= end_upper_key(end) exactly when cn files at or before
+    end in the sense of CallNumberRange (a class-prefix end covers its class).
+    """
     if not end.cutters and end.year is None and not end.suffix:
         return (
             end.class_letters,
@@ -264,8 +269,8 @@ class ClassificationOutline:
             raise Unclassified(canonical_format(cn))
         best_start = max(e.range.start.sort_key() for e in candidates)
         candidates = [e for e in candidates if e.range.start.sort_key() == best_start]
-        best_end = min(_end_upper_key(e.range.end) for e in candidates)
-        candidates = [e for e in candidates if _end_upper_key(e.range.end) == best_end]
+        best_end = min(end_upper_key(e.range.end) for e in candidates)
+        candidates = [e for e in candidates if end_upper_key(e.range.end) == best_end]
         return min(candidates, key=lambda e: e.line_no).label
 
 
@@ -296,7 +301,7 @@ def load_outline(path: str | Path) -> ClassificationOutline:
             except (ParseError, ValueError) as exc:
                 outline.diagnostics.append(f"line {line_no}: {exc}")
                 continue
-            key = (rng.start.sort_key(), _end_upper_key(rng.end))
+            key = (rng.start.sort_key(), end_upper_key(rng.end))
             if key in seen_ranges:
                 outline.diagnostics.append(
                     f"line {line_no}: duplicate range (first defined at line {seen_ranges[key]}); ignored"

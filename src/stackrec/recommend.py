@@ -103,6 +103,8 @@ class Recommender:
         self.max_items = max_items
         self.max_ebooks = max_ebooks
         self.majority_threshold = majority_threshold
+        # range -> its dominant journal and share, or None; see _dominant_journal
+        self._journals: dict[CallNumberRange, tuple[str, float] | None] = {}
 
     def recommend_near(self, p: Point) -> RecommendationSet:
         """Full pipeline for one point; empty ranges/items is a normal outcome."""
@@ -167,15 +169,10 @@ class Recommender:
         out: list[Recommendation] = []
         seen: set[str] = set()
         for r in ranges:
-            query = subject_query_from_range(r, self.outline)
-            if query is None:
+            dominant = self._dominant_journal(r)
+            if dominant is None:
                 continue
-            results = self.corpus.article_search(query)
-            if not results:
-                continue
-            shares = Counter(a.journal_title for a in results)
-            journal, hits = max(shares.items(), key=lambda kv: (kv[1], kv[0]))
-            share = hits / len(results)
+            journal, share = dominant
             if share > self.majority_threshold and journal not in seen:
                 seen.add(journal)
                 out.append(Recommendation(kind="database", title=journal, score=share, name=journal))
@@ -190,3 +187,24 @@ class Recommender:
                     Recommendation(kind="database", title=entry.name, score=1.0, name=entry.name)
                 )
         return out
+
+    def _dominant_journal(self, r: CallNumberRange) -> tuple[str, float] | None:
+        """The journal with most article hits for r's subject query, and its share.
+
+        None when r is unclassified or its query finds nothing.  Memoized per
+        range: the outline and the article store never change, and
+        recommend_near asks only about the stack map's ranges, so the memo
+        holds about one entry per shelf.  Two threads may both compute a
+        missing entry; they store the same value.
+        """
+        if r in self._journals:
+            return self._journals[r]
+        dominant = None
+        query = subject_query_from_range(r, self.outline)
+        results = self.corpus.article_search(query) if query is not None else []
+        if results:
+            shares = Counter(a.journal_title for a in results)
+            journal, hits = max(shares.items(), key=lambda kv: (kv[1], kv[0]))
+            dominant = (journal, hits / len(results))
+        self._journals[r] = dominant
+        return dominant

@@ -10,8 +10,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import lccn
 from .lccn import CallNumber, CallNumberRange
@@ -70,6 +75,22 @@ class StackMap:
     shelves: list[Shelf]
     background: str | None = None
     diagnostics: list[str] = field(default_factory=list)
+    # Lookup indexes, built once from `shelves`: the shelves ordered by range
+    # start with their start keys, and the bounds as rows x_min, y_min, x_max,
+    # y_max with one column per entry of `shelves`.
+    _by_start: list[Shelf] = field(init=False, repr=False, compare=False)
+    _start_keys: list[tuple] = field(init=False, repr=False, compare=False)
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        keyed = sorted(((s.range.start.sort_key(), s) for s in self.shelves), key=itemgetter(0))
+        self._start_keys = [key for key, _ in keyed]
+        self._by_start = [shelf for _, shelf in keyed]
+        self._bounds = np.array(
+            [[s.bounds.x_min for s in self.shelves], [s.bounds.y_min for s in self.shelves],
+             [s.bounds.x_max for s in self.shelves], [s.bounds.y_max for s in self.shelves]],
+            dtype=float,
+        )
 
     @property
     def map_extent(self) -> Rect:
@@ -95,7 +116,8 @@ def load_stackmap(path: str | Path, background: str | None = None) -> StackMap:
 
     Duplicate shelf numbers and overlapping call-number ranges are structural
     violations and abort the load; individually malformed rows are reported
-    and skipped.
+    and skipped.  Overlap is checked between neighbours in range-start order
+    only: if any two ranges overlap, some adjacent pair in that order does.
     """
     shelves: list[Shelf] = []
     diagnostics: list[str] = []
@@ -120,41 +142,61 @@ def load_stackmap(path: str | Path, background: str | None = None) -> StackMap:
                 continue
             shelves.append(shelf)
 
-    numbers = [s.shelf_number for s in shelves]
-    dupes = sorted({n for n in numbers if numbers.count(n) > 1})
+    counts = Counter(s.shelf_number for s in shelves)
+    dupes = sorted(n for n, c in counts.items() if c > 1)
     if dupes:
         raise StackMapLoadError(f"{path}: duplicate shelf numbers {dupes}")
-    for i, a in enumerate(shelves):
-        for b in shelves[i + 1 :]:
-            if lccn.ranges_overlap(a.range, b.range):
-                raise StackMapLoadError(
-                    f"{path}: shelves {a.shelf_number} and {b.shelf_number} have overlapping ranges"
-                )
+    m = StackMap(shelves=shelves, background=background, diagnostics=diagnostics)
+    for a, b in zip(m._by_start, m._by_start[1:]):
+        if lccn.ranges_overlap(a.range, b.range):
+            raise StackMapLoadError(
+                f"{path}: shelves {a.shelf_number} and {b.shelf_number} have overlapping ranges"
+            )
     if not shelves:
         raise StackMapLoadError(f"{path}: no valid shelves")
     for msg in diagnostics:
         log.warning("stackmap %s: %s", path, msg)
-    return StackMap(shelves=shelves, background=background, diagnostics=diagnostics)
+    return m
 
 
 def shelf_for_call(cn: CallNumber, m: StackMap) -> Shelf | None:
-    """The unique shelf whose range contains cn, or None (not in open stacks)."""
-    for shelf in m.shelves:
-        if lccn.in_range(cn, shelf.range):
-            return shelf
+    """The unique shelf whose range contains cn, or None (not in open stacks).
+
+    Bisects the map's shelves in range-start order and tests one candidate:
+    the last shelf starting at or before cn.  That relies on shelf ranges not
+    overlapping, which load_stackmap enforces; every earlier shelf then ends
+    before the candidate starts.
+    """
+    i = bisect_right(m._start_keys, cn.sort_key()) - 1
+    if i >= 0 and lccn.in_range(cn, m._by_start[i].range):
+        return m._by_start[i]
     return None
 
 
 def ranges_for_location(p: Point, m: StackMap, radius: float) -> list[CallNumberRange]:
-    """Ranges of shelves within `radius` of p, nearest first.
+    """Ranges of shelves within `radius` of p, nearest first, ties by shelf number.
 
-    radius=0 degenerates to "shelves whose rectangle contains p".
+    radius=0 degenerates to "shelves whose rectangle contains p".  The map's
+    bounds array screens out, in one vectorized pass, every shelf that is
+    farther than radius along x or y alone; only the rest get the exact
+    Rect.distance_to test.  The screen computes the same float differences
+    as distance_to, and a distance is never below either of its components,
+    so it never drops a shelf the exact test keeps.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    near = [s for s in m.shelves if s.bounds.distance_to(p) <= radius]
-    near.sort(key=lambda s: (s.bounds.distance_to(p), s.shelf_number))
-    return [s.range for s in near]
+    x, y = p
+    x_min, y_min, x_max, y_max = m._bounds
+    screen = (x_min - x <= radius) & (x - x_max <= radius)
+    screen &= (y_min - y <= radius) & (y - y_max <= radius)
+    near = []
+    for i in np.flatnonzero(screen).tolist():
+        shelf = m.shelves[i]
+        d = shelf.bounds.distance_to(p)
+        if d <= radius:
+            near.append((d, shelf.shelf_number, shelf))
+    near.sort(key=itemgetter(0, 1))
+    return [shelf.range for _, _, shelf in near]
 
 
 def default_radius(m: StackMap, shelf_widths: float = 1.5) -> float:

@@ -49,10 +49,10 @@ def parse_logs(paths: list[str | Path]) -> ParsedLogs:
     """Parse one or more log files; malformed lines are counted, not dropped silently.
 
     A line is malformed when it is not UTF-8, not JSON, not a JSON object, or
-    not an entry with fields of the right types (see ``ApiLogEntry.from_json``).
+    not an entry with fields of the right types (see ``ApiLogEntry.parse``).
 
-    Entries are ordered by (timestamp, file, line) so multi-file input is a
-    stable merge.
+    Entries are ordered by (instant, file, line) so multi-file input is a
+    stable merge; a stamp without a UTC offset is read as UTC.
     """
     keyed: list[tuple[tuple, ApiLogEntry]] = []
     malformed: list[tuple[str, int, str]] = []
@@ -62,11 +62,11 @@ def parse_logs(paths: list[str | Path]) -> ParsedLogs:
                 if not line.strip():
                     continue
                 try:
-                    entry = ApiLogEntry.from_json(line.decode("utf-8"))
+                    entry, instant = ApiLogEntry.parse(line.decode("utf-8"))
                 except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
                     malformed.append((str(path), line_no, str(exc)))
                     continue
-                keyed.append(((entry.timestamp, file_idx, line_no), entry))
+                keyed.append(((instant, file_idx, line_no), entry))
     keyed.sort(key=lambda pair: pair[0])
     result = ParsedLogs([entry for _, entry in keyed], malformed)
     if malformed:

@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from stackrec import corpus, lccn, locate, stacksmap
 from stackrec.recommend import Recommender
@@ -104,3 +105,43 @@ def random_call_number(rng: random.Random) -> lccn.CallNumber:
     return lccn.CallNumber(
         letters, rng.randint(0, 9999), frac, tuple(cutters), year, suffix
     )
+
+
+# Call numbers from a few neighbouring classes, so that random ranges, shelves
+# and records share classes and class-prefix range ends cut between them.
+CALL_NUMBERS = st.builds(
+    lccn.CallNumber,
+    class_letters=st.sampled_from(["B", "BF", "P", "PS"]),
+    class_int=st.integers(1, 40),
+    class_frac=st.sampled_from(["", "5", "25"]),
+    cutters=st.lists(
+        st.builds(lccn.Cutter, st.sampled_from("ACX"), st.sampled_from(["1", "15", "2", "9"])),
+        max_size=2,
+    ).map(tuple),
+    year=st.none() | st.integers(1990, 1992),
+    suffix=st.none() | st.just("v.2"),
+)
+
+
+@st.composite
+def call_number_ranges(draw):
+    """A valid range over CALL_NUMBERS; half of them end at a class prefix (B1-B5802 style)."""
+    a, b = draw(CALL_NUMBERS), draw(CALL_NUMBERS)
+    if oracle_call_number_key(a) > oracle_call_number_key(b):
+        a, b = b, a
+    if draw(st.booleans()):
+        b = lccn.CallNumber(b.class_letters, b.class_int, b.class_frac)
+    return lccn.CallNumberRange(a, b)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Wrap owner.name for the test; the returned one-item list counts its calls."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

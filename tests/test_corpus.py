@@ -1,11 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackrec import corpus, lccn
-from stackrec.corpus import ArticleResult, CorpusLoadError, load_corpus
+from stackrec.corpus import ArticleResult, BibRecord, CorpusLoadError, CorpusStore, load_corpus
 
-from conftest import REFERENCE, random_call_number
+from conftest import (
+    CALL_NUMBERS,
+    REFERENCE,
+    call_number_ranges,
+    count_calls,
+    oracle_call_number_key,
+    random_call_number,
+)
 
 
 def test_basic_load(tmp_path):
@@ -120,6 +130,43 @@ def test_books_in_range_matches_linear_scan(tmp_path):
             key=lambda rec: (rec.call_number.sort_key(), rec.bib_id),
         )
         assert store.books_in_range(r) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cns=st.lists(CALL_NUMBERS, max_size=40),
+    r=call_number_ranges(),
+    fmt=st.sampled_from([None, "print", "ebook"]),
+)
+def test_books_in_range_matches_in_range_scan(cns, r, fmt):
+    records = {
+        f"uiu_{i}": BibRecord(f"uiu_{i}", f"Title {i}", cn, "ebook" if i % 3 == 0 else "print")
+        for i, cn in enumerate(cns)
+    }
+    store = CorpusStore(records, Counter(), [], [])
+    expected = sorted(
+        (rec for rec in records.values()
+         if lccn.in_range(rec.call_number, r) and fmt in (None, rec.format)),
+        key=lambda rec: (oracle_call_number_key(rec.call_number), rec.bib_id),
+    )
+    assert store.books_in_range(r, fmt) == expected
+
+
+def test_books_in_range_class_prefix_end_covers_its_class():
+    texts = ["B1", "B1 .A1", "B5802", "B5802 .X9 1990", "B5802.5", "B5803", "BF1"]
+    records = {
+        f"uiu_{i}": BibRecord(f"uiu_{i}", text, lccn.parse(text), "print") for i, text in enumerate(texts)
+    }
+    store = CorpusStore(records, Counter(), [], [])
+    got = store.books_in_range(lccn.parse_range("B1", "B5802"))
+    assert [rec.title for rec in got] == ["B1", "B1 .A1", "B5802", "B5802 .X9 1990"]
+
+
+def test_books_in_range_calls_no_in_range(monkeypatch, ref_corpus):
+    calls = count_calls(monkeypatch, lccn, "in_range")
+    assert ref_corpus.books_in_range(lccn.parse_range("PN1", "PZ90"))
+    assert ref_corpus.books_in_range(lccn.parse_range("PS1", "PS3626"), fmt="ebook")
+    assert calls[0] == 0
 
 
 def test_circulation_counts(ref_corpus):

@@ -1,6 +1,8 @@
 import http.client
 import json
 import math
+import socket
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -15,6 +17,7 @@ from stackrec import telemetry
 from stackrec.config import ServiceConfig
 from stackrec.gateway import (
     MAX_BODY_BYTES,
+    READ_TIMEOUT_S,
     ApiLogEntry,
     Gateway,
     GatewayServer,
@@ -281,6 +284,27 @@ def test_bad_locate_posts_get_4xx_and_one_log_line_each(gateway):
     assert all("error" in payload for _, payload in answers)
     assert [(line["module"], line["uri"], line["status"]) for line in _log_lines(gateway)] == [
         ("wayfinder", "/api/locate", status) for _, _, status in BAD_LOCATE_POSTS
+    ]
+
+
+def test_short_body_gets_408_and_one_log_line_within_read_timeout(gateway):
+    with GatewayServer(gateway) as server:
+        with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
+            sock.sendall(
+                b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 10\r\n\r\n{}"
+            )
+            sent = time.monotonic()
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after answering
+                reply += chunk
+            waited = time.monotonic() - sent
+    status_line, _, rest = reply.partition(b"\r\n")
+    assert status_line.split()[1] == b"408"
+    assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+    assert waited < READ_TIMEOUT_S + 5
+    assert [(line["module"], line["uri"], line["status"]) for line in _log_lines(gateway)] == [
+        ("wayfinder", "/api/locate", 408)
     ]
 
 

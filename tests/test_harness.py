@@ -159,6 +159,45 @@ def test_run_report_rerun_is_identical(tmp_path):
     assert a["subject_distribution"] == b["subject_distribution"]
 
 
+# Seed-7 report outputs of the default ReportConfig.  A change that only makes
+# the program faster leaves them as they are; one that changes an answer on
+# purpose records them anew.
+GOLDEN_SUMMARY = Path(__file__).parent / "fixtures" / "golden" / "seed7_summary.json"
+GOLDEN_SHA256 = {
+    "recommend_table.csv": "7d970a915a436ef6a496accb19039f38aa3669a3a001118616ff2c82522e8064",
+    "wayfinder_table.csv": "e418c2e18b120cf618b721b19e82fae48902ec8272ad5de6aef999e1e0a21a31",
+    "gateway.jsonl": "1b8d775afc55ba25ef5406cabe3a260d0df702a9d4c57d9fd199bd91f0e4a90d",
+}
+
+
+def _assert_json_close(got, want, where="summary"):
+    """Equal JSON values, floats to a relative 1e-9."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-9), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_json_close(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def test_seed7_report_matches_golden_outputs(tmp_path):
+    run_report(ReportConfig(out_dir=str(tmp_path), seed=7))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
+    _assert_json_close(
+        json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")),
+        json.loads(GOLDEN_SUMMARY.read_text(encoding="utf-8")),
+    )
+
+
 def test_report_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"records": 100, "bogus": 1}', encoding="utf-8")

@@ -2,13 +2,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackrec import lccn, stacksmap
 from stackrec.corpus import CorpusStore, load_corpus
+from stackrec.lccn import ClassificationOutline
 from stackrec.recommend import Recommender, subject_query_from_range
 from stackrec.stacksmap import Rect, Shelf, StackMap
 
-from conftest import REFERENCE
+from conftest import REFERENCE, count_calls
 
 HOTSPOT = (4362.047852, 3160.110596)
 HOTSPOT_BIBS = ["uiu_8378456", "uiu_7072382", "hat_817483", "uiu_7277188", "uiu_8375583"]
@@ -253,3 +256,34 @@ def test_monotone_popularity(tmp_path, ref_outline):
         assert after_prints.index(target.bib_id) <= [
             i.bib_id for i in prints
         ].index(target.bib_id)
+
+
+# --- the per-range journal memo ------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_warmed_recommender_answers_as_a_fresh_one(data, ref_stackmap, ref_corpus, ref_outline):
+    centers = [s.bounds.center for s in ref_stackmap.shelves] + [HOTSPOT]
+    extent = ref_stackmap.map_extent
+    point = st.sampled_from(centers) | st.tuples(
+        st.floats(extent.x_min - 50, extent.x_max + 50), st.floats(extent.y_min - 50, extent.y_max + 50)
+    )
+    warm_up = data.draw(st.lists(point, max_size=20))
+    probes = data.draw(st.lists(point, min_size=1, max_size=10))
+    warmed = Recommender(ref_stackmap, ref_corpus, ref_outline, radius=25.0)
+    for p in warm_up + probes:
+        warmed.recommend_near(p)
+    for p in probes:
+        fresh = Recommender(ref_stackmap, ref_corpus, ref_outline, radius=25.0)
+        assert warmed.recommend_near(p).to_dict() == fresh.recommend_near(p).to_dict()
+
+
+def test_second_request_at_a_point_classifies_nothing(monkeypatch, ref_stackmap, ref_corpus, ref_outline):
+    classified = count_calls(monkeypatch, ClassificationOutline, "classify")
+    searched = count_calls(monkeypatch, CorpusStore, "article_search")
+    rec = Recommender(ref_stackmap, ref_corpus, ref_outline, radius=25.0)
+    first = rec.recommend_near(HOTSPOT)
+    assert classified[0] > 0 and searched[0] > 0
+    classified[0] = searched[0] = 0
+    assert rec.recommend_near(HOTSPOT).to_dict() == first.to_dict()
+    assert classified[0] == searched[0] == 0

@@ -1,8 +1,10 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackrec import lccn, stacksmap
@@ -15,6 +17,8 @@ from stackrec.stacksmap import (
     ranges_for_location,
     shelf_for_call,
 )
+
+from conftest import CALL_NUMBERS, REFERENCE, call_number_ranges, count_calls
 
 
 def _write_map(tmp_path, rows):
@@ -161,3 +165,140 @@ def test_rectangle_distance_zero_iff_inside(x, y):
     d = rect.distance_to((x, y))
     assert (d == 0.0) == rect.contains((x, y))
     assert d >= 0.0
+
+
+# --- the lookup indexes against brute-force oracles ----------------------------
+
+def _shelves(ranges) -> list[Shelf]:
+    return [Shelf(i + 1, Rect(10.0 * i, 0.0, 10.0 * i + 5.0, 5.0), r) for i, r in enumerate(ranges)]
+
+
+def _pairwise_overlap(shelves) -> bool:
+    return any(
+        lccn.ranges_overlap(a.range, b.range) for i, a in enumerate(shelves) for b in shelves[i + 1 :]
+    )
+
+
+def _disjoint(ranges) -> list:
+    kept = []
+    for r in ranges:
+        if not any(lccn.ranges_overlap(r, k) for k in kept):
+            kept.append(r)
+    return kept
+
+
+# before every shelf class (B..PS), and after every one
+_OUTSIDE = [lccn.parse("A1"), lccn.parse("AZ9999 .X9 2020"), lccn.parse("PT1"), lccn.parse("Z9999")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranges=st.lists(call_number_ranges(), max_size=12), probes=st.lists(CALL_NUMBERS, max_size=20))
+def test_shelf_for_call_matches_linear_scan(ranges, probes):
+    shelves = _shelves(_disjoint(ranges))
+    m = StackMap(shelves=shelves)
+    # the shelf edges, the gaps between shelves (random probes), and both sides of the map
+    for cn in probes + _OUTSIDE + [c for s in shelves for c in (s.range.start, s.range.end)]:
+        containing = [s for s in shelves if lccn.in_range(cn, s.range)]
+        assert len(containing) <= 1
+        assert shelf_for_call(cn, m) is (containing[0] if containing else None)
+
+
+def test_shelf_for_call_before_between_and_after_shelves():
+    m = StackMap(shelves=_shelves([
+        lccn.parse_range("B20", "B30"),   # a class-prefix end: holds B30 .X9 too
+        lccn.parse_range("PS100", "PS200 .C5"),
+    ]))
+    first, second = m.shelves
+    for text, expected in [
+        ("A5", None), ("B19 .X9", None), ("B20", first), ("B30 .X9 1990", first), ("B31", None),
+        ("PS99.5", None), ("PS150 .A1", second), ("PS200 .C5", second), ("PS200 .C6", None),
+        ("PS201", None), ("Z1", None),
+    ]:
+        assert shelf_for_call(lccn.parse(text), m) is expected, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranges=st.lists(call_number_ranges(), max_size=10))
+def test_sorted_overlap_check_matches_pairwise(ranges):
+    shelves = _shelves(ranges)
+    rows = [
+        (s.shelf_number, s.bounds.x_min, s.bounds.y_min, s.bounds.x_max, s.bounds.y_max,
+         lccn.canonical_format(s.range.start), lccn.canonical_format(s.range.end))
+        for s in shelves
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_map(Path(tmp), rows)
+        if _pairwise_overlap(shelves):
+            with pytest.raises(StackMapLoadError, match="overlapping"):
+                load_stackmap(path)
+        elif not shelves:
+            with pytest.raises(StackMapLoadError, match="no valid shelves"):
+                load_stackmap(path)
+        else:
+            assert load_stackmap(path).shelves == shelves
+
+
+def test_sorted_overlap_check_names_an_overlapping_pair(tmp_path):
+    path = _write_map(tmp_path, [
+        (1, 0, 0, 10, 10, "PS100", "PS200"),
+        (2, 20, 0, 30, 10, "B1", "B9"),
+        (3, 40, 0, 50, 10, "PS150 .A1", "PS150 .A9"),
+    ])
+    with pytest.raises(StackMapLoadError, match="shelves 1 and 3 have overlapping ranges"):
+        load_stackmap(path)
+
+
+_COORD = st.floats(-1000, 1000, allow_nan=False) | st.integers(-60, 60).map(float)
+
+
+@st.composite
+def _rects(draw):
+    x, y = draw(_COORD), draw(_COORD)
+    w, h = draw(st.floats(0.001, 300)), draw(st.floats(0.001, 300))
+    return Rect(x, y, x + w, y + h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ranges_for_location_matches_all_shelves_scan(data):
+    rects = data.draw(st.lists(_rects(), min_size=1, max_size=15))
+    numbers = data.draw(st.permutations(range(1, len(rects) + 1)))
+    shelves = [
+        Shelf(n, rect, lccn.parse_range(f"PS{n}", f"PS{n}")) for n, rect in zip(numbers, rects)
+    ]
+    m = StackMap(shelves=shelves)
+    anchor = data.draw(st.sampled_from(rects))
+    # anywhere, or level with a shelf so that one distance component is 0
+    p = data.draw(
+        st.tuples(_COORD, _COORD)
+        | st.tuples(st.floats(anchor.x_min, anchor.x_max), _COORD)
+        | st.tuples(_COORD, st.floats(anchor.y_min, anchor.y_max))
+    )
+    # a radius exactly at the anchor shelf's distance keeps that shelf
+    radius = data.draw(
+        st.floats(0, 3000) | st.just(anchor.distance_to(p)) | st.sampled_from([0.0, math.inf])
+    )
+    expected = sorted(
+        (s for s in shelves if s.bounds.distance_to(p) <= radius),
+        key=lambda s: (s.bounds.distance_to(p), s.shelf_number),
+    )
+    assert ranges_for_location(p, m, radius) == [s.range for s in expected]
+
+
+# --- complexity guards: counted calls, not wall time ----------------------------
+
+def test_load_stackmap_checks_only_adjacent_pairs(monkeypatch):
+    calls = count_calls(monkeypatch, lccn, "ranges_overlap")
+    m = load_stackmap(REFERENCE / "stackmap.csv")
+    assert 0 < calls[0] <= len(m) - 1
+
+
+def test_shelf_for_call_tests_at_most_one_range(monkeypatch, ref_stackmap, ref_corpus):
+    calls = count_calls(monkeypatch, lccn, "in_range")
+    probes = [rec.call_number for rec in ref_corpus.records.values()] + _OUTSIDE
+    found = 0
+    for cn in probes:
+        calls[0] = 0
+        found += shelf_for_call(cn, ref_stackmap) is not None
+        assert calls[0] <= 1
+    assert found

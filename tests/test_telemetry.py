@@ -3,6 +3,7 @@ import math
 import random
 import tempfile
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,53 @@ def test_parse_merges_ordered_by_timestamp(tmp_path):
     assert [e.timestamp for e in parsed.entries] == [
         "2016-09-01T00:00:00", "2016-10-01T00:00:00",
     ]
+
+
+def test_parse_orders_naive_and_offset_stamps_by_instant(tmp_path):
+    # the simulated clock writes naive stamps, read as UTC; the live clock writes offsets
+    simulated = ["2016-09-01T10:00:00", "2016-09-01T12:00:00"]
+    live = ["2016-09-01T11:30:00+02:00", "2016-09-01T11:00:00+00:00", "2016-09-01T07:30:00-05:00"]
+    for name, stamps in (("sim.jsonl", simulated), ("live.jsonl", live)):
+        (tmp_path / name).write_text(
+            "".join(_entry(ts=ts).to_json() + "\n" for ts in stamps), encoding="utf-8"
+        )
+    parsed = parse_logs([tmp_path / "sim.jsonl", tmp_path / "live.jsonl"])
+    assert [e.timestamp for e in parsed.entries] == [
+        "2016-09-01T11:30:00+02:00",   # 09:30 UTC
+        "2016-09-01T10:00:00",
+        "2016-09-01T11:00:00+00:00",
+        "2016-09-01T12:00:00",
+        "2016-09-01T07:30:00-05:00",   # 12:30 UTC
+    ]
+
+
+_ZONES = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5))])
+_STAMPS = st.datetimes(
+    min_value=datetime(2016, 8, 30), max_value=datetime(2016, 9, 2), timezones=_ZONES
+).map(datetime.isoformat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=st.lists(st.lists(_STAMPS, max_size=6), min_size=1, max_size=3))
+def test_parse_merge_is_ordered_by_instant_then_file_then_line(files):
+    def since_epoch(stamp: str) -> timedelta:  # a naive stamp is UTC
+        moment = datetime.fromisoformat(stamp)
+        offset = moment.utcoffset() or timedelta(0)
+        return moment.replace(tzinfo=None) - offset - datetime(1970, 1, 1)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, stamps in enumerate(files):
+            paths.append(Path(tmp) / f"{i}.jsonl")
+            paths[-1].write_text(
+                "".join(_entry(ts=ts, uri=f"/f{i}/l{n}").to_json() + "\n" for n, ts in enumerate(stamps)),
+                encoding="utf-8",
+            )
+        parsed = parse_logs(paths)
+    expected = sorted(
+        ((since_epoch(ts), i, n) for i, stamps in enumerate(files) for n, ts in enumerate(stamps))
+    )
+    assert [e.uri for e in parsed.entries] == [f"/f{i}/l{n}" for _, i, n in expected]
 
 
 @pytest.mark.parametrize(
