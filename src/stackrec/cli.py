@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -132,9 +131,7 @@ def cmd_monthly(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    fixtures = harness.gen_corpus(
-        args.seed, args.records, harness.SkewProfile(alpha=args.alpha), args.out
-    )
+    fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
     print(f"fixtures written under {fixtures.root}")
     return 0
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -16,13 +16,11 @@ class ServiceConfig:
     articles: str | None = None
     databases: str | None = None
     beacons: str | None = None
-    background: str | None = None
     radius: float | None = None           # None -> 1.5 shelf-widths, derived from the map
     max_items: int = 5
     max_ebooks: int = 3
     majority_threshold: float = 0.5
     path_loss_exponent: float = 2.0
-    default_tx_power: float = -59.0
     k_nearest_beacons: int = 3
 
     @classmethod
@@ -36,7 +34,7 @@ class ServiceConfig:
         cfg = cls(**raw)
         # Relative data paths resolve against the config file's directory.
         for name in ("catalog", "stackmap", "outline", "circulation", "articles",
-                     "databases", "beacons", "background"):
+                     "databases", "beacons"):
             value = getattr(cfg, name)
             if value is not None and not Path(value).is_absolute():
                 setattr(cfg, name, str(path.parent / value))

@@ -68,16 +68,16 @@ class CorpusStore:
         self._keys = [key for key, _ in pairs]
         self._sorted = [self.records[bib_id] for _, bib_id in pairs]
 
-    def books_in_range(self, r: CallNumberRange, fmt: str | None = None) -> list[BibRecord]:
+    def books_in_range(self, r: CallNumberRange) -> list[BibRecord]:
         """All records whose call number falls in r, in call-number order.
 
-        fmt filters to "print" or "ebook"; None keeps both.  Bisects the
-        store's sort keys at both ends and slices: the records in r are
-        exactly those keyed from r.start's key up to lccn.end_upper_key(r.end).
+        Bisects the store's sort keys at both ends and slices: the records in
+        r are exactly those keyed from r.start's key up to
+        lccn.end_upper_key(r.end).
         """
         lo = bisect_left(self._keys, r.start.sort_key())
         hi = bisect_right(self._keys, lccn.end_upper_key(r.end), lo)
-        return [rec for rec in self._sorted[lo:hi] if fmt is None or rec.format == fmt]
+        return self._sorted[lo:hi]
 
     def circulation_count(self, bib_id: str) -> int:
         return self.charges.get(bib_id, 0)

@@ -170,7 +170,7 @@ class Gateway:
     ) -> "Gateway":
         """Load the data files cfg names and wire a gateway with its tunables."""
         store = corpus.load_corpus(cfg.catalog, cfg.circulation, cfg.articles, cfg.databases)
-        stack = stacksmap.load_stackmap(cfg.stackmap, background=cfg.background)
+        stack = stacksmap.load_stackmap(cfg.stackmap)
         outline = lccn.load_outline(cfg.outline)
         beacons = locate.load_beacons(cfg.beacons) if cfg.beacons else []
         recommender = Recommender(

@@ -15,7 +15,7 @@ import random
 import shutil
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from importlib import resources
 from pathlib import Path
@@ -23,14 +23,14 @@ from pathlib import Path
 from . import corpus, lccn, locate, stacksmap, telemetry
 from .config import ServiceConfig
 from .gateway import ApiLogEntry, Gateway, GatewayServer, TransactionLog
-from .telemetry import GridSpec
+from .telemetry import GridSpec, quoted
 
 log = logging.getLogger(__name__)
 
 STUDY_START = datetime(2016, 9, 1)
 STUDY_END = datetime(2017, 8, 31, 23, 59)
 
-# (class letters, low class number, high class number, draw weight, is ebook class share)
+# (class letters, low class number, high class number, draw weight)
 CLASS_SPECS = [
     ("PS", 1, 3626, 100),
     ("PR", 1, 8308, 55),
@@ -54,6 +54,16 @@ _TITLE_WORDS = [
     "survey", "perspectives", "handbook", "anthology", "notes", "guide",
 ]
 
+# Circulation skew: the most-charged ranks go to the head classes.
+HEAD_CLASSES = ("PS", "PR")
+CHARGE_SCALE = 4000             # charges of the rank-1 item
+EBOOK_SHARE = 0.12
+
+# Patron walks: draw weights of the near-shelf, aisle and entrance zones, and
+# extra idle steps as a fraction of requests.
+ZONE_WEIGHTS = (0.62, 0.18, 0.20)
+IDLE_SHARE = 0.10
+
 _QUERY_WORDS = [
     "fish", "google", "math", "test", "hiv", "history", "poetry", "novel",
     "physics", "music", "film", "statistics", "shakespeare", "chemistry",
@@ -63,22 +73,6 @@ _QUERY_WORDS = [
 
 def packaged_outline_path() -> Path:
     return Path(str(resources.files("stackrec").joinpath("data/lcc_outline.tsv")))
-
-
-@dataclass
-class SkewProfile:
-    """Circulation skew: Zipf(alpha) charge counts, head ranks in head_classes."""
-
-    alpha: float = 1.0
-    head_classes: tuple[str, ...] = ("PS", "PR")
-    charge_scale: int = 4000        # charges of the rank-1 item
-    ebook_share: float = 0.12
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.charge_scale < 1:
-            raise ValueError("skew profile requires alpha > 0 and charge_scale >= 1")
-        if not 0.0 <= self.ebook_share < 1.0:
-            raise ValueError("ebook_share must be in [0, 1)")
 
 
 @dataclass
@@ -138,7 +132,7 @@ def _random_call_number(rng: random.Random, letters: str, lo: int, hi: int) -> l
 def gen_corpus(
     seed: int,
     n_records: int,
-    profile: SkewProfile | None = None,
+    alpha: float = 1.0,
     out_dir: str | Path = "fixtures",
     n_shelves: int = 40,
     n_beacons: int = 12,
@@ -146,12 +140,13 @@ def gen_corpus(
     """Write a deterministic synthetic fixture set under out_dir.
 
     The catalog spreads over the configured classes; circulation follows a
-    Zipf(alpha) rank-frequency law with the head ranks concentrated in the
-    profile's head classes.
+    Zipf(alpha) rank-frequency law with the head ranks concentrated in
+    HEAD_CLASSES.
     """
     if n_records < 10:
         raise ValueError("n_records must be >= 10")
-    profile = profile or SkewProfile()
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,7 +167,7 @@ def gen_corpus(
             continue
         seen.add(canonical)
         idx = len(records) + 1
-        fmt = "ebook" if rng.random() < profile.ebook_share else "print"
+        fmt = "ebook" if rng.random() < EBOOK_SHARE else "print"
         prefix = "hat" if fmt == "ebook" else "uiu"
         title = f"{letters} {rng.choice(_TITLE_WORDS)} {idx}"
         records.append((f"{prefix}_{1000000 + idx}", title, cn, fmt, letters))
@@ -180,12 +175,12 @@ def gen_corpus(
     with open(fixtures.catalog, "w", encoding="utf-8", newline="") as fh:
         fh.write("bib_id,title,call_number,format\n")
         for bib_id, title, cn, fmt, _ in records:
-            fh.write(f'{bib_id},"{title}","{lccn.canonical_format(cn)}",{fmt}\n')
+            fh.write(f"{bib_id},{quoted(title)},{quoted(lccn.canonical_format(cn))},{fmt}\n")
 
     # Popularity ranks: head classes first (shuffled within), then the rest.
     prints = [r for r in records if r[3] == "print"]
-    head = [r for r in prints if r[4] in profile.head_classes]
-    tail = [r for r in prints if r[4] not in profile.head_classes]
+    head = [r for r in prints if r[4] in HEAD_CLASSES]
+    tail = [r for r in prints if r[4] not in HEAD_CLASSES]
     rng.shuffle(head)
     rng.shuffle(tail)
     ranked = head + tail
@@ -193,7 +188,7 @@ def gen_corpus(
     with open(fixtures.circulation, "w", encoding="utf-8", newline="") as fh:
         fh.write("bib_id,charge_date\n")
         for rank, (bib_id, *_rest) in enumerate(ranked, start=1):
-            count = max(1, round(profile.charge_scale / rank ** profile.alpha))
+            count = max(1, round(CHARGE_SCALE / rank ** alpha))
             for _ in range(count):
                 at = STUDY_START + timedelta(minutes=rng.randrange(window_minutes))
                 fh.write(f"{bib_id},{at.isoformat()}\n")
@@ -204,10 +199,11 @@ def gen_corpus(
         fh.write("journal_title,article_title,subject\n")
         for letters, lo, _hi, _w in CLASS_SPECS:
             label = outline.classify(lccn.parse(f"{letters}{lo}"))
-            fh.write(f'"Journal of {label}","Survey article {letters} 1","{label}"\n')
-            for i in range(2, 6):
-                fh.write(f'"Journal of {label}","Topical article {letters} {i}","{label}"\n')
-            fh.write(f'"Annals of {letters}","Minor note {letters}","{label}"\n')
+            rows = [(f"Journal of {label}", f"Survey article {letters} 1")]
+            rows += [(f"Journal of {label}", f"Topical article {letters} {i}") for i in range(2, 6)]
+            rows.append((f"Annals of {letters}", f"Minor note {letters}"))
+            for journal, title in rows:
+                fh.write(f"{quoted(journal)},{quoted(title)},{quoted(label)}\n")
 
     with open(fixtures.databases, "w", encoding="utf-8", newline="") as fh:
         fh.write("name,range_start,range_end\n")
@@ -234,7 +230,8 @@ def gen_corpus(
             col, row = i % cols, i // cols
             x0 = 60.0 + col * (shelf_w + aisle)
             y0 = 120.0 + row * (shelf_h + aisle)
-            fh.write(f"{i + 1},{x0},{y0},{x0 + shelf_w},{y0 + shelf_h},\"{start}\",\"{end}\"\n")
+            fh.write(f"{i + 1},{x0},{y0},{x0 + shelf_w},{y0 + shelf_h},"
+                     f"{quoted(start)},{quoted(end)}\n")
 
     with open(fixtures.beacons, "w", encoding="utf-8", newline="") as fh:
         fh.write("beacon_id,x,y,tx_power\n")
@@ -252,15 +249,6 @@ def gen_corpus(
         encoding="utf-8",
     )
     return fixtures
-
-
-@dataclass
-class WalkWeights:
-    near_shelf: float = 0.62
-    aisle: float = 0.18
-    entrance: float = 0.20
-    idle: float = 0.10              # extra idle steps, fraction of requests
-    wayfind_share: float = 1 / 3    # remaining requests are recommendations
 
 
 @dataclass(frozen=True)
@@ -311,15 +299,15 @@ def gen_walk(
     stackmap_: stacksmap.StackMap,
     n_requests: int,
     corpus_: corpus.CorpusStore | None = None,
-    weights: WalkWeights | None = None,
+    wayfind_share: float = 1 / 3,
 ) -> WalkScript:
     """A deterministic patron walk: near-shelf, aisle, and entrance-zone points.
 
     Near-shelf points pick a class by the configured draw weights (topical
-    interest), then a point just outside that class's stack; wayfinding steps
-    target circulation-weighted items when a corpus is supplied.
+    interest), then a point just outside that class's stack; wayfinding steps,
+    wayfind_share of the requests, target circulation-weighted items when a
+    corpus is supplied.  The remaining requests are recommendations.
     """
-    weights = weights or WalkWeights()
     rng = random.Random(seed)
     extent = stackmap_.map_extent
     margin = 25.0
@@ -345,10 +333,7 @@ def gen_walk(
         )
 
     def sample_point() -> tuple[float, float]:
-        zone = rng.choices(
-            ("near_shelf", "aisle", "entrance"),
-            weights=(weights.near_shelf, weights.aisle, weights.entrance),
-        )[0]
+        zone = rng.choices(("near_shelf", "aisle", "entrance"), weights=ZONE_WEIGHTS)[0]
         if zone == "near_shelf" and class_pool:
             letters = rng.choices(class_pool, weights=class_weights)[0]
             shelf = rng.choice(by_class[letters])
@@ -367,12 +352,12 @@ def gen_walk(
         )
 
     total_seconds = (STUDY_END - STUDY_START).total_seconds()
-    n_idle = round(n_requests * weights.idle)
+    n_idle = round(n_requests * IDLE_SHARE)
     n_steps = n_requests + n_idle
     mean_dwell = total_seconds / max(1, n_steps)
 
     actions = ["idle"] * n_idle
-    n_wayfind = round(n_requests * weights.wayfind_share) if wayfind_bibs else 0
+    n_wayfind = round(n_requests * wayfind_share) if wayfind_bibs else 0
     actions += ["wayfind"] * n_wayfind + ["recommend"] * (n_requests - n_wayfind)
     rng.shuffle(actions)
 
@@ -481,9 +466,7 @@ def run_report(config: ReportConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        fixtures = gen_corpus(
-            config.seed, config.records, SkewProfile(alpha=config.alpha), out / "fixtures"
-        )
+        fixtures = gen_corpus(config.seed, config.records, config.alpha, out / "fixtures")
     except Exception as exc:
         raise ReportError("gen_corpus", str(exc)) from exc
 
@@ -503,10 +486,8 @@ def run_report(config: ReportConfig) -> dict:
     walk = gen_walk(
         config.seed + 1, stack, config.recommend_requests + config.wayfind_requests,
         corpus_=store,
-        weights=WalkWeights(
-            wayfind_share=config.wayfind_requests
-            / max(1, config.recommend_requests + config.wayfind_requests)
-        ),
+        wayfind_share=config.wayfind_requests
+        / max(1, config.recommend_requests + config.wayfind_requests),
     )
     (out / "walk.json").write_text(walk.to_json(), encoding="utf-8")
 

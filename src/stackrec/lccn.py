@@ -71,10 +71,6 @@ class CallNumber:
         if self.class_frac and not re.fullmatch(r"[0-9]+", self.class_frac):
             raise ValueError(f"bad class fraction: {self.class_frac!r}")
 
-    @property
-    def class_number(self) -> Fraction:
-        return self.class_int + _decimal_fraction(self.class_frac)
-
     def sort_key(self):
         year_key = (0, 0) if self.year is None else (1, self.year)
         return (

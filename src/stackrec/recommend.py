@@ -9,7 +9,7 @@ each range.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lccn, stacksmap
 from .corpus import BibRecord, CorpusStore
@@ -116,7 +116,7 @@ class Recommender:
         for r in ranges:
             candidates.extend(self.corpus.books_in_range(r))
         items = self.popular_books(candidates)
-        items.extend(self.ebook_suggestions(ranges))
+        items.extend(self.ebook_suggestions(candidates))
         items.extend(self.database_suggestions(ranges))
         return RecommendationSet(location, ranges, items)
 
@@ -140,13 +140,16 @@ class Recommender:
             for rec, n in prints[: self.max_items]
         ]
 
-    def ebook_suggestions(self, ranges: list[CallNumberRange]) -> list[Recommendation]:
-        """E-books that would shelve in the nearby ranges, call-number order."""
-        found: dict[str, BibRecord] = {}
-        for r in ranges:
-            for rec in self.corpus.books_in_range(r, fmt="ebook"):
-                found.setdefault(rec.bib_id, rec)
-        ordered = sorted(found.values(), key=lambda rec: (rec.call_number.sort_key(), rec.bib_id))
+    def ebook_suggestions(self, candidates: list[BibRecord]) -> list[Recommendation]:
+        """E-book candidates in call-number order.
+
+        Shelf ranges do not overlap (load_stackmap enforces it), so the
+        candidates of the nearby ranges hold each record at most once.
+        """
+        ordered = sorted(
+            (rec for rec in candidates if rec.format == "ebook"),
+            key=lambda rec: (rec.call_number.sort_key(), rec.bib_id),
+        )
         return [
             Recommendation(
                 kind="ebook",

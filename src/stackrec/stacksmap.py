@@ -73,7 +73,6 @@ class Shelf:
 @dataclass
 class StackMap:
     shelves: list[Shelf]
-    background: str | None = None
     diagnostics: list[str] = field(default_factory=list)
     # Lookup indexes, built once from `shelves`: the shelves ordered by range
     # start with their start keys, and the bounds as rows x_min, y_min, x_max,
@@ -111,7 +110,7 @@ class StackMapLoadError(ValueError):
 _HEADER = ["shelf_number", "x_min", "y_min", "x_max", "y_max", "range_start", "range_end"]
 
 
-def load_stackmap(path: str | Path, background: str | None = None) -> StackMap:
+def load_stackmap(path: str | Path) -> StackMap:
     """Load a shelf CSV and validate the structural invariants.
 
     Duplicate shelf numbers and overlapping call-number ranges are structural
@@ -146,7 +145,7 @@ def load_stackmap(path: str | Path, background: str | None = None) -> StackMap:
     dupes = sorted(n for n, c in counts.items() if c > 1)
     if dupes:
         raise StackMapLoadError(f"{path}: duplicate shelf numbers {dupes}")
-    m = StackMap(shelves=shelves, background=background, diagnostics=diagnostics)
+    m = StackMap(shelves=shelves, diagnostics=diagnostics)
     for a, b in zip(m._by_start, m._by_start[1:]):
         if lccn.ranges_overlap(a.range, b.range):
             raise StackMapLoadError(

@@ -38,12 +38,6 @@ class ParsedLogs:
     entries: list[ApiLogEntry]
     malformed: list[tuple[str, int, str]] = field(default_factory=list)  # (path, line_no, reason)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
 
 def parse_logs(paths: list[str | Path]) -> ParsedLogs:
     """Parse one or more log files; malformed lines are counted, not dropped silently.
@@ -389,6 +383,11 @@ def time_series(entries: list[ApiLogEntry], module: str | None = None) -> list[t
 
 # --- report output helpers -------------------------------------------------
 
+def quoted(value: str) -> str:
+    """value as one quoted CSV field, any inner quote doubled (RFC 4180)."""
+    return '"' + value.replace('"', '""') + '"'
+
+
 def write_grid_csv(grid: DensityGrid, path: str | Path) -> None:
     header = (
         f"# origin={grid.spec.origin_x},{grid.spec.origin_y}"
@@ -433,7 +432,7 @@ def write_wayfinder_table(annotated: list[AnnotatedEntry], path: str | Path) -> 
             x = "" if hit.x is None else str(round(hit.x))
             y = "" if hit.y is None else str(round(hit.y))
             shelf = "" if hit.shelf_number is None else str(hit.shelf_number)
-            fh.write(f'"{uri}",{len(entries)},{x},{y},{shelf},"{call}"\n')
+            fh.write(f"{quoted(uri)},{len(entries)},{x},{y},{shelf},{quoted(call)}\n")
 
 
 def write_recommend_table(annotated: list[AnnotatedEntry], path: str | Path) -> None:
@@ -447,13 +446,13 @@ def write_recommend_table(annotated: list[AnnotatedEntry], path: str | Path) -> 
         fh.write("uri" + ",bib-id" * max_ids + "\n")
         for e in rows:
             ids = list(e.entry.bib_ids) + [""] * (max_ids - len(e.entry.bib_ids))
-            fh.write('"' + e.entry.uri + '"' + "".join(f",{i}" for i in ids) + "\n")
+            fh.write(quoted(e.entry.uri) + "".join(f",{i}" for i in ids) + "\n")
 
 
 def write_distribution_csv(dist: SubjectDistribution, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("subject,count\n")
         for subject, count in dist.items:
-            fh.write(f'"{subject}",{count}\n')
+            fh.write(f"{quoted(subject)},{count}\n")
         if dist.unknown:
-            fh.write(f'"{UNKNOWN}",{dist.unknown}\n')
+            fh.write(f"{quoted(UNKNOWN)},{dist.unknown}\n")

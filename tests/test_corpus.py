@@ -93,14 +93,6 @@ def test_books_in_range_empty_intersection(ref_corpus):
     assert ref_corpus.books_in_range(lccn.parse_range("QA1", "QA939")) == []
 
 
-def test_books_in_range_format_filter(ref_corpus):
-    r = lccn.parse_range("PS1", "PS3626")
-    ebooks = ref_corpus.books_in_range(r, fmt="ebook")
-    assert [rec.bib_id for rec in ebooks] == ["hat_615138"]
-    prints = ref_corpus.books_in_range(r, fmt="print")
-    assert all(rec.format == "print" for rec in prints)
-
-
 def test_books_in_range_matches_linear_scan(tmp_path):
     rng = random.Random(99)
     rows = ["bib_id,title,call_number,format"]
@@ -136,20 +128,18 @@ def test_books_in_range_matches_linear_scan(tmp_path):
 @given(
     cns=st.lists(CALL_NUMBERS, max_size=40),
     r=call_number_ranges(),
-    fmt=st.sampled_from([None, "print", "ebook"]),
 )
-def test_books_in_range_matches_in_range_scan(cns, r, fmt):
+def test_books_in_range_matches_in_range_scan(cns, r):
     records = {
         f"uiu_{i}": BibRecord(f"uiu_{i}", f"Title {i}", cn, "ebook" if i % 3 == 0 else "print")
         for i, cn in enumerate(cns)
     }
     store = CorpusStore(records, Counter(), [], [])
     expected = sorted(
-        (rec for rec in records.values()
-         if lccn.in_range(rec.call_number, r) and fmt in (None, rec.format)),
+        (rec for rec in records.values() if lccn.in_range(rec.call_number, r)),
         key=lambda rec: (oracle_call_number_key(rec.call_number), rec.bib_id),
     )
-    assert store.books_in_range(r, fmt) == expected
+    assert store.books_in_range(r) == expected
 
 
 def test_books_in_range_class_prefix_end_covers_its_class():
@@ -165,7 +155,6 @@ def test_books_in_range_class_prefix_end_covers_its_class():
 def test_books_in_range_calls_no_in_range(monkeypatch, ref_corpus):
     calls = count_calls(monkeypatch, lccn, "in_range")
     assert ref_corpus.books_in_range(lccn.parse_range("PN1", "PZ90"))
-    assert ref_corpus.books_in_range(lccn.parse_range("PS1", "PS3626"), fmt="ebook")
     assert calls[0] == 0
 
 

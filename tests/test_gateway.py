@@ -241,6 +241,15 @@ def test_from_config_matches_hand_wired_gateway(gateway, tmp_path):
         txn_log.close()
 
 
+@pytest.mark.parametrize("key, value", [("background", "floor.png"), ("default_tx_power", -59.0)])
+def test_config_rejects_keys_nothing_reads(tmp_path, key, value):
+    raw = json.loads((REFERENCE / "config.json").read_text(encoding="utf-8"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, key: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"unknown config keys \\['{key}'\\]"):
+        ServiceConfig.from_json(path)
+
+
 # --- one answer and one log line for every request ---------------------------
 
 def _log_lines(gw) -> list[dict]:

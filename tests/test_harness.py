@@ -10,7 +10,6 @@ from stackrec.harness import (
     FixtureSet,
     ReportConfig,
     ReportError,
-    SkewProfile,
     WalkScript,
     gen_corpus,
     gen_walk,
@@ -63,7 +62,7 @@ def test_generated_shelves_cover_catalog(tmp_path):
 
 
 def test_circulation_follows_configured_skew(tmp_path):
-    fixtures = gen_corpus(7, 500, SkewProfile(alpha=1.0), out_dir=tmp_path)
+    fixtures = gen_corpus(7, 500, alpha=1.0, out_dir=tmp_path)
     store = corpus.load_corpus(fixtures.catalog, fixtures.circulation)
     counts = sorted(
         (store.circulation_count(b) for b in store.records), reverse=True
@@ -72,6 +71,12 @@ def test_circulation_follows_configured_skew(tmp_path):
     fit = telemetry.fit_power_law(counts)
     assert fit.exponent == pytest.approx(-1.0, abs=0.1)
     assert fit.r_squared > 0.95
+
+
+@pytest.mark.parametrize("alpha", [0, -1.0])
+def test_gen_corpus_rejects_alpha_not_positive(tmp_path, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        gen_corpus(7, 500, alpha=alpha, out_dir=tmp_path)
 
 
 def test_head_circulation_lands_in_head_classes(tmp_path):

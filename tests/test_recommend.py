@@ -92,8 +92,15 @@ def test_ebook_shelved_nearby_is_suggested(ref_recommender):
     assert "hat_606736" in [i.bib_id for i in ebooks]
 
 
-def test_no_ebooks_in_range_is_empty(ref_recommender):
-    assert ref_recommender.ebook_suggestions([lccn.parse_range("PZ5", "PZ90")]) == []
+def test_no_ebooks_in_range_is_empty(ref_recommender, ref_corpus):
+    candidates = ref_corpus.books_in_range(lccn.parse_range("PZ5", "PZ90"))
+    assert ref_recommender.ebook_suggestions(candidates) == []
+
+
+def test_ebook_suggestions_keep_only_ebooks(ref_recommender, ref_corpus):
+    candidates = ref_corpus.books_in_range(lccn.parse_range("PS1", "PS3626"))
+    assert any(rec.format == "print" for rec in candidates)
+    assert [i.bib_id for i in ref_recommender.ebook_suggestions(candidates)] == ["hat_615138"]
 
 
 def test_popular_books_tie_break_and_zero_exclusion(ref_recommender, ref_corpus):
@@ -276,6 +283,20 @@ def test_warmed_recommender_answers_as_a_fresh_one(data, ref_stackmap, ref_corpu
     for p in probes:
         fresh = Recommender(ref_stackmap, ref_corpus, ref_outline, radius=25.0)
         assert warmed.recommend_near(p).to_dict() == fresh.recommend_near(p).to_dict()
+
+
+def test_recommend_near_scans_each_range_once(monkeypatch, tmp_path, ref_outline):
+    store, stack = _synthetic_world(tmp_path)
+    scanned = count_calls(monkeypatch, CorpusStore, "books_in_range")
+    rec = Recommender(stack, store, ref_outline, radius=35.0)
+    rng = random.Random(5)
+    sizes = []
+    for _ in range(30):
+        scanned[0] = 0
+        result = rec.recommend_near((rng.uniform(-30, 330), rng.uniform(-30, 230)))
+        assert scanned[0] == len(result.ranges_used)
+        sizes.append(len(result.ranges_used))
+    assert max(sizes) > 1
 
 
 def test_second_request_at_a_point_classifies_nothing(monkeypatch, ref_stackmap, ref_corpus, ref_outline):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -535,6 +536,42 @@ def test_annotated_tables_mirror_wire_shapes(ref_corpus, ref_outline, ref_stackm
         '"/api/recommend/popularnear?x=4362.047852&y=3160.110596",'
         "uiu_8378456,uiu_7072382,hat_817483,uiu_7277188,uiu_8375583"
     )
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_wayfinder_table_reads_back_a_uri_with_quote_and_comma(
+    ref_corpus, ref_outline, ref_stackmap, tmp_path
+):
+    txn_log = TransactionLog(tmp_path / "api.jsonl")
+    gw = Gateway(ref_stackmap, ref_corpus, ref_outline, txn_log)
+    assert gw.handle_map_data("c", 'a"b,x')[0] == 404
+    txn_log.close()
+    annotated = annotate(parse_logs([txn_log.path]).entries, ref_corpus, ref_outline, ref_stackmap)
+    table = tmp_path / "wayfinder.csv"
+    telemetry.write_wayfinder_table(annotated, table)
+    assert _read_csv(table)[1] == ['/api/wayfinder/map_data/c/a"b,x', "1", "", "", "", ""]
+
+
+def test_recommend_table_reads_back_a_uri_with_quote_and_comma(ref_corpus, ref_outline, tmp_path):
+    uri = '/api/recommend/popularnear?x=1&y=2&q="a,b"'
+    annotated = annotate([_entry(uri=uri, bib_ids=["uiu_8378456"])], ref_corpus, ref_outline)
+    table = tmp_path / "recommend.csv"
+    telemetry.write_recommend_table(annotated, table)
+    assert _read_csv(table) == [["uri", "bib-id"], [uri, "uiu_8378456"]]
+
+
+def test_distribution_csv_reads_back_a_subject_with_quote_and_comma(tmp_path):
+    dist = SubjectDistribution(items=[('Say "hi", world', 3), ("Plain", 1)], unknown=2)
+    path = tmp_path / "subjects.csv"
+    telemetry.write_distribution_csv(dist, path)
+    assert _read_csv(path) == [
+        ["subject", "count"], ['Say "hi", world', "3"], ["Plain", "1"], [telemetry.UNKNOWN, "2"]
+    ]
+    assert path.read_text(encoding="utf-8").splitlines()[2:] == ['"Plain",1', '"unknown",2']
 
 
 # --- properties ------------------------------------------------------------
