@@ -74,9 +74,13 @@ def cmd_heatmap(args) -> int:
     else:
         print("no points and no --stackmap to size the grid", file=sys.stderr)
         return 2
-    spec = telemetry.GridSpec.covering(extent, args.cell_size, margin=args.cell_size)
     mode, sigma = args.mode
-    grid = telemetry.heatmap_points(points, spec, mode, sigma)
+    try:
+        spec = telemetry.GridSpec.covering(extent, args.cell_size, margin=args.cell_size)
+        grid = telemetry.heatmap_points(points, spec, mode, sigma)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outputs = args.out.split(",")
     telemetry.write_grid_csv(grid, outputs[0])
     written = [outputs[0]]
@@ -131,7 +135,11 @@ def cmd_monthly(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
+    try:
+        fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"fixtures written under {fixtures.root}")
     return 0
 

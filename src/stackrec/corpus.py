@@ -27,7 +27,7 @@ class CorpusLoadError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BibRecord:
     bib_id: str
     title: str
@@ -39,6 +39,10 @@ class BibRecord:
             raise ValueError(f"bib_id must match prefix_digits: {self.bib_id!r}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}: {self.format!r}")
+
+
+def _shelf_key(record: BibRecord) -> tuple:
+    return record.call_number.sort_key()
 
 
 @dataclass(frozen=True)
@@ -61,22 +65,18 @@ class CorpusStore:
     databases: list[DatabaseEntry]
     diagnostics: list[str] = field(default_factory=list)
     _sorted: list[BibRecord] = field(default_factory=list, repr=False)
-    _keys: list[tuple] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        pairs = sorted((r.call_number.sort_key(), bib_id) for bib_id, r in self.records.items())
-        self._keys = [key for key, _ in pairs]
-        self._sorted = [self.records[bib_id] for _, bib_id in pairs]
+        self._sorted = sorted(self.records.values(), key=lambda r: (_shelf_key(r), r.bib_id))
 
     def books_in_range(self, r: CallNumberRange) -> list[BibRecord]:
         """All records whose call number falls in r, in call-number order.
 
-        Bisects the store's sort keys at both ends and slices: the records in
-        r are exactly those keyed from r.start's key up to
-        lccn.end_upper_key(r.end).
+        Bisects the records in call-number order at both ends and slices: the
+        records in r are exactly those keyed from r.start's key up to r.upper.
         """
-        lo = bisect_left(self._keys, r.start.sort_key())
-        hi = bisect_right(self._keys, lccn.end_upper_key(r.end), lo)
+        lo = bisect_left(self._sorted, r.start.sort_key(), key=_shelf_key)
+        hi = bisect_right(self._sorted, r.upper, lo, key=_shelf_key)
         return self._sorted[lo:hi]
 
     def circulation_count(self, bib_id: str) -> int:

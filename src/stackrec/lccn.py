@@ -4,6 +4,13 @@ A call number like ``PN1995 .C655 2015`` breaks into class letters, a decimal
 class number, zero or more cutters, an optional year, and an optional trailing
 suffix (volume/copy designators).  Everything else in the package keys off the
 total order defined here.
+
+Each CallNumber builds its shelf key once, at construction, and
+``sort_key()`` returns it: a tuple of class letters, class integer, class
+fraction, a tuple of ``(letter, digits)`` per cutter, year (absent first), and
+suffix.  The class fraction and each cutter's digits are kept as digit strings
+with trailing zeros stripped.  Compared as strings these order exactly as the
+decimal fractions they spell ("79835" < "8", "6" < "62"), at any length.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -31,14 +37,7 @@ class Unclassified(LookupError):
     """Raised when no outline range contains a call number."""
 
 
-def _decimal_fraction(digits: str) -> Fraction:
-    # "62" -> 62/100; "6" -> 6/10.  Exact, so "79835" < "8" compares correctly.
-    if not digits:
-        return Fraction(0)
-    return Fraction(int(digits), 10 ** len(digits))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cutter:
     letter: str
     digits: str
@@ -49,12 +48,8 @@ class Cutter:
         if not re.fullmatch(r"[0-9]+", self.digits) or int(self.digits) == 0:
             raise ValueError(f"cutter digits must be nonzero decimals: {self.digits!r}")
 
-    @property
-    def fraction(self) -> Fraction:
-        return _decimal_fraction(self.digits)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallNumber:
     class_letters: str
     class_int: int
@@ -62,6 +57,7 @@ class CallNumber:
     cutters: tuple[Cutter, ...] = ()
     year: int | None = None
     suffix: str | None = None
+    _key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not re.fullmatch(r"[A-Z]{1,3}", self.class_letters):
@@ -70,17 +66,17 @@ class CallNumber:
             raise ValueError("class number must be non-negative")
         if self.class_frac and not re.fullmatch(r"[0-9]+", self.class_frac):
             raise ValueError(f"bad class fraction: {self.class_frac!r}")
-
-    def sort_key(self):
-        year_key = (0, 0) if self.year is None else (1, self.year)
-        return (
+        object.__setattr__(self, "_key", (
             self.class_letters,
             self.class_int,
-            _decimal_fraction(self.class_frac),
-            tuple((c.letter, c.fraction) for c in self.cutters),
-            year_key,
+            self.class_frac.rstrip("0"),
+            tuple((c.letter, c.digits.rstrip("0")) for c in self.cutters),
+            (0, 0) if self.year is None else (1, self.year),
             self.suffix or "",
-        )
+        ))
+
+    def sort_key(self) -> tuple:
+        return self._key
 
     def __str__(self) -> str:
         return canonical_format(self)
@@ -176,20 +172,23 @@ def compare(a: CallNumber, b: CallNumber) -> int:
     return -1 if ka < kb else (1 if ka > kb else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallNumberRange:
     """Closed interval of call numbers.
 
     An end with no cutters, year, or suffix is a class prefix: it covers every
     call number whose class letters + number do not exceed it (so B1-B5802
     contains B5802.X9, matching how shelf labels and outline rows are read).
+    ``upper`` is the largest sort key the range contains.
     """
 
     start: CallNumber
     end: CallNumber
+    upper: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _le_end(self.start, self.end):
+        object.__setattr__(self, "upper", _end_upper_key(self.end))
+        if not self.start.sort_key() <= self.upper:
             raise ValueError(
                 f"range start {canonical_format(self.start)} after end {canonical_format(self.end)}"
             )
@@ -198,48 +197,32 @@ class CallNumberRange:
         return f"{canonical_format(self.start)} - {canonical_format(self.end)}"
 
 
-def _le_end(cn: CallNumber, end: CallNumber) -> bool:
-    if not end.cutters and end.year is None and not end.suffix:
-        return (cn.class_letters, cn.class_int, _decimal_fraction(cn.class_frac)) <= (
-            end.class_letters,
-            end.class_int,
-            _decimal_fraction(end.class_frac),
-        )
-    return compare(cn, end) <= 0
-
-
 def in_range(cn: CallNumber, r: CallNumberRange) -> bool:
-    return compare(r.start, cn) <= 0 and _le_end(cn, r.end)
+    return r.start.sort_key() <= cn.sort_key() <= r.upper
 
 
 def ranges_overlap(a: CallNumberRange, b: CallNumberRange) -> bool:
-    return _le_end(a.start, b.end) and _le_end(b.start, a.end)
+    return a.start.sort_key() <= b.upper and b.start.sort_key() <= a.upper
 
 
 def parse_range(start_text: str, end_text: str) -> CallNumberRange:
     return CallNumberRange(parse(start_text), parse(end_text))
 
 
-# Upper sort bound for a prefix-style range end, used to rank range narrowness.
-_KEY_MAX = (("￿", Fraction(0)),)
+# Files after every cutter list, so a class-prefix end covers its whole class.
+_CUTTERS_MAX = (("\uffff", ""),)
 
 
-def end_upper_key(end: CallNumber):
+def _end_upper_key(end: CallNumber) -> tuple:
     """The largest sort key a range ending at `end` contains.
 
-    cn.sort_key() <= end_upper_key(end) exactly when cn files at or before
+    cn.sort_key() <= _end_upper_key(end) exactly when cn files at or before
     end in the sense of CallNumberRange (a class-prefix end covers its class).
     """
+    key = end.sort_key()
     if not end.cutters and end.year is None and not end.suffix:
-        return (
-            end.class_letters,
-            end.class_int,
-            _decimal_fraction(end.class_frac),
-            _KEY_MAX,
-            (2, 0),
-            "￿",
-        )
-    return end.sort_key()
+        return key[:3] + (_CUTTERS_MAX, (2, 0), "\uffff")
+    return key
 
 
 @dataclass(frozen=True)
@@ -251,7 +234,12 @@ class OutlineEntry:
 
 @dataclass
 class ClassificationOutline:
-    """Call-number ranges mapped to subject labels; narrowest containing range wins."""
+    """Call-number ranges mapped to subject labels; narrowest containing range wins.
+
+    load_outline sorts ``entries`` narrowest-first (latest start, then
+    earliest upper key, then earliest line), so the first entry that contains
+    a call number is its subject.
+    """
 
     entries: list[OutlineEntry] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
@@ -260,14 +248,10 @@ class ClassificationOutline:
         return len(self.entries)
 
     def classify(self, cn: CallNumber) -> str:
-        candidates = [e for e in self.entries if in_range(cn, e.range)]
-        if not candidates:
-            raise Unclassified(canonical_format(cn))
-        best_start = max(e.range.start.sort_key() for e in candidates)
-        candidates = [e for e in candidates if e.range.start.sort_key() == best_start]
-        best_end = min(end_upper_key(e.range.end) for e in candidates)
-        candidates = [e for e in candidates if end_upper_key(e.range.end) == best_end]
-        return min(candidates, key=lambda e: e.line_no).label
+        for e in self.entries:
+            if in_range(cn, e.range):
+                return e.label
+        raise Unclassified(canonical_format(cn))
 
 
 class OutlineLoadError(ValueError):
@@ -297,7 +281,7 @@ def load_outline(path: str | Path) -> ClassificationOutline:
             except (ParseError, ValueError) as exc:
                 outline.diagnostics.append(f"line {line_no}: {exc}")
                 continue
-            key = (rng.start.sort_key(), end_upper_key(rng.end))
+            key = (rng.start.sort_key(), rng.upper)
             if key in seen_ranges:
                 outline.diagnostics.append(
                     f"line {line_no}: duplicate range (first defined at line {seen_ranges[key]}); ignored"
@@ -307,6 +291,8 @@ def load_outline(path: str | Path) -> ClassificationOutline:
             outline.entries.append(OutlineEntry(rng, fields[2].strip(), line_no))
     if not outline.entries:
         raise OutlineLoadError(f"no valid outline entries in {path}")
+    outline.entries.sort(key=lambda e: (e.range.upper, e.line_no))
+    outline.entries.sort(key=lambda e: e.range.start.sort_key(), reverse=True)
     for msg in outline.diagnostics:
         log.warning("outline %s: %s", path, msg)
     log.info("outline %s: %d entries", path, len(outline.entries))

@@ -70,21 +70,22 @@ class Shelf:
             raise ValueError("shelf_number must be positive")
 
 
+def _start_key(shelf: Shelf) -> tuple:
+    return shelf.range.start.sort_key()
+
+
 @dataclass
 class StackMap:
     shelves: list[Shelf]
     diagnostics: list[str] = field(default_factory=list)
     # Lookup indexes, built once from `shelves`: the shelves ordered by range
-    # start with their start keys, and the bounds as rows x_min, y_min, x_max,
-    # y_max with one column per entry of `shelves`.
+    # start, and the bounds as rows x_min, y_min, x_max, y_max with one column
+    # per entry of `shelves`.
     _by_start: list[Shelf] = field(init=False, repr=False, compare=False)
-    _start_keys: list[tuple] = field(init=False, repr=False, compare=False)
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        keyed = sorted(((s.range.start.sort_key(), s) for s in self.shelves), key=itemgetter(0))
-        self._start_keys = [key for key, _ in keyed]
-        self._by_start = [shelf for _, shelf in keyed]
+        self._by_start = sorted(self.shelves, key=_start_key)
         self._bounds = np.array(
             [[s.bounds.x_min for s in self.shelves], [s.bounds.y_min for s in self.shelves],
              [s.bounds.x_max for s in self.shelves], [s.bounds.y_max for s in self.shelves]],
@@ -166,7 +167,7 @@ def shelf_for_call(cn: CallNumber, m: StackMap) -> Shelf | None:
     overlapping, which load_stackmap enforces; every earlier shelf then ends
     before the candidate starts.
     """
-    i = bisect_right(m._start_keys, cn.sort_key()) - 1
+    i = bisect_right(m._by_start, cn.sort_key(), key=_start_key) - 1
     if i >= 0 and lccn.in_range(cn, m._by_start[i].range):
         return m._by_start[i]
     return None

@@ -155,6 +155,8 @@ class GridSpec:
 
     @classmethod
     def covering(cls, extent: stacksmap.Rect, cell_size: float, margin: float = 0.0) -> "GridSpec":
+        if not cell_size > 0:
+            raise ValueError(f"cell size must be > 0: {cell_size}")
         x0, y0 = extent.x_min - margin, extent.y_min - margin
         width = max(1, math.ceil((extent.x_max + margin - x0) / cell_size))
         height = max(1, math.ceil((extent.y_max + margin - y0) / cell_size))

@@ -71,9 +71,11 @@ def ref_recommender(ref_stackmap, ref_corpus, ref_outline):
 
 
 def oracle_call_number_key(cn: lccn.CallNumber):
-    """Component-tuple comparison oracle, independent of the Fraction-based key.
+    """Component-tuple comparison oracle, independent of CallNumber.sort_key.
 
-    Decimal fractions compare as right-zero-padded digit strings.
+    Decimal fractions compare as digit strings right-padded with zeros to 30
+    places, so it holds for the short fractions the tests draw; the package
+    key strips trailing zeros instead and needs no pad width.
     """
 
     def pad(digits: str) -> str:
@@ -87,6 +89,46 @@ def oracle_call_number_key(cn: lccn.CallNumber):
         (0, 0) if cn.year is None else (1, cn.year),
         cn.suffix or "",
     )
+
+
+def oracle_upper_key(end: lccn.CallNumber):
+    """The largest oracle key a range ending at `end` contains.
+
+    An end with no cutters, year or suffix is a class prefix and covers every
+    call number in its class; "~" files after every cutter letter A-Z.
+    """
+    key = oracle_call_number_key(end)
+    if end.cutters or end.year is not None or end.suffix:
+        return key
+    return key[:3] + ([("~", "")], (2, 0), "")
+
+
+def oracle_in_range(cn: lccn.CallNumber, r: lccn.CallNumberRange) -> bool:
+    return oracle_call_number_key(r.start) <= oracle_call_number_key(cn) <= oracle_upper_key(r.end)
+
+
+def oracle_ranges_overlap(a: lccn.CallNumberRange, b: lccn.CallNumberRange) -> bool:
+    return (
+        oracle_call_number_key(a.start) <= oracle_upper_key(b.end)
+        and oracle_call_number_key(b.start) <= oracle_upper_key(a.end)
+    )
+
+
+def oracle_classify(rows, cn: lccn.CallNumber) -> str | None:
+    """The narrowest-range rule over outline rows ``(range, label, line_no)``.
+
+    Of the rows whose range holds cn: the latest start, then the earliest
+    upper key, then the earliest line.  A duplicate range therefore keeps its
+    first line's label.  None when no row holds cn.
+    """
+    candidates = [row for row in rows if oracle_in_range(cn, row[0])]
+    if not candidates:
+        return None
+    best_start = max(oracle_call_number_key(r.start) for r, _, _ in candidates)
+    candidates = [row for row in candidates if oracle_call_number_key(row[0].start) == best_start]
+    best_end = min(oracle_upper_key(r.end) for r, _, _ in candidates)
+    candidates = [row for row in candidates if oracle_upper_key(row[0].end) == best_end]
+    return min(candidates, key=lambda row: row[2])[1]
 
 
 def random_call_number(rng: random.Random) -> lccn.CallNumber:

@@ -1,5 +1,7 @@
 import shutil
 
+import pytest
+
 from stackrec import cli
 from stackrec.config import ServiceConfig
 from stackrec.gateway import ApiLogEntry, Gateway, TransactionLog
@@ -29,8 +31,7 @@ def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
         txn_log.close()
 
 
-def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
-    log = tmp_path / "api.jsonl"
+def _write_point_log(path):
     lines = [
         ApiLogEntry(
             timestamp="2016-09-01T10:00:00", module="recommend",
@@ -38,7 +39,12 @@ def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
         ).to_json()
         for x, y in (("nan", "1"), ("1", "inf"), ("15", "5"), ("5", "15"))
     ]
-    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
+    log = tmp_path / "api.jsonl"
+    _write_point_log(log)
     grid = tmp_path / "grid.csv"
     code = cli.main(["telemetry", "heatmap", "--logs", str(log), "--cell-size", "10",
                      "--out", str(grid)])
@@ -46,3 +52,20 @@ def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
     assert "2 points, mass 2" in capsys.readouterr().out
     assert grid.exists()
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["harness", "gen", "--seed", "1", "--records", "20", "--alpha", "0"], "alpha must be > 0"),
+    (["harness", "gen", "--seed", "1", "--records", "5"], "n_records must be >= 10"),
+    (["telemetry", "heatmap", "--cell-size", "0", "--logs", "{log}"], "cell size must be > 0"),
+])
+def test_bad_numeric_argument_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, message):
+    log = tmp_path / "api.jsonl"
+    _write_point_log(log)
+    out = tmp_path / "out"
+    argv = [arg.format(log=log) for arg in argv] + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert not out.exists()

@@ -32,6 +32,13 @@ def test_basic_load(tmp_path):
     assert store.records["hat_3"].format == "ebook"
 
 
+def test_bib_record_is_slotted_and_hashable():
+    a = BibRecord("uiu_1", "One", lccn.parse("PS100 .A1"), "print")
+    b = BibRecord("uiu_1", "One", lccn.parse("PS100.A1"), "print")
+    assert not hasattr(a, "__dict__")
+    assert a == b and hash(a) == hash(b)
+
+
 def test_bad_call_number_skipped_and_reported(tmp_path):
     path = tmp_path / "catalog.csv"
     path.write_text(

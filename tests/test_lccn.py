@@ -1,4 +1,8 @@
+import dataclasses
 import random
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +20,21 @@ from stackrec.lccn import (
     in_range,
     parse,
     parse_range,
+    ranges_overlap,
 )
 
-from conftest import KNOWN_SORT_ORDER, KNOWN_SUBJECTS, oracle_call_number_key, random_call_number
+from conftest import (
+    CALL_NUMBERS,
+    KNOWN_SORT_ORDER,
+    KNOWN_SUBJECTS,
+    call_number_ranges,
+    oracle_call_number_key,
+    oracle_classify,
+    oracle_in_range,
+    oracle_ranges_overlap,
+    oracle_upper_key,
+    random_call_number,
+)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -169,6 +185,46 @@ def test_compare_matches_oracle_property(a, b):
     assert compare(a, b) == expected
 
 
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=40)
+
+
+@given(DIGITS, DIGITS)
+def test_digit_strings_order_as_decimal_fractions(a, b):
+    # The strings run past the oracle's 30-place pad; exact fractions decide.
+    expected = _sign(Fraction(int(a), 10 ** len(a)), Fraction(int(b), 10 ** len(b)))
+    assert _sign(CallNumber("P", 1, a).sort_key(), CallNumber("P", 1, b).sort_key()) == expected
+    if int(a) and int(b):
+        ka = CallNumber("P", 1, "", (Cutter("R", a),)).sort_key()
+        kb = CallNumber("P", 1, "", (Cutter("R", b),)).sort_key()
+        assert _sign(ka, kb) == expected
+
+
+def test_trailing_zeros_tie_with_stripped_forms():
+    assert compare(CallNumber("PZ", 7, "", (Cutter("R", "80"),)), parse("PZ7.R8")) == 0
+    assert compare(CallNumber("PZ", 7, "50"), CallNumber("PZ", 7, "5")) == 0
+
+
+def test_sort_key_is_built_once():
+    cn = parse("PZ7.R79835 1950")
+    assert cn.sort_key() is cn.sort_key()
+
+
+def test_value_classes_are_slotted_frozen_and_hashable():
+    cn = parse("PN1995 .C655 2015")
+    r = parse_range("PN1990", "PN1999")
+    for value, name in ((cn, "year"), (cn.cutters[0], "digits"), (r, "end")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+    assert cn == parse("PN1995.C655 2015") and hash(cn) == hash(parse("PN1995.C655 2015"))
+    assert r == parse_range("PN1990", "PN1999") and len({r, parse_range("PN1990", "PN1999")}) == 1
+    assert "_key" not in repr(cn) and "upper" not in repr(r)
+
+
 # --- ranges ----------------------------------------------------------------
 
 def test_in_range_closed_at_start():
@@ -198,6 +254,26 @@ def test_in_range_consistent_with_sort_position(a, b, c):
     lo, mid, hi = sorted([a, b, c], key=lambda cn: cn.sort_key())
     r = CallNumberRange(lo, hi)
     assert in_range(mid, r)
+
+
+@given(CALL_NUMBERS, CALL_NUMBERS)
+def test_range_accepts_exactly_the_oracle_valid_ends(a, b):
+    if oracle_call_number_key(a) <= oracle_upper_key(b):
+        CallNumberRange(a, b)
+    else:
+        with pytest.raises(ValueError):
+            CallNumberRange(a, b)
+
+
+@given(call_number_ranges(), CALL_NUMBERS)
+def test_in_range_matches_oracle(r, cn):
+    assert in_range(cn, r) == oracle_in_range(cn, r)
+    assert in_range(r.start, r)
+
+
+@given(call_number_ranges(), call_number_ranges())
+def test_ranges_overlap_matches_oracle(a, b):
+    assert ranges_overlap(a, b) == ranges_overlap(b, a) == oracle_ranges_overlap(a, b)
 
 
 # --- classification --------------------------------------------------------
@@ -262,3 +338,41 @@ def test_load_outline_duplicate_range_first_wins(tmp_path):
     outline = lccn.load_outline(path)
     assert outline.classify(parse("B105")) == "Philosophy (General)"
     assert any("duplicate" in d for d in outline.diagnostics)
+
+
+def _class_prefix(cn: CallNumber) -> CallNumber:
+    return CallNumber(cn.class_letters, cn.class_int, cn.class_frac)
+
+
+@st.composite
+def outline_ranges(draw):
+    """Random outline rows: nested and overlapping ranges, exact duplicates,
+    and ranges that share a start with another row but end at its class."""
+    ranges = draw(st.lists(call_number_ranges(), min_size=1, max_size=10))
+    ranges += draw(st.lists(st.sampled_from(ranges), max_size=3))
+    ranges += [
+        CallNumberRange(r.start, _class_prefix(r.start))
+        for r in draw(st.lists(st.sampled_from(ranges), max_size=3))
+    ]
+    return draw(st.permutations(ranges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outline_ranges(), st.lists(CALL_NUMBERS, max_size=20))
+def test_classify_matches_oracle(ranges, points):
+    rows = [(r, f"label {i}", i) for i, r in enumerate(ranges, start=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outline.tsv"
+        path.write_text(
+            "".join(f"{r.start}\t{r.end}\t{label}\n" for r, label, _ in rows), encoding="utf-8"
+        )
+        outline = lccn.load_outline(path)
+    # the range ends are points too; points outside every range stay Unclassified
+    points += [cn for r in ranges for cn in (r.start, r.end)]
+    points.append(CallNumber("Z", 1))
+    for cn in points:
+        try:
+            got = outline.classify(cn)
+        except Unclassified:
+            got = None
+        assert got == oracle_classify(rows, cn), canonical_format(cn)

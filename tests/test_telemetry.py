@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from stackrec import telemetry
 from stackrec.gateway import ApiLogEntry, Gateway, TransactionLog
+from stackrec.stacksmap import Rect
 from stackrec.telemetry import (
     GridSpec,
     SubjectDistribution,
@@ -302,6 +303,12 @@ def test_translation_equivariance():
 def test_gaussian_requires_sigma():
     with pytest.raises(ValueError):
         heatmap_points([(1, 1)], GridSpec(0, 0, 1, 5, 5), "gaussian")
+
+
+@pytest.mark.parametrize("cell_size", [0, -1.0, float("nan")])
+def test_covering_rejects_a_cell_size_not_positive(cell_size):
+    with pytest.raises(ValueError, match="cell size must be > 0"):
+        GridSpec.covering(Rect(0, 0, 10, 10), cell_size)
 
 
 # --- subject distribution --------------------------------------------------
