@@ -13,7 +13,11 @@ from .gateway import Gateway, GatewayServer, TransactionLog
 
 
 def cmd_serve(args) -> int:
-    cfg = ServiceConfig.from_json(args.config)
+    try:
+        cfg = ServiceConfig.from_json(args.config)
+    except ValueError as exc:  # not JSON, or a key nothing reads
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     txn_log = TransactionLog(args.log)
     try:
         gw = Gateway.from_config(cfg, txn_log)
@@ -147,7 +151,11 @@ def cmd_gen(args) -> int:
 def cmd_walk(args) -> int:
     stack = stacksmap.load_stackmap(args.stackmap)
     store = corpus.load_corpus(args.catalog, args.circulation) if args.catalog else None
-    walk = harness.gen_walk(args.seed, stack, args.requests, corpus_=store)
+    try:
+        walk = harness.gen_walk(args.seed, stack, args.requests, corpus_=store)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     Path(args.out).write_text(walk.to_json(), encoding="utf-8")
     print(f"wrote {args.out}: {walk.request_count} requests, {len(walk.steps)} steps")
     return 0
@@ -262,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input file that is missing or unreadable, an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

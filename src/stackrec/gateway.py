@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import re
+import socket
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -270,28 +271,65 @@ class Gateway:
 
 
 _MAP_DATA_RE = re.compile(r"^/api/wayfinder/map_data/([^/]+)/([^/]+)$")
+_DIGITS = re.compile(r"[0-9]+")
 
 # Largest POST body read; a beacon scan with hundreds of readings is a few KB.
 MAX_BODY_BYTES = 64 * 1024
 # Longest wait for any one read or write on a client's socket.  A request whose
 # body stops short of its Content-Length is answered 408 once a read waits this
-# long; a connection that sends no request line is closed.
+# long; a connection that sends no further request is closed unanswered.
 READ_TIMEOUT_S = 5.0
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with persistent connections.
+
+    A connection stays open between requests until the client closes it, sends
+    ``Connection: close``, or sends no request for READ_TIMEOUT_S.  The server
+    closes it after any answer whose request body it did not read in full, so
+    that no unread body is ever parsed as a next request.
+    """
+
     gateway: Gateway  # set on the server class
+    protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S  # socket timeout, set on each connection by StreamRequestHandler
+    # Buffer each response so that handle_one_request's flush sends its headers
+    # and body in one write.  Sent as two, the body waits for the client's
+    # delayed ACK of the headers (Nagle), some 40 ms a request.
+    wbufsize = -1
 
     def _send(self, status: int, body: dict) -> None:
         payload = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
+    def handle_expect_100(self) -> bool:
+        proceed = super().handle_expect_100()
+        self.wfile.flush()  # the client waits for the interim answer before it sends the body
+        return proceed
+
+    def _body_length(self) -> int | None:
+        """The declared body length: 0 for none, None unless it is one Content-Length of digits."""
+        lengths = self.headers.get_all("Content-Length", [])
+        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+            return None
+        if not lengths:
+            return 0
+        text = lengths[0].strip(" \t")
+        return int(text) if _DIGITS.fullmatch(text) else None
+
+    def _close_if_body(self) -> None:
+        """Close after this answer if the request carries a body that is left unread."""
+        if self._body_length() != 0:
+            self.close_connection = True
+
     def do_GET(self):  # noqa: N802 (BaseHTTPRequestHandler API)
+        self._close_if_body()
         split = urlsplit(self.path)
         m = _MAP_DATA_RE.match(split.path)
         if m:
@@ -307,36 +345,72 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802
         if urlsplit(self.path).path != "/api/locate":
+            self._close_if_body()
             self._send(404, {"error": "no such endpoint"})
             return
         self._send(*self._locate())
 
     def _locate(self) -> tuple[int, dict]:
         def refuse(status: int, message: str) -> tuple[int, dict]:
+            self.close_connection = True  # the unread rest would be read as the next request
             return self.gateway.refuse("wayfinder", "/api/locate", {}, status, message)
 
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0:
-            return refuse(400, "Content-Length must be a non-negative integer")
+        if "Transfer-Encoding" in self.headers:
+            return refuse(411, "send the body with a Content-Length, not a Transfer-Encoding")
+        length = self._body_length()
+        if length is None:
+            return refuse(400, "Content-Length must be one non-negative integer")
         if length > MAX_BODY_BYTES:
-            # left unread: the connection closes after this answer
             return refuse(413, f"body over {MAX_BODY_BYTES} bytes")
         try:
             raw = self.rfile.read(length)
         except TimeoutError:
-            self.close_connection = True  # the unread rest would be read as the next request
             return refuse(408, f"body shorter than Content-Length after {READ_TIMEOUT_S:g} s")
+        if len(raw) < length:
+            return refuse(400, "connection closed before the body's Content-Length")
         try:
             body = json.loads(raw or b"{}")
         except (ValueError, RecursionError):  # malformed JSON, bad UTF-8, or nested too deep
-            return refuse(400, "body must be JSON")
+            # read in full, so the connection stays open
+            return self.gateway.refuse("wayfinder", "/api/locate", {}, 400, "body must be JSON")
         return self.gateway.handle_locate(body)
 
     def log_message(self, fmt, *args):
         log.debug("http: " + fmt, *args)
+
+
+class _Server(ThreadingHTTPServer):
+    """A thread per connection, with the open connections kept for shutdown."""
+
+    daemon_threads = False  # server_close joins every connection's thread
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_reads(self) -> None:
+        """End input on every open connection.
+
+        Each handler finishes the request it is answering, then reads end of
+        input instead of waiting READ_TIMEOUT_S for a next request.
+        """
+        with self._lock:
+            for sock in self._connections:
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:  # the client has already gone
+                    pass
 
 
 class GatewayServer:
@@ -344,7 +418,7 @@ class GatewayServer:
 
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 0):
         handler = type("GatewayHandler", (_Handler,), {"gateway": gateway})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _Server((host, port), handler)
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 
     @property
@@ -358,5 +432,6 @@ class GatewayServer:
 
     def __exit__(self, *exc) -> None:
         self.httpd.shutdown()
-        self.httpd.server_close()
+        self.httpd.end_reads()
+        self.httpd.server_close()  # returns once every connection is answered and closed
         self.thread.join(timeout=5)

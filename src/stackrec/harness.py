@@ -308,6 +308,8 @@ def gen_walk(
     wayfind_share of the requests, target circulation-weighted items when a
     corpus is supplied.  The remaining requests are recommendations.
     """
+    if n_requests < 0:
+        raise ValueError("n_requests must be >= 0")
     rng = random.Random(seed)
     extent = stackmap_.map_extent
     margin = 25.0

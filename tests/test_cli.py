@@ -6,6 +6,8 @@ from stackrec import cli
 from stackrec.config import ServiceConfig
 from stackrec.gateway import ApiLogEntry, Gateway, TransactionLog
 
+from conftest import REFERENCE
+
 
 def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
     out = tmp_path / "generated"
@@ -69,3 +71,53 @@ def test_bad_numeric_argument_is_one_stderr_line_and_status_2(tmp_path, capsys, 
     (line,) = captured.err.splitlines()
     assert line.startswith(f"error: {message}")
     assert not out.exists()
+
+
+def test_walk_with_negative_request_count_is_one_stderr_line_and_status_2(tmp_path, capsys):
+    out = tmp_path / "walk.json"
+    argv = ["harness", "walk", "--seed", "1", "--requests", "-3",
+            "--stackmap", str(REFERENCE / "stackmap.csv"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: n_requests must be >= 0"
+    assert not out.exists()
+
+
+_REF_ARGS = {
+    "catalog": ["--catalog", str(REFERENCE / "catalog.csv")],
+    "outline": ["--outline", str(REFERENCE / "outline.tsv")],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["telemetry", "annotate", *_REF_ARGS["catalog"], *_REF_ARGS["outline"], "--out", "{out}"],
+    ["telemetry", "heatmap", "--cell-size", "10", "--out", "{out}"],
+    ["telemetry", "subjects", *_REF_ARGS["catalog"], *_REF_ARGS["outline"], "--out", "{out}"],
+    ["telemetry", "trace", "--bib-id", "uiu_8127460"],
+    ["telemetry", "mine", "--module", "catalog"],
+    ["telemetry", "monthly", "--module", "wayfinder"],
+    ["serve", "--port", "0", "--log", "{out}"],
+], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "telemetry" else argv[0])
+def test_missing_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.jsonl"
+    out = tmp_path / "out"
+    argv = [arg.format(out=out) for arg in argv]
+    argv += ["--config", str(missing)] if argv[0] == "serve" else ["--logs", str(missing)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(missing) in line
+    assert not out.exists()
+
+
+def test_serve_with_a_config_that_is_not_json_is_one_stderr_line_and_status_2(tmp_path, capsys):
+    config = tmp_path / "service.json"
+    config.write_text("{not json", encoding="utf-8")
+    log = tmp_path / "api.jsonl"
+    assert cli.main(["serve", "--config", str(config), "--port", "0", "--log", str(log)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert not log.exists()

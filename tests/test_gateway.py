@@ -2,6 +2,7 @@ import http.client
 import json
 import math
 import socket
+import sys
 import time
 import urllib.error
 import urllib.parse
@@ -296,25 +297,201 @@ def test_bad_locate_posts_get_4xx_and_one_log_line_each(gateway):
     ]
 
 
+def _read_responses(sock: socket.socket) -> list[tuple[int, dict[str, str], bytes]]:
+    """(status, lower-cased headers, body) of each response sent before the server closes."""
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    responses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {k.strip().lower(): v.strip() for k, _, v in (line.partition(":") for line in lines)}
+        length = int(headers["content-length"])
+        assert len(data) >= length, "response body cut short"
+        responses.append((int(status_line.split()[1]), headers, data[:length]))
+        data = data[length:]
+    return responses
+
+
+def _get_request(uri: str) -> bytes:
+    return f"GET {uri} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode()
+
+
+def _locate_request(body: bytes) -> bytes:
+    return (
+        b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+
+
+def _pipeline(server, raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
+    """Send raw on one connection, end the client's side, and read every answer."""
+    with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        return _read_responses(sock)
+
+
 def test_short_body_gets_408_and_one_log_line_within_read_timeout(gateway):
     with GatewayServer(gateway) as server:
         with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
             sock.sendall(
-                b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\n"
+                _get_request(MAP_DATA_URI)
+                + b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\n"
                 b"Content-Type: application/json\r\nContent-Length: 10\r\n\r\n{}"
             )
             sent = time.monotonic()
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes after answering
-                reply += chunk
+            answers = _read_responses(sock)  # the server closes after the 408
             waited = time.monotonic() - sent
-    status_line, _, rest = reply.partition(b"\r\n")
-    assert status_line.split()[1] == b"408"
-    assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+    assert [status for status, _, _ in answers] == [200, 408]
+    assert answers[1][1]["connection"] == "close"
+    assert "error" in json.loads(answers[1][2])
     assert waited < READ_TIMEOUT_S + 5
     assert [(line["module"], line["uri"], line["status"]) for line in _log_lines(gateway)] == [
-        ("wayfinder", "/api/locate", 408)
+        ("wayfinder", MAP_DATA_URI, 200), ("wayfinder", "/api/locate", 408)
     ]
+
+
+# --- persistent connections ---------------------------------------------------
+
+def test_idle_keep_alive_connection_closes_unanswered_and_unlogged(gateway):
+    with GatewayServer(gateway) as server:
+        address = server.httpd.server_address[:2]
+        with socket.create_connection(address, timeout=READ_TIMEOUT_S + 10) as silent, \
+                socket.create_connection(address, timeout=READ_TIMEOUT_S + 10) as idle:
+            idle.sendall(_get_request(MAP_DATA_URI))
+            sent = time.monotonic()
+            answers = _read_responses(idle)  # one answer, then the idle wait times out
+            waited = time.monotonic() - sent
+            assert silent.recv(1) == b""  # a connection that never sent a request
+    assert [(status, headers.get("connection")) for status, headers, _ in answers] == [(200, None)]
+    assert READ_TIMEOUT_S - 0.5 < waited < READ_TIMEOUT_S + 5
+    assert [(line["uri"], line["status"]) for line in _log_lines(gateway)] == [(MAP_DATA_URI, 200)]
+
+
+HIDDEN_URI = "/api/recommend/popularnear?x=1.5&y=2.5"
+HIDDEN = _get_request(HIDDEN_URI)
+CHUNKED_HIDDEN = b"%x\r\n" % len(HIDDEN) + HIDDEN + b"\r\n0\r\n\r\n"
+
+UNREAD_BODY_REQUESTS = [  # (request line, framing headers, body, status, logged uri or None)
+    ("POST /api/locate", f"Content-Length: {MAX_BODY_BYTES + 1}", HIDDEN, 413, "/api/locate"),
+    ("POST /nope", f"Content-Length: {len(HIDDEN)}", HIDDEN, 404, None),
+    (f"GET {POPULAR_URI}", f"Content-Length: {len(HIDDEN)}", HIDDEN, 200, POPULAR_URI),
+    (f"DELETE {POPULAR_URI}", f"Content-Length: {len(HIDDEN)}", HIDDEN, 501, None),
+    ("POST /api/locate", "Transfer-Encoding: chunked", CHUNKED_HIDDEN, 411, "/api/locate"),
+    (f"GET {MAP_DATA_URI}", "Transfer-Encoding: chunked", CHUNKED_HIDDEN, 200, MAP_DATA_URI),
+    ("POST /api/locate", "Content-Length: 1_0", HIDDEN, 400, "/api/locate"),
+    ("POST /api/locate", f"Content-Length: 2\r\nContent-Length: {2 + len(HIDDEN)}", b"{}" + HIDDEN,
+     400, "/api/locate"),
+]
+
+
+def _unread_body_request(case) -> bytes:
+    request_line, framing, body, _, _ = case
+    return f"{request_line} HTTP/1.1\r\nHost: localhost\r\n{framing}\r\n\r\n".encode() + body
+
+
+@pytest.mark.parametrize("case", UNREAD_BODY_REQUESTS, ids=lambda case: f"{case[0]}-{case[3]}")
+def test_unread_body_gets_one_answer_and_closes(gateway, case):
+    *_, status, logged_uri = case
+    with GatewayServer(gateway) as server:
+        answers = _pipeline(server, _get_request(MAP_DATA_URI) + _unread_body_request(case))
+    assert [(s, headers.get("connection")) for s, headers, _ in answers] == [
+        (200, None), (status, "close"),
+    ]
+    logged = [(line["uri"], line["status"]) for line in _log_lines(gateway)]
+    assert logged == [(MAP_DATA_URI, 200)] + ([(logged_uri, status)] if logged_uri else [])
+
+
+class _CountingConnection(http.client.HTTPConnection):
+    connects = 0
+
+    def connect(self):
+        self.connects += 1
+        super().connect()
+
+
+def test_sequential_requests_on_one_connection_do_not_stall(gateway):
+    # A response sent as two writes waits on the client's delayed ACK, about
+    # 40 ms, so the 50 requests below would take 2 s or more.
+    with GatewayServer(gateway) as server:
+        conn = _CountingConnection(urllib.parse.urlsplit(server.base_url).netloc, timeout=10)
+        started = time.monotonic()
+        statuses = []
+        for i in range(50):
+            conn.request("GET", POPULAR_URI if i % 2 else MAP_DATA_URI)
+            resp = conn.getresponse()
+            resp.read()
+            statuses.append(resp.status)
+        took = time.monotonic() - started
+        conn.close()
+    assert statuses == [200] * 50
+    assert conn.connects == 1
+    assert took < 1.0
+
+
+def test_concurrent_keep_alive_clients_are_served_and_closed_at_exit(gateway):
+    n_clients, n_requests = 8, 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with GatewayServer(gateway) as server:
+
+            def client(_):  # leaves its connection open for the server to close
+                conn = _CountingConnection(urllib.parse.urlsplit(server.base_url).netloc, timeout=10)
+                statuses = []
+                for _ in range(n_requests):
+                    conn.request("GET", POPULAR_URI)
+                    resp = conn.getresponse()
+                    resp.read()
+                    statuses.append(resp.status)
+                return conn, statuses
+
+            with ThreadPoolExecutor(max_workers=n_clients) as pool:
+                results = list(pool.map(client, range(n_clients)))
+    finally:
+        sys.setswitchinterval(interval)
+    for conn, statuses in results:
+        try:
+            assert statuses == [200] * n_requests
+            assert conn.connects == 1
+            conn.sock.settimeout(0.1)
+            assert conn.sock.recv(1) == b""  # closed by the time the server stopped
+        finally:
+            conn.close()
+    assert len(_log_lines(gateway)) == n_clients * n_requests
+
+
+def test_exit_does_not_wait_for_an_idle_keep_alive_connection(gateway):
+    with GatewayServer(gateway) as server:
+        conn = http.client.HTTPConnection(urllib.parse.urlsplit(server.base_url).netloc, timeout=10)
+        conn.request("GET", MAP_DATA_URI)
+        conn.getresponse().read()
+        exiting = time.monotonic()
+    took = time.monotonic() - exiting
+    try:
+        conn.sock.settimeout(0.1)
+        assert conn.sock.recv(1) == b""  # already closed by the server
+    finally:
+        conn.close()
+    assert took < READ_TIMEOUT_S / 5
+    assert len(_log_lines(gateway)) == 1
+
+
+def test_expect_100_continue_is_answered_before_the_body(gateway):
+    body = json.dumps({"observations": [{"beacon_id": "b1", "rssi": -59}]}).encode()
+    head, _, _ = _locate_request(body).partition(b"\r\n\r\n")
+    with GatewayServer(gateway) as server:
+        with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S / 2) as sock:
+            sock.sendall(head + b"\r\nExpect: 100-continue\r\n\r\n")
+            interim = sock.recv(4096)  # times out if the interim answer is never flushed
+            sock.sendall(body)
+            sock.shutdown(socket.SHUT_WR)
+            answers = _read_responses(sock)
+    assert interim.startswith(b"HTTP/1.1 100 ")
+    assert [status for status, _, _ in answers] == [200]
+    assert json.loads(answers[0][2])["x"] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("x, y", [("nan", "1"), ("1", "inf"), ("-Infinity", "2"), ("1e999", "3")])
@@ -414,3 +591,52 @@ def test_fuzz_popular_near_one_answer_one_log_line(gateway):
 
         get()
     assert len(_log_lines(gateway)) == len(answers)
+
+
+_PIPELINED = st.lists(
+    st.tuples(_QUERY_VALUE, _QUERY_VALUE).map(lambda xy: ("popularnear", xy))
+    | (st.binary(max_size=64) | (_JSON | _LOCATE_BODY).map(lambda v: json.dumps(v).encode())).map(
+        lambda body: ("locate", body)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def test_fuzz_pipelined_requests_answered_in_order_one_log_line_each(gateway):
+    logged_total = 0
+    with GatewayServer(gateway) as server:
+
+        @settings(max_examples=60, deadline=None)
+        @given(requests=_PIPELINED, unread=st.none() | st.sampled_from(UNREAD_BODY_REQUESTS))
+        def pipeline(requests, unread):
+            nonlocal logged_total
+            raw, expected = b"", []  # (logged uri or None, status or None, echoed location or None)
+            for kind, value in requests:
+                if kind == "locate":
+                    raw += _locate_request(value)
+                    expected.append(("/api/locate", None, None))
+                    continue
+                x, y = value
+                params = {k: v for k, v in (("x", x), ("y", y)) if v is not None}
+                raw += _get_request(f"/api/recommend/popularnear?{urllib.parse.urlencode(params)}")
+                ok = _finite(x) and _finite(y)
+                expected.append((f"/api/recommend/popularnear?x={x}&y={y}", 200 if ok else 400,
+                                 {"x": float(x), "y": float(y)} if ok else None))
+            if unread is not None:  # its answer closes the connection: the GET after it goes unread
+                raw += _unread_body_request(unread) + _get_request(MAP_DATA_URI)
+                expected.append((unread[4], unread[3], None))
+            before = len(_log_lines(gateway))
+            answers = _pipeline(server, raw)
+            lines = _log_lines(gateway)[before:]
+
+            assert len(answers) == len(expected)
+            for (status, _, body), (_, want, location) in zip(answers, expected):
+                assert status == want if want is not None else status in (200, 400, 404)
+                if location is not None:
+                    assert json.loads(body)["location"] == location
+            logged = [(uri, status) for (status, _, _), (uri, _, _) in zip(answers, expected) if uri]
+            assert [(line["uri"], line["status"]) for line in lines] == logged
+            logged_total += len(logged)
+
+        pipeline()
+    assert len(_log_lines(gateway)) == logged_total

@@ -133,6 +133,13 @@ def test_walk_without_corpus_has_no_wayfinds(world):
     assert all(s.action != "wayfind" for s in walk.steps)
 
 
+def test_gen_walk_rejects_a_negative_request_count(world):
+    store, stack = world
+    assert gen_walk(4, stack, 0, corpus_=store).request_count == 0
+    with pytest.raises(ValueError, match="n_requests must be >= 0"):
+        gen_walk(4, stack, -1, corpus_=store)
+
+
 # --- end-to-end report ------------------------------------------------------
 
 SMALL = dict(records=120, recommend_requests=60, wayfind_requests=30,
