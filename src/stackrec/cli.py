@@ -13,11 +13,7 @@ from .gateway import Gateway, GatewayServer, TransactionLog
 
 
 def cmd_serve(args) -> int:
-    try:
-        cfg = ServiceConfig.from_json(args.config)
-    except ValueError as exc:  # not JSON, or a key nothing reads
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ServiceConfig.from_json(args.config)
     txn_log = TransactionLog(args.log)
     try:
         gw = Gateway.from_config(cfg, txn_log)
@@ -79,12 +75,8 @@ def cmd_heatmap(args) -> int:
         print("no points and no --stackmap to size the grid", file=sys.stderr)
         return 2
     mode, sigma = args.mode
-    try:
-        spec = telemetry.GridSpec.covering(extent, args.cell_size, margin=args.cell_size)
-        grid = telemetry.heatmap_points(points, spec, mode, sigma)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = telemetry.GridSpec.covering(extent, args.cell_size, margin=args.cell_size)
+    grid = telemetry.heatmap_points(points, spec, mode, sigma)
     outputs = args.out.split(",")
     telemetry.write_grid_csv(grid, outputs[0])
     written = [outputs[0]]
@@ -139,11 +131,7 @@ def cmd_monthly(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
     print(f"fixtures written under {fixtures.root}")
     return 0
 
@@ -151,11 +139,7 @@ def cmd_gen(args) -> int:
 def cmd_walk(args) -> int:
     stack = stacksmap.load_stackmap(args.stackmap)
     store = corpus.load_corpus(args.catalog, args.circulation) if args.catalog else None
-    try:
-        walk = harness.gen_walk(args.seed, stack, args.requests, corpus_=store)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    walk = harness.gen_walk(args.seed, stack, args.requests, corpus_=store)
     Path(args.out).write_text(walk.to_json(), encoding="utf-8")
     print(f"wrote {args.out}: {walk.request_count} requests, {len(walk.steps)} steps")
     return 0
@@ -272,7 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except OSError as exc:  # an input file that is missing or unreadable, an unwritable output
+    # OSError: an input file that is missing or unreadable, an unwritable output.
+    # ValueError: an input that is malformed, a config key nothing reads, a bad number.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Service configuration: data file paths plus pipeline tunables, from JSON."""
+"""Service configuration: data file paths plus the recommendation radius, from JSON."""
 
 from __future__ import annotations
 
@@ -17,11 +17,6 @@ class ServiceConfig:
     databases: str | None = None
     beacons: str | None = None
     radius: float | None = None           # None -> 1.5 shelf-widths, derived from the map
-    max_items: int = 5
-    max_ebooks: int = 3
-    majority_threshold: float = 0.5
-    path_loss_exponent: float = 2.0
-    k_nearest_beacons: int = 3
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ServiceConfig":

@@ -147,9 +147,7 @@ class Gateway:
         outline: ClassificationOutline,
         txn_log: TransactionLog,
         beacons: list[Beacon] | None = None,
-        recommender: Recommender | None = None,
-        path_loss_exponent: float = locate.DEFAULT_PATH_LOSS_EXPONENT,
-        k_nearest_beacons: int = locate.DEFAULT_K,
+        radius: float | None = None,
         clock: Callable[[], datetime] | None = None,
     ):
         self.stackmap = stackmap_
@@ -157,9 +155,7 @@ class Gateway:
         self.outline = outline
         self.txn_log = txn_log
         self.beacons = beacons or []
-        self.recommender = recommender or Recommender(stackmap_, corpus_, outline)
-        self.path_loss_exponent = path_loss_exponent
-        self.k_nearest_beacons = k_nearest_beacons
+        self.recommender = Recommender(stackmap_, corpus_, outline, radius)
         self.clock = clock or _utc_now
 
     @classmethod
@@ -169,24 +165,12 @@ class Gateway:
         txn_log: TransactionLog,
         clock: Callable[[], datetime] | None = None,
     ) -> "Gateway":
-        """Load the data files cfg names and wire a gateway with its tunables."""
+        """Load the data files cfg names and wire a gateway over them."""
         store = corpus.load_corpus(cfg.catalog, cfg.circulation, cfg.articles, cfg.databases)
-        stack = stacksmap.load_stackmap(cfg.stackmap)
-        outline = lccn.load_outline(cfg.outline)
-        beacons = locate.load_beacons(cfg.beacons) if cfg.beacons else []
-        recommender = Recommender(
-            stack, store, outline,
-            radius=cfg.radius,
-            max_items=cfg.max_items,
-            max_ebooks=cfg.max_ebooks,
-            majority_threshold=cfg.majority_threshold,
-        )
         return cls(
-            stack, store, outline, txn_log,
-            beacons=beacons,
-            recommender=recommender,
-            path_loss_exponent=cfg.path_loss_exponent,
-            k_nearest_beacons=cfg.k_nearest_beacons,
+            stacksmap.load_stackmap(cfg.stackmap), store, lccn.load_outline(cfg.outline), txn_log,
+            beacons=locate.load_beacons(cfg.beacons) if cfg.beacons else [],
+            radius=cfg.radius,
             clock=clock,
         )
 
@@ -261,9 +245,7 @@ class Gateway:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return self.refuse("wayfinder", uri, {}, 400, f"bad observation payload: {exc}")
         try:
-            loc = locate.estimate_position(
-                observations, self.beacons, self.k_nearest_beacons, self.path_loss_exponent
-            )
+            loc = locate.estimate_position(observations, self.beacons)
         except NoKnownBeacons as exc:
             return self.refuse("wayfinder", uri, {}, 404, str(exc))
         self._log("wayfinder", uri, {}, 200)
@@ -419,7 +401,10 @@ class GatewayServer:
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 0):
         handler = type("GatewayHandler", (_Handler,), {"gateway": gateway})
         self.httpd = _Server((host, port), handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # shutdown() returns once serve_forever next wakes, at most a poll interval later
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     @property
     def base_url(self) -> str:

@@ -64,6 +64,12 @@ EBOOK_SHARE = 0.12
 ZONE_WEIGHTS = (0.62, 0.18, 0.20)
 IDLE_SHARE = 0.10
 
+# The replay's wayfinding collection, and the report's heat-map cell and
+# Gaussian smoothing width, in map units.
+COLLECTION = "uiu_undergrad"
+CELL_SIZE = 20.0
+GAUSSIAN_SIGMA = 30.0
+
 _QUERY_WORDS = [
     "fish", "google", "math", "test", "hiv", "history", "poetry", "novel",
     "physics", "music", "film", "statistics", "shakespeare", "chemistry",
@@ -381,10 +387,6 @@ class ReportConfig:
     records: int = 500
     recommend_requests: int = 400
     wayfind_requests: int = 200
-    alpha: float = 1.0
-    cell_size: float = 20.0
-    gaussian_sigma: float = 30.0
-    collection: str = "uiu_undergrad"
     catalog_searches: int = 600
     journal_searches: int = 200
 
@@ -468,7 +470,7 @@ def run_report(config: ReportConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        fixtures = gen_corpus(config.seed, config.records, config.alpha, out / "fixtures")
+        fixtures = gen_corpus(config.seed, config.records, out_dir=out / "fixtures")
     except Exception as exc:
         raise ReportError("gen_corpus", str(exc)) from exc
 
@@ -500,7 +502,7 @@ def run_report(config: ReportConfig) -> dict:
                 if step.action == "idle":
                     continue
                 if step.action == "wayfind":
-                    path = f"/api/wayfinder/map_data/{config.collection}/{step.bib_id}"
+                    path = f"/api/wayfinder/map_data/{COLLECTION}/{step.bib_id}"
                 else:
                     path = f"/api/recommend/popularnear?x={step.x:.6f}&y={step.y:.6f}"
                 with urllib.request.urlopen(server.base_url + path, timeout=10) as resp:
@@ -533,11 +535,11 @@ def run_report(config: ReportConfig) -> dict:
         telemetry.write_recommend_table(annotated, out / "recommend_table.csv")
 
         rec_annotated = [a for a in annotated if a.entry.module == "recommend"]
-        spec = GridSpec.covering(stack.map_extent, config.cell_size, margin=config.cell_size)
+        spec = GridSpec.covering(stack.map_extent, CELL_SIZE, margin=CELL_SIZE)
         grid = telemetry.heatmap(rec_annotated, spec, mode="bin")
         telemetry.write_grid_csv(grid, out / "heatmap_grid.csv")
         telemetry.write_grid_pgm(grid, out / "heatmap.pgm")
-        smooth = telemetry.heatmap(rec_annotated, spec, mode="gaussian", sigma=config.gaussian_sigma)
+        smooth = telemetry.heatmap(rec_annotated, spec, mode="gaussian", sigma=GAUSSIAN_SIGMA)
         telemetry.write_grid_csv(smooth, out / "heatmap_smooth.csv")
 
         n_recommend = sum(1 for e in parsed.entries if e.module == "recommend")

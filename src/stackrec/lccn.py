@@ -88,13 +88,12 @@ _CUTTER_RE = re.compile(r"([A-Za-z])([0-9]+)")
 _YEAR_RE = re.compile(r"([0-9]{4})(?![0-9.])")
 
 
-def parse(text: str, strict: bool = False) -> CallNumber:
+def parse(text: str) -> CallNumber:
     """Parse text into a CallNumber.
 
     Whitespace and the dot before the first cutter are interchangeable on
-    input; canonical_format() produces one normal form.  In lenient mode
-    (default) unrecognized trailing tokens land in ``suffix``; strict mode
-    raises instead.
+    input; canonical_format() produces one normal form.  Unrecognized
+    trailing tokens land in ``suffix``.
     """
     if not text or not text.strip():
         raise ParseError(text, 0, "no class letters")
@@ -131,11 +130,7 @@ def parse(text: str, strict: bool = False) -> CallNumber:
                 cutters.append(Cutter(m.group(1).upper(), digits.rstrip("0") or digits[:1]))
                 pos = m.end()
                 continue
-        rest = text[pos:].strip()
-        if strict:
-            reason = "malformed cutter" if rest[:1].isalpha() else "trailing garbage"
-            raise ParseError(text, pos, f"{reason}: {rest!r}")
-        suffix = rest
+        suffix = text[pos:].strip()
         break
 
     return CallNumber(letters, class_int, class_frac, tuple(cutters), year, suffix)

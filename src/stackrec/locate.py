@@ -99,7 +99,10 @@ def load_beacons(path: str | Path) -> list[Beacon]:
     beacons: list[Beacon] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), start=2):
+        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks, not None
+        if not {"beacon_id", "x", "y"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}: expected columns beacon_id,x,y[,tx_power]")
+        for row_no, row in enumerate(reader, start=2):
             beacon_id = row["beacon_id"].strip()
             if beacon_id in seen:
                 raise ValueError(f"{path} row {row_no}: duplicate beacon_id {beacon_id!r}")

@@ -19,6 +19,10 @@ from .stacksmap import Point, StackMap
 
 SCHEMA_VERSION = 1
 
+MAX_ITEMS = 5               # print items per answer, most-circulated first
+MAX_EBOOKS = 3              # e-books per answer, in call-number order
+MAJORITY_THRESHOLD = 0.5    # share of a subject's articles a journal must exceed
+
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -92,17 +96,11 @@ class Recommender:
         corpus_: CorpusStore,
         outline: ClassificationOutline,
         radius: float | None = None,
-        max_items: int = 5,
-        max_ebooks: int = 3,
-        majority_threshold: float = 0.5,
     ):
         self.stackmap = stackmap_
         self.corpus = corpus_
         self.outline = outline
         self.radius = radius if radius is not None else stacksmap.default_radius(stackmap_)
-        self.max_items = max_items
-        self.max_ebooks = max_ebooks
-        self.majority_threshold = majority_threshold
         # range -> its dominant journal and share, or None; see _dominant_journal
         self._journals: dict[CallNumberRange, tuple[str, float] | None] = {}
 
@@ -137,7 +135,7 @@ class Recommender:
                 bib_id=rec.bib_id,
                 call_number=rec.call_number,
             )
-            for rec, n in prints[: self.max_items]
+            for rec, n in prints[:MAX_ITEMS]
         ]
 
     def ebook_suggestions(self, candidates: list[BibRecord]) -> list[Recommendation]:
@@ -158,7 +156,7 @@ class Recommender:
                 bib_id=rec.bib_id,
                 call_number=rec.call_number,
             )
-            for rec in ordered[: self.max_ebooks]
+            for rec in ordered[:MAX_EBOOKS]
         ]
 
     def database_suggestions(self, ranges: list[CallNumberRange]) -> list[Recommendation]:
@@ -176,7 +174,7 @@ class Recommender:
             if dominant is None:
                 continue
             journal, share = dominant
-            if share > self.majority_threshold and journal not in seen:
+            if share > MAJORITY_THRESHOLD and journal not in seen:
                 seen.add(journal)
                 out.append(Recommendation(kind="database", title=journal, score=share, name=journal))
         for entry in self.corpus.databases:

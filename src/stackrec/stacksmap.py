@@ -199,7 +199,7 @@ def ranges_for_location(p: Point, m: StackMap, radius: float) -> list[CallNumber
     return [shelf.range for _, _, shelf in near]
 
 
-def default_radius(m: StackMap, shelf_widths: float = 1.5) -> float:
-    """Recommendation radius as a multiple of the median shelf short side."""
+def default_radius(m: StackMap) -> float:
+    """Recommendation radius: 1.5 times the median shelf short side."""
     sides = sorted(min(s.bounds.width, s.bounds.height) for s in m.shelves)
-    return shelf_widths * sides[len(sides) // 2]
+    return 1.5 * sides[len(sides) // 2]

@@ -27,6 +27,7 @@ from .stacksmap import StackMap
 log = logging.getLogger(__name__)
 
 UNKNOWN = "unknown"
+TOP_WORDS = 5  # length of mine_queries' top list
 
 
 class TooFewRanks(ValueError):
@@ -338,7 +339,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def mine_queries(entries: list[ApiLogEntry], module: str, top_n: int = 5) -> TextStats:
+def mine_queries(entries: list[ApiLogEntry], module: str) -> TextStats:
     """Word stats over the `q` params of one module's entries.
 
     total_words sums every occurrence of every word; unique_forms counts
@@ -351,7 +352,7 @@ def mine_queries(entries: list[ApiLogEntry], module: str, top_n: int = 5) -> Tex
         query = entry.params.get("q")
         if query:
             counter.update(tokenize(query))
-    top = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+    top = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_WORDS]
     return TextStats(sum(counter.values()), len(counter), top)
 
 
@@ -388,6 +389,11 @@ def time_series(entries: list[ApiLogEntry], module: str | None = None) -> list[t
 def quoted(value: str) -> str:
     """value as one quoted CSV field, any inner quote doubled (RFC 4180)."""
     return '"' + value.replace('"', '""') + '"'
+
+
+def csv_field(value: str) -> str:
+    """value as one CSV field, quoted only when it holds a comma, a quote or a line break."""
+    return quoted(value) if any(c in value for c in ',"\r\n') else value
 
 
 def write_grid_csv(grid: DensityGrid, path: str | Path) -> None:
@@ -448,7 +454,7 @@ def write_recommend_table(annotated: list[AnnotatedEntry], path: str | Path) -> 
         fh.write("uri" + ",bib-id" * max_ids + "\n")
         for e in rows:
             ids = list(e.entry.bib_ids) + [""] * (max_ids - len(e.entry.bib_ids))
-            fh.write(quoted(e.entry.uri) + "".join(f",{i}" for i in ids) + "\n")
+            fh.write(quoted(e.entry.uri) + "".join("," + csv_field(i) for i in ids) + "\n")
 
 
 def write_distribution_csv(dist: SubjectDistribution, path: str | Path) -> None:

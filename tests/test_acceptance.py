@@ -64,13 +64,13 @@ def test_2_ordering_oracle():
 
 
 def test_3_wire_parity(
-    ref_stackmap, ref_corpus, ref_outline, ref_recommender, tmp_path
+    ref_stackmap, ref_corpus, ref_outline, tmp_path
 ):
     start = time.perf_counter()
     txn_log = TransactionLog(tmp_path / "api.jsonl")
     gw = Gateway(
         ref_stackmap, ref_corpus, ref_outline, txn_log,
-        recommender=ref_recommender,
+        radius=25.0,
     )
     with GatewayServer(gw) as server:
         with urllib.request.urlopen(
@@ -112,7 +112,7 @@ def test_4_pipeline_oracle(tmp_path, ref_outline):
     start = time.perf_counter()
     store, stack = _synthetic_world(tmp_path, seed=41, n_records=500)
     radius = 35.0
-    rec = Recommender(stack, store, ref_outline, radius=radius, max_items=5, max_ebooks=3)
+    rec = Recommender(stack, store, ref_outline, radius=radius)
     rng = random.Random(6)
     agree = 0
     for _ in range(50):
@@ -155,7 +155,7 @@ def test_4_pipeline_oracle(tmp_path, ref_outline):
 def test_5_long_tail_reproduction(tmp_path):
     start = time.perf_counter()
     summary = harness.run_report(
-        harness.ReportConfig(out_dir=str(tmp_path), alpha=1.0)
+        harness.ReportConfig(out_dir=str(tmp_path))
     )
     elapsed = time.perf_counter() - start
     top2 = [name for name, _ in summary["subject_distribution"][:2]]
@@ -178,7 +178,7 @@ def test_5_long_tail_reproduction(tmp_path):
 
 
 def test_6_conservation_suite(
-    ref_stackmap, ref_corpus, ref_outline, ref_recommender, tmp_path
+    ref_stackmap, ref_corpus, ref_outline, tmp_path
 ):
     rng = random.Random(60)
     points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(300)]
@@ -190,7 +190,7 @@ def test_6_conservation_suite(
     txn_log = TransactionLog(tmp_path / "api.jsonl")
     gw = Gateway(
         ref_stackmap, ref_corpus, ref_outline, txn_log,
-        recommender=ref_recommender,
+        radius=25.0,
     )
     uri = "/api/recommend/popularnear?x=4362.047852&y=3160.110596"
     with GatewayServer(gw) as server:

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import pytest
@@ -110,6 +111,44 @@ def test_missing_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, ar
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and str(missing) in line
+    assert not out.exists()
+
+
+_SERVICE_WITH_BAD_BEACONS = json.dumps({
+    "catalog": str(REFERENCE / "catalog.csv"),
+    "stackmap": str(REFERENCE / "stackmap.csv"),
+    "outline": str(REFERENCE / "outline.tsv"),
+    "beacons": "beacons.csv",
+})
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["harness", "report", "--config", "{dir}/report.json", "--out", "{out}"],
+     {"report.json": '{"bogus": 1}'}, "unknown report config keys"),
+    (["telemetry", "subjects", "--logs", "{log}", "--catalog", "{dir}/catalog.csv",
+      *_REF_ARGS["outline"], "--out", "{out}"],
+     {"catalog.csv": "id,name\n1,x\n"}, "expected columns"),
+    (["telemetry", "heatmap", "--logs", "{log}", "--stackmap", "{dir}/stackmap.csv",
+      "--cell-size", "10", "--out", "{out}"],
+     {"stackmap.csv": "shelf,x\n1,2\n"}, "expected header"),
+    (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
+     {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "id,x,y\nb1,0,0\n"},
+     "expected columns beacon_id"),
+    (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
+     {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "beacon_id,x,y\nb1,0\n"},
+     "could not convert"),
+], ids=["harness-report", "telemetry-subjects", "telemetry-heatmap", "serve", "serve-short-row"])
+def test_malformed_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    log = tmp_path / "api.jsonl"
+    _write_point_log(log)
+    out = tmp_path / "out"
+    assert cli.main([arg.format(dir=tmp_path, log=log, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
     assert not out.exists()
 
 

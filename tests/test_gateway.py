@@ -32,7 +32,7 @@ POPULAR_URI = "/api/recommend/popularnear?x=4362.047852&y=3160.110596"
 
 
 @pytest.fixture()
-def gateway(ref_stackmap, ref_corpus, ref_outline, ref_beacons, ref_recommender, tmp_path):
+def gateway(ref_stackmap, ref_corpus, ref_outline, ref_beacons, tmp_path):
     txn_log = TransactionLog(tmp_path / "api.jsonl")
     gw = Gateway(
         ref_stackmap,
@@ -40,7 +40,7 @@ def gateway(ref_stackmap, ref_corpus, ref_outline, ref_beacons, ref_recommender,
         ref_outline,
         txn_log,
         beacons=ref_beacons,
-        recommender=ref_recommender,
+        radius=25.0,
     )
     yield gw
     txn_log.close()
@@ -242,7 +242,16 @@ def test_from_config_matches_hand_wired_gateway(gateway, tmp_path):
         txn_log.close()
 
 
-@pytest.mark.parametrize("key, value", [("background", "floor.png"), ("default_tx_power", -59.0)])
+@pytest.mark.parametrize("key, value", [
+    ("background", "floor.png"),
+    ("default_tx_power", -59.0),
+    # settings the service once read; their values are now constants
+    ("max_items", 5),
+    ("max_ebooks", 3),
+    ("majority_threshold", 0.5),
+    ("path_loss_exponent", 2.0),
+    ("k_nearest_beacons", 3),
+])
 def test_config_rejects_keys_nothing_reads(tmp_path, key, value):
     raw = json.loads((REFERENCE / "config.json").read_text(encoding="utf-8"))
     path = tmp_path / "config.json"
@@ -477,6 +486,13 @@ def test_exit_does_not_wait_for_an_idle_keep_alive_connection(gateway):
         conn.close()
     assert took < READ_TIMEOUT_S / 5
     assert len(_log_lines(gateway)) == 1
+
+
+def test_exit_returns_promptly_after_a_request(gateway):
+    with GatewayServer(gateway) as server:
+        assert _get(server.base_url + MAP_DATA_URI)[0] == 200
+        exiting = time.monotonic()
+    assert time.monotonic() - exiting < 0.2  # shutdown waits for the serve loop's next poll
 
 
 def test_expect_100_continue_is_answered_before_the_body(gateway):

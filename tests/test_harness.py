@@ -212,9 +212,12 @@ def test_seed7_report_matches_golden_outputs(tmp_path):
 
 def test_report_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"records": 100, "bogus": 1}', encoding="utf-8")
-    with pytest.raises(ValueError, match="bogus"):
-        ReportConfig.from_json(path)
+    # "bogus" was never a field; the others were, and are now constants
+    for key, value in (("bogus", 1), ("alpha", 1.0), ("cell_size", 20.0),
+                       ("gaussian_sigma", 30.0), ("collection", "uiu_undergrad")):
+        path.write_text(json.dumps({"records": 100, key: value}), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unknown report config keys \\['{key}'\\]"):
+            ReportConfig.from_json(path)
 
 
 def test_report_error_names_stage(tmp_path):

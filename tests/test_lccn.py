@@ -81,10 +81,7 @@ def test_parse_errors_carry_offset_and_reason():
         parse("PN")
 
 
-def test_strict_mode_rejects_trailing_garbage():
-    with pytest.raises(ParseError):
-        parse("PN1995 .C655 2015 ???", strict=True)
-    # lenient mode keeps it in the suffix
+def test_trailing_garbage_lands_in_suffix():
     assert parse("PN1995 .C655 2015 ???").suffix == "???"
 
 

@@ -198,7 +198,7 @@ def _synthetic_world(tmp_path, seed=17, n_records=500, n_shelves=25):
 def test_recommend_near_matches_brute_force_pipeline(tmp_path, ref_outline):
     store, stack = _synthetic_world(tmp_path)
     radius = 35.0
-    rec = Recommender(stack, store, ref_outline, radius=radius, max_items=5, max_ebooks=3)
+    rec = Recommender(stack, store, ref_outline, radius=radius)
     rng = random.Random(3)
 
     for _ in range(50):

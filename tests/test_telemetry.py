@@ -571,6 +571,17 @@ def test_recommend_table_reads_back_a_uri_with_quote_and_comma(ref_corpus, ref_o
     assert _read_csv(table) == [["uri", "bib-id"], [uri, "uiu_8378456"]]
 
 
+def test_recommend_table_reads_back_bib_ids_with_quote_and_comma(ref_corpus, ref_outline, tmp_path):
+    uri = "/api/recommend/popularnear?x=1&y=2"
+    annotated = annotate([_entry(uri=uri, bib_ids=["a,b", 'c"d', "uiu_8378456"])],
+                         ref_corpus, ref_outline)
+    table = tmp_path / "recommend.csv"
+    telemetry.write_recommend_table(annotated, table)
+    assert _read_csv(table) == [["uri"] + ["bib-id"] * 3, [uri, "a,b", 'c"d', "uiu_8378456"]]
+    # only a bib id that needs quotes gets them
+    assert table.read_text(encoding="utf-8").splitlines()[1].endswith(',"a,b","c""d",uiu_8378456')
+
+
 def test_distribution_csv_reads_back_a_subject_with_quote_and_comma(tmp_path):
     dist = SubjectDistribution(items=[('Say "hi", world', 3), ("Plain", 1)], unknown=2)
     path = tmp_path / "subjects.csv"
