@@ -9,14 +9,12 @@ from pathlib import Path
 
 from . import corpus, harness, lccn, stacksmap, telemetry
 from .config import ServiceConfig
-from .gateway import Gateway, GatewayServer, TransactionLog
+from .gateway import Gateway, GatewayServer
 
 
 def cmd_serve(args) -> int:
-    cfg = ServiceConfig.from_json(args.config)
-    txn_log = TransactionLog(args.log)
+    gw = Gateway.from_config(ServiceConfig.from_json(args.config), args.log)
     try:
-        gw = Gateway.from_config(cfg, txn_log)
         with GatewayServer(gw, host=args.host, port=args.port) as server:
             print(f"serving on {server.base_url}, logging to {args.log}")
             try:
@@ -24,7 +22,7 @@ def cmd_serve(args) -> int:
             except KeyboardInterrupt:
                 pass
     finally:
-        txn_log.close()
+        gw.txn_log.close()
     return 0
 
 
@@ -72,7 +70,7 @@ def cmd_heatmap(args) -> int:
         ys = [p[1] for p in points]
         extent = stacksmap.Rect(min(xs), min(ys), max(xs) + 1e-9, max(ys) + 1e-9)
     else:
-        print("no points and no --stackmap to size the grid", file=sys.stderr)
+        print("error: no points and no --stackmap to size the grid", file=sys.stderr)
         return 2
     mode, sigma = args.mode
     spec = telemetry.GridSpec.covering(extent, args.cell_size, margin=args.cell_size)

@@ -70,7 +70,7 @@ class CorpusStore:
         self._sorted = sorted(self.records.values(), key=lambda r: (_shelf_key(r), r.bib_id))
 
     def books_in_range(self, r: CallNumberRange) -> list[BibRecord]:
-        """All records whose call number falls in r, in call-number order.
+        """All records whose call number falls in r, in call-number order, ties by bib_id.
 
         Bisects the records in call-number order at both ends and slices: the
         records in r are exactly those keyed from r.start's key up to r.upper.
@@ -98,7 +98,7 @@ class CorpusStore:
 
 def _read_csv(path: str | Path, required: list[str]):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks, not None
         if reader.fieldnames is None or not set(required) <= {f.strip() for f in reader.fieldnames}:
             raise CorpusLoadError(f"{path}: expected columns {required}")
         yield from enumerate(reader, start=2)

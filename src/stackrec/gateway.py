@@ -162,17 +162,20 @@ class Gateway:
     def from_config(
         cls,
         cfg: ServiceConfig,
-        txn_log: TransactionLog,
+        log_path: str | Path,
         clock: Callable[[], datetime] | None = None,
     ) -> "Gateway":
-        """Load the data files cfg names and wire a gateway over them."""
+        """Load the data files cfg names and wire a gateway over them.
+
+        The transaction log at log_path is opened only once every file has
+        loaded, so a failed load leaves no log behind.  The caller closes
+        ``txn_log``.
+        """
         store = corpus.load_corpus(cfg.catalog, cfg.circulation, cfg.articles, cfg.databases)
-        return cls(
-            stacksmap.load_stackmap(cfg.stackmap), store, lccn.load_outline(cfg.outline), txn_log,
-            beacons=locate.load_beacons(cfg.beacons) if cfg.beacons else [],
-            radius=cfg.radius,
-            clock=clock,
-        )
+        stack, outline = stacksmap.load_stackmap(cfg.stackmap), lccn.load_outline(cfg.outline)
+        beacons = locate.load_beacons(cfg.beacons) if cfg.beacons else []
+        return cls(stack, store, outline, TransactionLog(log_path),
+                   beacons=beacons, radius=cfg.radius, clock=clock)
 
     def _timestamp(self) -> str:
         return self.clock().isoformat()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import corpus, lccn, locate, stacksmap, telemetry
 from .config import ServiceConfig
-from .gateway import ApiLogEntry, Gateway, GatewayServer, TransactionLog
+from .gateway import ApiLogEntry, Gateway, GatewayServer
 from .telemetry import GridSpec, quoted
 
 log = logging.getLogger(__name__)
@@ -477,15 +477,13 @@ def run_report(config: ReportConfig) -> dict:
     sim = {"now": STUDY_START}
     log_path = out / "gateway.jsonl"
     log_path.unlink(missing_ok=True)
-    txn_log = TransactionLog(log_path)
     try:
         gw = Gateway.from_config(
-            ServiceConfig.from_json(fixtures.service), txn_log, clock=lambda: sim["now"]
+            ServiceConfig.from_json(fixtures.service), log_path, clock=lambda: sim["now"]
         )
     except Exception as exc:
-        txn_log.close()
         raise ReportError("load", str(exc)) from exc
-    store, stack, outline = gw.corpus, gw.stackmap, gw.outline
+    store, stack, outline, txn_log = gw.corpus, gw.stackmap, gw.outline, gw.txn_log
 
     walk = gen_walk(
         config.seed + 1, stack, config.recommend_requests + config.wayfind_requests,

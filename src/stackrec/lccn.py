@@ -11,6 +11,8 @@ fraction, a tuple of ``(letter, digits)`` per cutter, year (absent first), and
 suffix.  The class fraction and each cutter's digits are kept as digit strings
 with trailing zeros stripped.  Compared as strings these order exactly as the
 decimal fractions they spell ("79835" < "8", "6" < "62"), at any length.
+A CallNumber hashes its key, and a CallNumberRange its start key and upper
+key: equal fields give equal keys, so the hash agrees with ``==``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class CallNumber:
     year: int | None = None
     suffix: str | None = None
     _key: tuple = field(init=False, compare=False, repr=False)
+    _text: str | None = field(init=False, compare=False, repr=False)  # see canonical_format
 
     def __post_init__(self):
         if not re.fullmatch(r"[A-Z]{1,3}", self.class_letters):
@@ -74,6 +77,10 @@ class CallNumber:
             (0, 0) if self.year is None else (1, self.year),
             self.suffix or "",
         ))
+        object.__setattr__(self, "_text", None)
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def sort_key(self) -> tuple:
         return self._key
@@ -141,8 +148,15 @@ def canonical_format(cn: CallNumber) -> str:
 
     The dot appears only before the first cutter; segments are single-space
     separated; trailing zeros in decimal fractions are dropped so that
-    parse(canonical_format(cn)) equals cn by value.
+    parse(canonical_format(cn)) equals cn by value.  Each call number is
+    formatted at most once; its text is kept on it for the next call.
     """
+    if cn._text is None:
+        object.__setattr__(cn, "_text", _format(cn))
+    return cn._text
+
+
+def _format(cn: CallNumber) -> str:
     frac = cn.class_frac.rstrip("0")
     head = f"{cn.class_letters}{cn.class_int}" + (f".{frac}" if frac else "")
     parts = [head]
@@ -187,6 +201,9 @@ class CallNumberRange:
             raise ValueError(
                 f"range start {canonical_format(self.start)} after end {canonical_format(self.end)}"
             )
+
+    def __hash__(self) -> int:
+        return hash((self.start._key, self.upper))
 
     def __str__(self) -> str:
         return f"{canonical_format(self.start)} - {canonical_format(self.end)}"

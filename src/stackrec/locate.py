@@ -108,12 +108,10 @@ def load_beacons(path: str | Path) -> list[Beacon]:
                 raise ValueError(f"{path} row {row_no}: duplicate beacon_id {beacon_id!r}")
             seen.add(beacon_id)
             tx_raw = (row.get("tx_power") or "").strip()
-            beacons.append(
-                Beacon(
-                    beacon_id=beacon_id,
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    tx_power=float(tx_raw) if tx_raw else DEFAULT_TX_POWER,
-                )
-            )
+            try:
+                x, y = float(row["x"]), float(row["y"])
+                tx_power = float(tx_raw) if tx_raw else DEFAULT_TX_POWER
+            except ValueError as exc:
+                raise ValueError(f"{path} row {row_no}: {exc}") from None
+            beacons.append(Beacon(beacon_id=beacon_id, x=x, y=y, tx_power=tx_power))
     return beacons

@@ -4,6 +4,12 @@ Given a point on the floor: find nearby shelf ranges, pull in-range print
 candidates, keep the most-circulated ones, merge in e-books that would shelve
 nearby, then append journal/database suggestions derived from the subject of
 each range.
+
+The in-range work is done once per range: the first request that needs a
+range summarizes it (its shortlist of candidates, its dominant journal, the
+curated databases it overlaps), and every request merges the summaries of its
+nearby ranges.  Merging shortlists is exact: the first k of a union, in any
+total order, lie within the union of each part's first k.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ MAX_EBOOKS = 3              # e-books per answer, in call-number order
 MAJORITY_THRESHOLD = 0.5    # share of a subject's articles a journal must exceed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Recommendation:
     kind: str                       # "print" | "ebook" | "database"
     title: str
@@ -46,6 +52,25 @@ class Recommendation:
         if self.name is not None:
             d["name"] = self.name
         return d
+
+
+@dataclass(frozen=True, slots=True)
+class RangeSummary:
+    """What recommend_near needs of one shelf range, computed once per range.
+
+    ``shortlist`` holds the range's MAX_ITEMS most-circulated prints (count
+    above 0, by descending count then bib_id) and then its first MAX_EBOOKS
+    e-books in call-number order.  ``journal`` is the dominant journal of
+    the range's subject query and its share of the hits, or None.
+    ``databases`` holds the indexes into ``CorpusStore.databases`` of the
+    curated entries whose subject ranges overlap the range; it is a tuple, not
+    a set, because there is one summary per shelf, most overlap no database,
+    and the empty tuple costs no memory.
+    """
+
+    shortlist: tuple[BibRecord, ...]
+    journal: tuple[str, float] | None
+    databases: tuple[int, ...]
 
 
 @dataclass
@@ -101,8 +126,8 @@ class Recommender:
         self.corpus = corpus_
         self.outline = outline
         self.radius = radius if radius is not None else stacksmap.default_radius(stackmap_)
-        # range -> its dominant journal and share, or None; see _dominant_journal
-        self._journals: dict[CallNumberRange, tuple[str, float] | None] = {}
+        # range -> its summary; see _summary
+        self._summaries: dict[CallNumberRange, RangeSummary] = {}
 
     def recommend_near(self, p: Point) -> RecommendationSet:
         """Full pipeline for one point; empty ranges/items is a normal outcome."""
@@ -110,23 +135,53 @@ class Recommender:
         location = PatronLocation(p[0], p[1])
         if not ranges:
             return RecommendationSet(location, [], [])
-        candidates: list[BibRecord] = []
-        for r in ranges:
-            candidates.extend(self.corpus.books_in_range(r))
+        summaries = [self._summary(r) for r in ranges]
+        candidates = [rec for s in summaries for rec in s.shortlist]
         items = self.popular_books(candidates)
         items.extend(self.ebook_suggestions(candidates))
         items.extend(self.database_suggestions(ranges))
         return RecommendationSet(location, ranges, items)
 
+    def _summary(self, r: CallNumberRange) -> RangeSummary:
+        """The summary of r, built the first time any request asks for it.
+
+        The stores and the outline never change, and recommend_near asks only
+        about the stack map's ranges, so the memo holds about one entry per
+        shelf.  Two threads may both build a missing entry; they store equal
+        values.
+        """
+        summary = self._summaries.get(r)
+        if summary is None:
+            summary = self._summaries[r] = self._summarize(r)
+        return summary
+
+    def _summarize(self, r: CallNumberRange) -> RangeSummary:
+        records = self.corpus.books_in_range(r)  # in (call number, bib_id) order
+        ebooks = [rec for rec in records if rec.format == "ebook"][:MAX_EBOOKS]
+        return RangeSummary(
+            shortlist=tuple([rec for rec, _ in self._ranked_prints(records)] + ebooks),
+            journal=self._dominant_journal(r),
+            databases=tuple(
+                i for i, entry in enumerate(self.corpus.databases)
+                if any(lccn.ranges_overlap(r, sr) for sr in entry.subject_ranges)
+            ),
+        )
+
+    def _ranked_prints(self, candidates: list[BibRecord]) -> list[tuple[BibRecord, int]]:
+        """The MAX_ITEMS most-circulated prints and their counts, by (-count, bib_id).
+
+        Prints with no charges drop out.
+        """
+        count = self.corpus.circulation_count
+        prints = [
+            (rec, n) for rec in candidates
+            if rec.format == "print" and (n := count(rec.bib_id)) > 0
+        ]
+        prints.sort(key=lambda pair: (-pair[1], pair[0].bib_id))
+        return prints[:MAX_ITEMS]
+
     def popular_books(self, candidates: list[BibRecord]) -> list[Recommendation]:
         """Print candidates by descending circulation; zero-count items drop out."""
-        prints = [
-            (rec, self.corpus.circulation_count(rec.bib_id))
-            for rec in candidates
-            if rec.format == "print"
-        ]
-        prints = [(rec, n) for rec, n in prints if n > 0]
-        prints.sort(key=lambda pair: (-pair[1], pair[0].bib_id))
         return [
             Recommendation(
                 kind="print",
@@ -135,7 +190,7 @@ class Recommender:
                 bib_id=rec.bib_id,
                 call_number=rec.call_number,
             )
-            for rec, n in prints[:MAX_ITEMS]
+            for rec, n in self._ranked_prints(candidates)
         ]
 
     def ebook_suggestions(self, candidates: list[BibRecord]) -> list[Recommendation]:
@@ -167,22 +222,19 @@ class Recommender:
         share.  Curated database entries whose subject ranges intersect any
         nearby range are always included.
         """
+        summaries = [self._summary(r) for r in ranges]
         out: list[Recommendation] = []
         seen: set[str] = set()
-        for r in ranges:
-            dominant = self._dominant_journal(r)
-            if dominant is None:
+        for s in summaries:
+            if s.journal is None:
                 continue
-            journal, share = dominant
+            journal, share = s.journal
             if share > MAJORITY_THRESHOLD and journal not in seen:
                 seen.add(journal)
                 out.append(Recommendation(kind="database", title=journal, score=share, name=journal))
-        for entry in self.corpus.databases:
-            if entry.name in seen:
-                continue
-            if any(
-                lccn.ranges_overlap(r, sr) for r in ranges for sr in entry.subject_ranges
-            ):
+        near = {i for s in summaries for i in s.databases}
+        for i, entry in enumerate(self.corpus.databases):
+            if i in near and entry.name not in seen:
                 seen.add(entry.name)
                 out.append(
                     Recommendation(kind="database", title=entry.name, score=1.0, name=entry.name)
@@ -192,20 +244,12 @@ class Recommender:
     def _dominant_journal(self, r: CallNumberRange) -> tuple[str, float] | None:
         """The journal with most article hits for r's subject query, and its share.
 
-        None when r is unclassified or its query finds nothing.  Memoized per
-        range: the outline and the article store never change, and
-        recommend_near asks only about the stack map's ranges, so the memo
-        holds about one entry per shelf.  Two threads may both compute a
-        missing entry; they store the same value.
+        None when r is unclassified or its query finds nothing.
         """
-        if r in self._journals:
-            return self._journals[r]
-        dominant = None
         query = subject_query_from_range(r, self.outline)
         results = self.corpus.article_search(query) if query is not None else []
-        if results:
-            shares = Counter(a.journal_title for a in results)
-            journal, hits = max(shares.items(), key=lambda kv: (kv[1], kv[0]))
-            dominant = (journal, hits / len(results))
-        self._journals[r] = dominant
-        return dominant
+        if not results:
+            return None
+        shares = Counter(a.journal_title for a in results)
+        journal, hits = max(shares.items(), key=lambda kv: (kv[1], kv[0]))
+        return journal, hits / len(results)

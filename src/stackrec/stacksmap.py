@@ -122,7 +122,7 @@ def load_stackmap(path: str | Path) -> StackMap:
     shelves: list[Shelf] = []
     diagnostics: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks, not None
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != _HEADER:
             raise StackMapLoadError(f"{path}: expected header {','.join(_HEADER)}")
         for row_no, row in enumerate(reader, start=2):

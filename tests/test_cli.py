@@ -5,7 +5,7 @@ import pytest
 
 from stackrec import cli
 from stackrec.config import ServiceConfig
-from stackrec.gateway import ApiLogEntry, Gateway, TransactionLog
+from stackrec.gateway import ApiLogEntry, Gateway
 
 from conftest import REFERENCE
 
@@ -20,9 +20,8 @@ def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
     cfg = ServiceConfig.from_json(moved / "service.json")
     assert cfg.catalog == str(moved / "catalog.csv")
 
-    txn_log = TransactionLog(tmp_path / "api.jsonl")
+    gw = Gateway.from_config(cfg, tmp_path / "api.jsonl")
     try:
-        gw = Gateway.from_config(cfg, txn_log)
         assert len(gw.corpus.records) == 60
         assert len(gw.beacons) == 12
         assert gw.stackmap.shelves
@@ -31,7 +30,7 @@ def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
         assert status == 200
         assert gw.stackmap.map_extent.contains((body["x"], body["y"]))
     finally:
-        txn_log.close()
+        gw.txn_log.close()
 
 
 def _write_point_log(path):
@@ -137,7 +136,11 @@ _SERVICE_WITH_BAD_BEACONS = json.dumps({
     (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
      {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "beacon_id,x,y\nb1,0\n"},
      "could not convert"),
-], ids=["harness-report", "telemetry-subjects", "telemetry-heatmap", "serve", "serve-short-row"])
+    (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
+     {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "beacon_id,x,y\nb1,0,0\nb2,zero,0\n"},
+     "beacons.csv row 3: could not convert string to float: 'zero'"),
+], ids=["harness-report", "telemetry-subjects", "telemetry-heatmap", "serve", "serve-short-row",
+        "serve-bad-number"])
 def test_malformed_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -149,6 +152,30 @@ def test_malformed_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, 
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
+    assert not out.exists()
+
+
+def test_serve_that_fails_to_load_leaves_no_log(tmp_path, capsys):
+    (tmp_path / "service.json").write_text(_SERVICE_WITH_BAD_BEACONS, encoding="utf-8")
+    (tmp_path / "beacons.csv").write_text("beacon_id,x,y\nb1,0\n", encoding="utf-8")
+    log = tmp_path / "new.jsonl"
+    argv = ["serve", "--config", str(tmp_path / "service.json"), "--port", "0", "--log", str(log)]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert not log.exists()
+
+
+def test_heatmap_with_no_points_and_no_stackmap_is_one_error_line_and_status_2(tmp_path, capsys):
+    log = tmp_path / "api.jsonl"
+    log.write_text("", encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    argv = ["telemetry", "heatmap", "--logs", str(log), "--cell-size", "10", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: no points and no --stackmap to size the grid"
     assert not out.exists()
 
 

@@ -52,6 +52,20 @@ def test_bad_call_number_skipped_and_reported(tmp_path):
     assert len(store.diagnostics) == 1
 
 
+def test_short_catalog_row_is_skipped_and_reported(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text(
+        "bib_id,title,call_number,format\n"
+        "uiu_1,A title\n"
+        'uiu_2,"Two","PS100 .A1",print\n',
+        encoding="utf-8",
+    )
+    store = load_corpus(path)
+    assert list(store.records) == ["uiu_2"]
+    (message,) = store.diagnostics
+    assert message.startswith(f"{path} row 2: ")
+
+
 def test_duplicate_bib_id_fatal(tmp_path):
     path = tmp_path / "catalog.csv"
     path.write_text(

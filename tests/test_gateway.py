@@ -222,8 +222,9 @@ def test_concurrent_requests_yield_atomic_lines(gateway):
 
 
 def test_from_config_matches_hand_wired_gateway(gateway, tmp_path):
-    txn_log = TransactionLog(tmp_path / "configured.jsonl")
-    configured = Gateway.from_config(ServiceConfig.from_json(REFERENCE / "config.json"), txn_log)
+    configured = Gateway.from_config(
+        ServiceConfig.from_json(REFERENCE / "config.json"), tmp_path / "configured.jsonl"
+    )
     ext = gateway.stackmap.map_extent
     points = [("4362.047852", "3160.110596")] + [
         (f"{ext.x_min + i * ext.width / 6:.3f}", f"{ext.y_min + j * ext.height / 6:.3f}")
@@ -239,7 +240,7 @@ def test_from_config_matches_hand_wired_gateway(gateway, tmp_path):
                 gateway.handle_popular_near(x, y)
             )
     finally:
-        txn_log.close()
+        configured.txn_log.close()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -222,6 +222,37 @@ def test_value_classes_are_slotted_frozen_and_hashable():
     assert "_key" not in repr(cn) and "upper" not in repr(r)
 
 
+def _copy(cn: CallNumber) -> CallNumber:
+    return CallNumber(cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=CALL_NUMBERS, b=CALL_NUMBERS, r=call_number_ranges(), q=call_number_ranges())
+def test_equal_values_hash_equal(a, b, r, q):
+    # the small draw space makes equal pairs common
+    if a == b:
+        assert hash(a) == hash(b)
+    if r == q:
+        assert hash(r) == hash(q)
+    for cn in (a, b):
+        assert _copy(cn) == cn and hash(_copy(cn)) == hash(cn)
+        assert hash(parse(canonical_format(cn))) == hash(cn)
+    same = CallNumberRange(_copy(r.start), _copy(r.end))
+    assert same == r and hash(same) == hash(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cn=CALL_NUMBERS)
+def test_canonical_format_is_the_same_before_and_after_its_cache_fills(cn):
+    fresh = _copy(cn)
+    first = canonical_format(cn)        # fills cn's cache
+    assert canonical_format(cn) is first  # formatted once, then read back
+    assert canonical_format(_copy(cn)) == first
+    # the cached text is invisible to ==, hash and repr
+    assert cn == fresh and hash(cn) == hash(fresh) and repr(cn) == repr(fresh)
+    assert canonical_format(fresh) == first
+
+
 # --- ranges ----------------------------------------------------------------
 
 def test_in_range_closed_at_start():

@@ -1,12 +1,13 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackrec import lccn, stacksmap
-from stackrec.corpus import CorpusStore, load_corpus
+from stackrec.corpus import BibRecord, CorpusStore, load_corpus
 from stackrec.lccn import ClassificationOutline
 from stackrec.recommend import Recommender, subject_query_from_range
 from stackrec.stacksmap import Rect, Shelf, StackMap
@@ -195,6 +196,38 @@ def _synthetic_world(tmp_path, seed=17, n_records=500, n_shelves=25):
     return store, StackMap(shelves=shelves)
 
 
+def _brute_force(store, stack, radius, p):
+    """Independent pipeline: brute-force distances, full catalog scan, count
+    sort, cap.  The nearby ranges, then (bib_id, score) of the prints and of
+    the e-books."""
+    near = sorted(
+        (s for s in stack.shelves if s.bounds.distance_to(p) <= radius),
+        key=lambda s: (s.bounds.distance_to(p), s.shelf_number),
+    )
+    ranges = [s.range for s in near]
+    in_any = [
+        r for r in store.records.values() if any(lccn.in_range(r.call_number, rr) for rr in ranges)
+    ]
+    prints = [
+        (r.bib_id, float(store.circulation_count(r.bib_id)))
+        for r in in_any
+        if r.format == "print" and store.circulation_count(r.bib_id) > 0
+    ]
+    prints.sort(key=lambda pair: (-pair[1], pair[0]))
+    ebooks = sorted(
+        (r for r in in_any if r.format == "ebook"),
+        key=lambda r: (r.call_number.sort_key(), r.bib_id),
+    )
+    return ranges, prints[:5], [(r.bib_id, float(store.circulation_count(r.bib_id))) for r in ebooks[:3]]
+
+
+def _answered(result):
+    """(bib_id, score) of the prints and of the e-books in a RecommendationSet."""
+    return tuple(
+        [(i.bib_id, i.score) for i in result.items if i.kind == kind] for kind in ("print", "ebook")
+    )
+
+
 def test_recommend_near_matches_brute_force_pipeline(tmp_path, ref_outline):
     store, stack = _synthetic_world(tmp_path)
     radius = 35.0
@@ -204,39 +237,58 @@ def test_recommend_near_matches_brute_force_pipeline(tmp_path, ref_outline):
     for _ in range(50):
         p = (rng.uniform(-30, 330), rng.uniform(-30, 230))
         result = rec.recommend_near(p)
-
-        # independent pipeline: brute-force distances, full catalog scan,
-        # count sort, cap
-        near = sorted(
-            (s for s in stack.shelves if s.bounds.distance_to(p) <= radius),
-            key=lambda s: (s.bounds.distance_to(p), s.shelf_number),
-        )
-        ranges = [s.range for s in near]
+        ranges, prints, ebooks = _brute_force(store, stack, radius, p)
         assert result.ranges_used == ranges
+        assert _answered(result) == (prints, ebooks)
 
-        in_any = [
-            r
-            for r in store.records.values()
-            if any(lccn.in_range(r.call_number, rr) for rr in ranges)
-        ]
-        prints = [
-            (r, store.circulation_count(r.bib_id))
-            for r in in_any
-            if r.format == "print" and store.circulation_count(r.bib_id) > 0
-        ]
-        prints.sort(key=lambda pair: (-pair[1], pair[0].bib_id))
-        expected_prints = [r.bib_id for r, _ in prints[:5]]
 
-        ebooks = sorted(
-            (r for r in in_any if r.format == "ebook"),
-            key=lambda r: (r.call_number.sort_key(), r.bib_id),
-        )
-        expected_ebooks = [r.bib_id for r in ebooks[:3]]
+# Records for a row of adjacent shelves: few distinct call numbers, so that
+# records share call numbers and circulation counts tie, and as many e-books
+# as prints.  Every call number has a year, so no range end is a class prefix
+# and cutting the sorted records between distinct call numbers gives ranges
+# that do not overlap.
+_TIED_RECORDS = st.lists(
+    st.tuples(
+        st.builds(
+            lccn.CallNumber,
+            class_letters=st.just("B"),
+            class_int=st.integers(1, 4),
+            cutters=st.sampled_from([(), (lccn.Cutter("A", "1"),), (lccn.Cutter("C", "2"),)]),
+            year=st.integers(1990, 1991),
+        ),
+        st.sampled_from(["print", "ebook"]),
+        st.integers(0, 2),
+    ),
+    min_size=1,
+    max_size=60,
+)
 
-        got_prints = [i.bib_id for i in result.items if i.kind == "print"]
-        got_ebooks = [i.bib_id for i in result.items if i.kind == "ebook"]
-        assert got_prints == expected_prints
-        assert got_ebooks == expected_ebooks
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=_TIED_RECORDS,
+    cuts=st.sets(st.integers(1, 15)),
+    radius=st.sampled_from([0.0, 3.0, 12.0, 25.0]),
+    points=st.lists(st.tuples(st.floats(-20, 180), st.floats(-10, 15)), min_size=1, max_size=12),
+)
+def test_warmed_recommender_matches_brute_force_with_ties(records, cuts, radius, points, ref_outline):
+    recs = [BibRecord(f"uiu_{i}", f"T{i}", cn, fmt) for i, (cn, fmt, _) in enumerate(records)]
+    charges = Counter({f"uiu_{i}": n for i, (_, _, n) in enumerate(records) if n})
+    store = CorpusStore({r.bib_id: r for r in recs}, charges, [], [])
+    keys = sorted({r.call_number.sort_key(): r.call_number for r in recs}.items())
+    bounds = [0] + sorted(c for c in cuts if c < len(keys)) + [len(keys)]
+    shelves = [
+        Shelf(n + 1, Rect(n * 10.0, 0.0, n * 10.0 + 8.0, 5.0),
+              lccn.CallNumberRange(keys[lo][1], keys[hi - 1][1]))
+        for n, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    stack = StackMap(shelves)
+    rec = Recommender(stack, store, ref_outline, radius=radius)
+    for p in points + points:  # the second pass answers from summaries built in the first
+        ranges, prints, ebooks = _brute_force(store, stack, radius, p)
+        result = rec.recommend_near(p)
+        assert result.ranges_used == ranges
+        assert _answered(result) == (prints, ebooks)
 
 
 def test_monotone_popularity(tmp_path, ref_outline):
@@ -290,13 +342,20 @@ def test_recommend_near_scans_each_range_once(monkeypatch, tmp_path, ref_outline
     scanned = count_calls(monkeypatch, CorpusStore, "books_in_range")
     rec = Recommender(stack, store, ref_outline, radius=35.0)
     rng = random.Random(5)
+    points = [(rng.uniform(-30, 330), rng.uniform(-30, 230)) for _ in range(30)]
+    seen = set()
     sizes = []
-    for _ in range(30):
-        scanned[0] = 0
-        result = rec.recommend_near((rng.uniform(-30, 330), rng.uniform(-30, 230)))
-        assert scanned[0] == len(result.ranges_used)
-        sizes.append(len(result.ranges_used))
+    for p in points:
+        before = scanned[0]
+        ranges = rec.recommend_near(p).ranges_used
+        assert scanned[0] - before == len(set(ranges) - seen)
+        seen.update(ranges)
+        sizes.append(len(ranges))
     assert max(sizes) > 1
+    assert scanned[0] == len(seen)
+    for p in points:
+        rec.recommend_near(p)
+    assert scanned[0] == len(seen)
 
 
 def test_second_request_at_a_point_classifies_nothing(monkeypatch, ref_stackmap, ref_corpus, ref_outline):

@@ -65,6 +65,13 @@ def test_load_skips_malformed_rows(tmp_path):
     assert len(m.diagnostics) == 1
 
 
+def test_load_skips_short_rows(tmp_path):
+    m = load_stackmap(_write_map(tmp_path, [(1, 0, 0, 10, 10, "PN1990", "PN1999"), (2, 20, 0)]))
+    assert [s.shelf_number for s in m.shelves] == [1]
+    (message,) = m.diagnostics
+    assert message.startswith("row 3: ")
+
+
 def test_known_shelves_resolve_call_numbers(ref_stackmap):
     shelf = shelf_for_call(lccn.parse("PN1995 .C655 2015"), ref_stackmap)
     assert shelf.shelf_number == 30
