@@ -12,12 +12,14 @@ log is the input to the telemetry module.
 
 from __future__ import annotations
 
+import email.utils
 import json
 import logging
 import math
 import re
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -257,13 +259,50 @@ class Gateway:
 
 _MAP_DATA_RE = re.compile(r"^/api/wayfinder/map_data/([^/]+)/([^/]+)$")
 _DIGITS = re.compile(r"[0-9]+")
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+# name ":" OWS value, the value without CR, LF or NUL (RFC 9112 §5, RFC 9110 §5.5).
+# A line that starts with whitespace (an obs-fold continuation), has whitespace
+# before its colon, or has no colon does not match.
+_FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n\x00]*)\r?\n?")
 
 # Largest POST body read; a beacon scan with hundreds of readings is a few KB.
 MAX_BODY_BYTES = 64 * 1024
+# Longest request line or header line (a longer one is answered 414 or 431), and
+# most lines in a request head after its request line, the blank line that ends
+# the head included (more are answered 431).
+MAX_LINE_BYTES = 65536
+MAX_HEAD_LINES = 100
 # Longest wait for any one read or write on a client's socket.  A request whose
 # body stops short of its Content-Length is answered 408 once a read waits this
 # long; a connection that sends no further request is closed unanswered.
 READ_TIMEOUT_S = 5.0
+
+
+class BadHead(Exception):
+    """A request head that is refused; args are the answer's status and message."""
+
+
+def read_headers(rfile) -> dict[str, list[str]]:
+    """The header fields of a request head, read from rfile up to its blank line.
+
+    Maps each lower-cased field name to its values in the order sent, each with
+    its leading whitespace removed.  Raises BadHead for a line that is not a
+    field line, a line over MAX_LINE_BYTES, or more than MAX_HEAD_LINES lines.
+    """
+    headers: dict[str, list[str]] = {}
+    for _ in range(MAX_HEAD_LINES):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise BadHead(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        text = str(line, "iso-8859-1")
+        field = _FIELD_LINE.fullmatch(text)
+        if field is None:
+            raise BadHead(400, f"Bad header line ({text[:80].rstrip()!r})")
+        name, value = field.groups()
+        headers.setdefault(name.lower(), []).append(value)
+    raise BadHead(431, f"More than {MAX_HEAD_LINES - 1} header lines")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -271,37 +310,79 @@ class _Handler(BaseHTTPRequestHandler):
 
     A connection stays open between requests until the client closes it, sends
     ``Connection: close``, or sends no request for READ_TIMEOUT_S.  The server
-    closes it after any answer whose request body it did not read in full, so
-    that no unread body is ever parsed as a next request.
+    closes it after any answer whose request body it did not read in full, and
+    after any refused request head, so that no unread body is ever parsed as a
+    next request.
     """
 
     gateway: Gateway  # set on the server class
+    server: _Server
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S  # socket timeout, set on each connection by StreamRequestHandler
-    # Buffer each response so that handle_one_request's flush sends its headers
-    # and body in one write.  Sent as two, the body waits for the client's
-    # delayed ACK of the headers (Nagle), some 40 ms a request.
-    wbufsize = -1
+
+    def parse_request(self) -> bool:
+        """Read the request line in raw_requestline and the head after it.
+
+        Sets command, path, request_version, headers and close_connection.
+        On a refused head, answers it and returns False.
+        """
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, path, self.request_version = words
+        numbers = _VERSION.fullmatch(self.request_version)
+        if numbers is None:
+            self.send_error(400, f"Bad request version ({self.request_version!r})")
+            return False
+        version = int(numbers[1]), int(numbers[2])
+        if version >= (2, 0):
+            self.send_error(505, f"Invalid HTTP version ({self.request_version[5:]})")
+            return False
+        # a path that starts with // would read as a host to a client (gh-87389)
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_headers(self.rfile)
+        except BadHead as exc:
+            self.send_error(*exc.args)
+            return False
+
+        connection = self.headers.get("connection", ("",))[0].lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive")
+        if version >= (1, 1) and self.headers.get("expect", ("",))[0].lower() == "100-continue":
+            # the client waits for this interim answer before it sends the body
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Refuse the request with a JSON error answer and close the connection."""
+        self.close_connection = True
+        self._send(code, {"error": message or self.responses[code][0]})
 
     def _send(self, status: int, body: dict) -> None:
         payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def handle_expect_100(self) -> bool:
-        proceed = super().handle_expect_100()
-        self.wfile.flush()  # the client waits for the interim answer before it sends the body
-        return proceed
+        self.log_request(status)
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.server.http_date()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
+        )
+        # One write (wfile is unbuffered): sent as two, the body would wait for
+        # the client's delayed ACK of the head (Nagle), some 40 ms an answer.
+        self.wfile.write(head.encode("latin-1") + payload)
 
     def _body_length(self) -> int | None:
         """The declared body length: 0 for none, None unless it is one Content-Length of digits."""
-        lengths = self.headers.get_all("Content-Length", [])
-        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+        lengths = self.headers.get("content-length", ())
+        if "transfer-encoding" in self.headers or len(lengths) > 1:
             return None
         if not lengths:
             return 0
@@ -340,7 +421,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the unread rest would be read as the next request
             return self.gateway.refuse("wayfinder", "/api/locate", {}, status, message)
 
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             return refuse(411, "send the body with a Content-Length, not a Transfer-Encoding")
         length = self._body_length()
         if length is None:
@@ -373,6 +454,18 @@ class _Server(ThreadingHTTPServer):
         super().__init__(*args)
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
+        # (second, its Date text), replaced whole so that no reader pairs one
+        # second with another second's text
+        self._date = (0, "")
+
+    def http_date(self) -> str:
+        """The Date header's text for now, formatted at most once a second."""
+        second, text = self._date
+        now = int(time.time())
+        if now != second:
+            text = email.utils.formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
     def process_request(self, request, client_address):
         with self._lock:

@@ -1,7 +1,10 @@
+import email.utils
 import http.client
+import io
 import json
 import math
 import socket
+import string
 import sys
 import time
 import urllib.error
@@ -9,6 +12,7 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +22,14 @@ from stackrec import telemetry
 from stackrec.config import ServiceConfig
 from stackrec.gateway import (
     MAX_BODY_BYTES,
+    MAX_HEAD_LINES,
+    MAX_LINE_BYTES,
     READ_TIMEOUT_S,
     ApiLogEntry,
     Gateway,
     GatewayServer,
     TransactionLog,
+    read_headers,
 )
 
 from conftest import REFERENCE
@@ -203,9 +210,23 @@ def test_http_endpoints_end_to_end(gateway):
             body = json.loads(resp.read())
         assert body["x"] == pytest.approx(0.0)
 
+        for connection in (None, "close"):
+            conn = http.client.HTTPConnection(urllib.parse.urlsplit(server.base_url).netloc, timeout=10)
+            conn.request("GET", MAP_DATA_URI, headers={"Connection": connection} if connection else {})
+            resp = conn.getresponse()
+            resp.read()
+            conn.close()
+            assert [name for name, _ in resp.getheaders()] == (
+                ["Server", "Date", "Content-Type", "Content-Length"] + (["Connection"] if connection else [])
+            )
+            assert resp.getheader("Server") == BaseHTTPRequestHandler.version_string(BaseHTTPRequestHandler)
+            sent = email.utils.parsedate_to_datetime(resp.getheader("Date"))
+            assert abs((sent - datetime.now(timezone.utc)).total_seconds()) < 60
+            assert resp.getheader("Connection") == connection
+
     entries = _log_entries(gateway)
     # unknown route is not a module transaction
-    assert len(entries) == 4
+    assert len(entries) == 6
 
 
 def test_concurrent_requests_yield_atomic_lines(gateway):
@@ -310,8 +331,11 @@ def test_bad_locate_posts_get_4xx_and_one_log_line_each(gateway):
 def _read_responses(sock: socket.socket) -> list[tuple[int, dict[str, str], bytes]]:
     """(status, lower-cased headers, body) of each response sent before the server closes."""
     data = b""
-    while chunk := sock.recv(65536):
-        data += chunk
+    try:
+        while chunk := sock.recv(65536):
+            data += chunk
+    except ConnectionResetError:  # a close with unread input resets, after what was sent
+        pass
     responses = []
     while data:
         head, _, data = data.partition(b"\r\n\r\n")
@@ -394,6 +418,10 @@ UNREAD_BODY_REQUESTS = [  # (request line, framing headers, body, status, logged
     ("POST /api/locate", "Content-Length: 1_0", HIDDEN, 400, "/api/locate"),
     ("POST /api/locate", f"Content-Length: 2\r\nContent-Length: {2 + len(HIDDEN)}", b"{}" + HIDDEN,
      400, "/api/locate"),
+    # a header line that is not a field line: refused, not read as the end of the head
+    (f"GET {POPULAR_URI}", f"Bad Line\r\nContent-Length: {len(HIDDEN)}", HIDDEN, 400, None),
+    (f"GET {POPULAR_URI}", f"Content-Length : {len(HIDDEN)}", HIDDEN, 400, None),
+    (f"GET {POPULAR_URI}", f"X-Note: a\r\n folded\r\nContent-Length: {len(HIDDEN)}", HIDDEN, 400, None),
 ]
 
 
@@ -412,6 +440,57 @@ def test_unread_body_gets_one_answer_and_closes(gateway, case):
     ]
     logged = [(line["uri"], line["status"]) for line in _log_lines(gateway)]
     assert logged == [(MAP_DATA_URI, 200)] + ([(logged_uri, status)] if logged_uri else [])
+
+
+REFUSED_HEADS = [  # request head without its blank line, status
+    pytest.param("GARBAGE", 400, id="one-word"),
+    pytest.param("GET /", 400, id="http-0.9"),
+    pytest.param(f"GET {POPULAR_URI} HTTP/1.1 extra", 400, id="four-words"),
+    pytest.param(f"GET {POPULAR_URI} HTTP/1", 400, id="version-without-minor"),
+    pytest.param(f"GET {POPULAR_URI} HTTP/x.1", 400, id="version-not-digits"),
+    pytest.param(f"GET {POPULAR_URI} HTTP/2.0", 505, id="version-2"),
+    pytest.param("GET /" + "a" * MAX_LINE_BYTES + " HTTP/1.1", 414, id="long-request-line"),
+    pytest.param(f"GET {POPULAR_URI} HTTP/1.1\r\nX-Long: " + "a" * MAX_LINE_BYTES, 431, id="long-header-line"),
+    pytest.param(f"GET {POPULAR_URI} HTTP/1.1" + "\r\nX-Many: 1" * MAX_HEAD_LINES, 431, id="100-header-lines"),
+    pytest.param(f"DELETE {POPULAR_URI} HTTP/1.1", 501, id="unsupported-method"),
+]
+
+
+@pytest.mark.parametrize("head, status", REFUSED_HEADS)
+def test_refused_head_gets_one_json_answer_and_closes(gateway, head, status):
+    with GatewayServer(gateway) as server:
+        answers = _pipeline(server, f"{head}\r\n\r\n".encode() + _get_request(MAP_DATA_URI))
+    assert [(s, headers.get("connection")) for s, headers, _ in answers] == [(status, "close")]
+    assert list(json.loads(answers[0][2])) == ["error"]
+    assert _log_lines(gateway) == []
+
+
+_TOKEN = st.text(alphabet="!#$%&'*+-.^_`|~" + string.ascii_letters + string.digits, min_size=1, max_size=12)
+_CASES = st.sampled_from([str, str.lower, str.upper, str.swapcase, str.title])
+_VALUE = st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.just("\t"), max_size=16)
+
+
+@st.composite
+def _header_block(draw) -> tuple[list[str], bytes]:
+    """Distinct field names and a head that sends them, repeated and in mixed case."""
+    names = draw(st.lists(_TOKEN, min_size=1, max_size=4, unique_by=str.lower))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        name = draw(_CASES)(draw(st.sampled_from(names)))
+        space = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        lines.append(f"{name}:{space}{draw(_VALUE)}\r\n")
+    return names, ("".join(lines) + "\r\n").encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_header_block())
+def test_read_headers_matches_the_stdlib_parser(block):
+    names, head = block
+    ours = read_headers(io.BytesIO(head))
+    oracle = http.client.parse_headers(io.BytesIO(head))
+    for name in names:
+        assert ours.get(name.lower(), [None])[0] == oracle.get(name)
+        assert ours.get(name.lower(), []) == oracle.get_all(name, [])
 
 
 class _CountingConnection(http.client.HTTPConnection):
