@@ -1,4 +1,8 @@
-"""Command-line front end: serve, telemetry subcommands, harness subcommands."""
+"""Command-line front end: serve, telemetry subcommands, harness subcommands.
+
+The telemetry and harness modules, and numpy with them, are imported only by
+the commands that use them, so that ``stackrec serve`` loads only what it serves.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import corpus, harness, lccn, stacksmap, telemetry
+from . import corpus, lccn, stacksmap
 from .config import ServiceConfig
 from .gateway import Gateway, GatewayServer
 
@@ -27,6 +31,7 @@ def cmd_serve(args) -> int:
 
 
 def _parsed_entries(args):
+    from . import telemetry
     parsed = telemetry.parse_logs(args.logs)
     if parsed.malformed:
         print(f"warning: {len(parsed.malformed)} malformed log line(s)", file=sys.stderr)
@@ -36,6 +41,7 @@ def _parsed_entries(args):
 
 
 def _annotated(args):
+    from . import telemetry
     entries = _parsed_entries(args)
     store = corpus.load_corpus(args.catalog)
     outline = lccn.load_outline(args.outline)
@@ -62,6 +68,7 @@ def _parse_mode(text: str):
 
 
 def cmd_heatmap(args) -> int:
+    from . import telemetry
     points = [p for e in _parsed_entries(args) if (p := telemetry.request_point(e.params))]
     if args.stackmap:
         extent = stacksmap.load_stackmap(args.stackmap).map_extent
@@ -89,6 +96,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_subjects(args) -> int:
+    from . import telemetry
     annotated = _annotated(args)
     dist = telemetry.subject_distribution(annotated, per_request=args.per_request)
     telemetry.write_distribution_csv(dist, args.out)
@@ -104,6 +112,7 @@ def cmd_subjects(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import telemetry
     entries = _parsed_entries(args)
     counts = telemetry.trace_identifier(args.bib_id, entries)
     for module, count in counts.items():
@@ -112,6 +121,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from . import telemetry
     entries = _parsed_entries(args)
     stats = telemetry.mine_queries(entries, args.module)
     print(f"total words\t{stats.total_words}")
@@ -122,6 +132,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_monthly(args) -> int:
+    from . import telemetry
     entries = _parsed_entries(args)
     for month, count in telemetry.time_series(entries, args.module):
         print(f"{month}\t{count}")
@@ -129,12 +140,14 @@ def cmd_monthly(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import harness
     fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
     print(f"fixtures written under {fixtures.root}")
     return 0
 
 
 def cmd_walk(args) -> int:
+    from . import harness
     stack = stacksmap.load_stackmap(args.stackmap)
     store = corpus.load_corpus(args.catalog, args.circulation) if args.catalog else None
     walk = harness.gen_walk(args.seed, stack, args.requests, corpus_=store)
@@ -144,6 +157,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import harness
     config = harness.ReportConfig.from_json(args.config) if args.config else harness.ReportConfig()
     if args.out:
         config.out_dir = args.out

@@ -272,6 +272,10 @@ MAX_BODY_BYTES = 64 * 1024
 # the head included (more are answered 431).
 MAX_LINE_BYTES = 65536
 MAX_HEAD_LINES = 100
+# Most empty lines skipped before a request line, as RFC 9112 §2.2 asks of a
+# server (a client may send a stray CRLF after a request); one more closes
+# the connection unanswered.
+MAX_BLANK_LINES = 8
 # Longest wait for any one read or write on a client's socket.  A request whose
 # body stops short of its Content-Length is answered 408 once a read waits this
 # long; a connection that sends no further request is closed unanswered.
@@ -323,10 +327,19 @@ class _Handler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """Read the request line in raw_requestline and the head after it.
 
-        Sets command, path, request_version, headers and close_connection.
-        On a refused head, answers it and returns False.
+        Skips up to MAX_BLANK_LINES empty lines before the request line.  Sets
+        command, path, request_version, headers and close_connection.  On a
+        refused head, answers it and returns False.
         """
         self.close_connection = True
+        for _ in range(MAX_BLANK_LINES):
+            if self.raw_requestline not in (b"\r\n", b"\n"):
+                break
+            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(self.raw_requestline) > MAX_LINE_BYTES:
+            self.requestline = ""
+            self.send_error(414)
+            return False
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
         if not words:

@@ -13,10 +13,8 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import accumulate
 from pathlib import Path
-
-import numpy as np
 
 from . import lccn
 from .lccn import CallNumber, CallNumberRange
@@ -36,6 +34,8 @@ class Rect:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate rectangle {self}")
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise ValueError(f"unbounded rectangle {self}")
 
     @property
     def center(self) -> Point:
@@ -78,19 +78,45 @@ def _start_key(shelf: Shelf) -> tuple:
 class StackMap:
     shelves: list[Shelf]
     diagnostics: list[str] = field(default_factory=list)
-    # Lookup indexes, built once from `shelves`: the shelves ordered by range
-    # start, and the bounds as rows x_min, y_min, x_max, y_max with one column
-    # per entry of `shelves`.
+    # Lookup indexes, built once from `shelves`.  _by_start: the shelves in
+    # range-start order.  A uniform grid over the map: _xs and _ys are the
+    # cell edges along x and y, and cell (i, j) is number i * rows + j.  Each
+    # shelf is listed under every cell its rectangle touches, edges included:
+    # _members holds the indexes into `shelves` cell by cell, and the cell
+    # numbered c holds _members[_starts[c]:_starts[c + 1]].  Two flat lists,
+    # not a list per cell: a map then keeps no object per cell for the
+    # cyclic garbage collector to count, which moved the collector's passes
+    # into the loaders of a process that reloads its data.
     _by_start: list[Shelf] = field(init=False, repr=False, compare=False)
-    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    _xs: list[float] = field(init=False, repr=False, compare=False)
+    _ys: list[float] = field(init=False, repr=False, compare=False)
+    _starts: list[int] = field(init=False, repr=False, compare=False)
+    _members: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_start = sorted(self.shelves, key=_start_key)
-        self._bounds = np.array(
-            [[s.bounds.x_min for s in self.shelves], [s.bounds.y_min for s in self.shelves],
-             [s.bounds.x_max for s in self.shelves], [s.bounds.y_max for s in self.shelves]],
-            dtype=float,
-        )
+        self._xs, self._ys, self._starts, self._members = [], [], [], []
+        if not self.shelves:
+            return
+        extent = self.map_extent
+        # The median shelf long side, doubled while the grid would have more
+        # than 4 cells per shelf (only a map of tiny shelves far apart does).
+        sides = sorted(max(s.bounds.width, s.bounds.height) for s in self.shelves)
+        cell = sides[len(sides) // 2]
+        while (extent.width / cell + 1) * (extent.height / cell + 1) > 4 * len(self.shelves):
+            cell *= 2
+        xs = self._xs = _edges(extent.x_min, extent.x_max, cell)
+        ys = self._ys = _edges(extent.y_min, extent.y_max, cell)
+        rows = len(ys) - 1
+        cells: list[list[int]] = [[] for _ in range((len(xs) - 1) * rows)]
+        for k, s in enumerate(self.shelves):
+            r = s.bounds
+            j0, j1 = bisect_right(ys, r.y_min) - 1, bisect_right(ys, r.y_max)
+            for i in range(bisect_right(xs, r.x_min) - 1, bisect_right(xs, r.x_max)):
+                for c in range(i * rows + j0, i * rows + j1):
+                    cells[c].append(k)
+        self._starts = list(accumulate(map(len, cells), initial=0))
+        self._members = [k for cell in cells for k in cell]
 
     @property
     def map_extent(self) -> Rect:
@@ -102,6 +128,14 @@ class StackMap:
 
     def __len__(self) -> int:
         return len(self.shelves)
+
+
+def _edges(lo: float, hi: float, cell: float) -> list[float]:
+    """Cell edges lo, lo + cell, lo + 2*cell, ..., up to the first edge past hi."""
+    edges = [lo]
+    while edges[-1] <= hi:
+        edges.append(lo + len(edges) * cell)
+    return edges
 
 
 class StackMapLoadError(ValueError):
@@ -173,30 +207,54 @@ def shelf_for_call(cn: CallNumber, m: StackMap) -> Shelf | None:
     return None
 
 
+def _window(edges: list[float], c: float, radius: float) -> tuple[int, int]:
+    """First and last cell along one axis that may hold a shelf within radius of c.
+
+    Exact, in floats: a shelf the exact test keeps has c - hi <= radius for
+    its high side hi, computed as in distance_to, since a distance is never
+    below either of its components.  The edge after its last cell is past hi,
+    and rounding is monotonic, so that edge passes the same test.  The low
+    end is moved down until the cell below it fails the test on that edge,
+    so it is at or below every such last cell; the high end likewise.  Both
+    ends are clamped to the grid, so no radius, even an infinite one, and no
+    point far off the map makes the window larger than the map.
+    """
+    last = len(edges) - 2
+    lo = max(bisect_right(edges, c - radius) - 1, 0)
+    while lo > 0 and c - edges[lo] <= radius:
+        lo -= 1
+    hi = min(bisect_right(edges, c + radius) - 1, last)
+    while hi < last and edges[hi + 1] - c <= radius:
+        hi += 1
+    return lo, hi
+
+
 def ranges_for_location(p: Point, m: StackMap, radius: float) -> list[CallNumberRange]:
     """Ranges of shelves within `radius` of p, nearest first, ties by shelf number.
 
-    radius=0 degenerates to "shelves whose rectangle contains p".  The map's
-    bounds array screens out, in one vectorized pass, every shelf that is
-    farther than radius along x or y alone; only the rest get the exact
-    Rect.distance_to test.  The screen computes the same float differences
-    as distance_to, and a distance is never below either of its components,
-    so it never drops a shelf the exact test keeps.
+    radius=0 degenerates to "shelves whose rectangle contains p".  Only the
+    shelves listed in the map's grid cells that meet the square of side
+    2*radius around p get the exact Rect.distance_to test, each at most once;
+    _window says why no shelf the test keeps lies outside those cells.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    x, y = p
-    x_min, y_min, x_max, y_max = m._bounds
-    screen = (x_min - x <= radius) & (x - x_max <= radius)
-    screen &= (y_min - y <= radius) & (y - y_max <= radius)
+    if not m.shelves:
+        return []
+    i0, i1 = _window(m._xs, p[0], radius)
+    j0, j1 = _window(m._ys, p[1], radius)
+    rows, starts = len(m._ys) - 1, m._starts
+    found: set[int] = set()
+    for i in range(i0 * rows, (i1 + 1) * rows, rows):  # cells j0..j1 of column i are adjacent
+        found.update(m._members[starts[i + j0] : starts[i + j1 + 1]])
     near = []
-    for i in np.flatnonzero(screen).tolist():
-        shelf = m.shelves[i]
+    for k in found:
+        shelf = m.shelves[k]
         d = shelf.bounds.distance_to(p)
         if d <= radius:
-            near.append((d, shelf.shelf_number, shelf))
-    near.sort(key=itemgetter(0, 1))
-    return [shelf.range for _, _, shelf in near]
+            near.append((d, shelf.shelf_number, k))
+    near.sort()  # a tie in distance and shelf number keeps the order of m.shelves
+    return [m.shelves[k].range for _, _, k in near]
 
 
 def default_radius(m: StackMap) -> float:

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stackrec
 from stackrec import cli
 from stackrec.config import ServiceConfig
 from stackrec.gateway import ApiLogEntry, Gateway
@@ -187,3 +192,41 @@ def test_serve_with_a_config_that_is_not_json_is_one_stderr_line_and_status_2(tm
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
     assert not log.exists()
+
+
+_SERVE_IMPORTS = """
+import json, sys
+from stackrec import cli
+from stackrec.config import ServiceConfig
+from stackrec.gateway import Gateway
+
+config, log = sys.argv[1:]
+gw = Gateway.from_config(ServiceConfig.from_json(config), log)
+status, _ = gw.handle_popular_near("337", "128")
+gw.txn_log.close()
+serving = {"numpy": "numpy" in sys.modules, "status": status,
+           "stackrec": sorted(m for m in sys.modules if m.startswith("stackrec."))}
+code = cli.main(["telemetry", "monthly", "--logs", log, "--module", "recommend"])
+print(json.dumps({"serving": serving, "monthly": code, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
+    """The serve path leaves numpy unloaded; the telemetry commands load it when run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _SERVE_IMPORTS, str(REFERENCE / "config.json"),
+         str(tmp_path / "api.jsonl")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    *printed, result = done.stdout.splitlines()
+    result = json.loads(result)
+    assert result["serving"] == {
+        "numpy": False, "status": 200,
+        "stackrec": [f"stackrec.{name}" for name in (
+            "cli", "config", "corpus", "gateway", "lccn", "locate", "recommend", "stacksmap")],
+    }
+    assert result["monthly"] == 0
+    (month,) = printed  # the one logged popularnear request, in the month it was made
+    assert month.endswith("\t1")
+    assert result["numpy_after"]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from stackrec import telemetry
 from stackrec.config import ServiceConfig
 from stackrec.gateway import (
+    MAX_BLANK_LINES,
     MAX_BODY_BYTES,
     MAX_HEAD_LINES,
     MAX_LINE_BYTES,
@@ -450,6 +451,7 @@ REFUSED_HEADS = [  # request head without its blank line, status
     pytest.param(f"GET {POPULAR_URI} HTTP/x.1", 400, id="version-not-digits"),
     pytest.param(f"GET {POPULAR_URI} HTTP/2.0", 505, id="version-2"),
     pytest.param("GET /" + "a" * MAX_LINE_BYTES + " HTTP/1.1", 414, id="long-request-line"),
+    pytest.param("\r\nGET /" + "a" * MAX_LINE_BYTES + " HTTP/1.1", 414, id="long-request-line-after-empty-line"),
     pytest.param(f"GET {POPULAR_URI} HTTP/1.1\r\nX-Long: " + "a" * MAX_LINE_BYTES, 431, id="long-header-line"),
     pytest.param(f"GET {POPULAR_URI} HTTP/1.1" + "\r\nX-Many: 1" * MAX_HEAD_LINES, 431, id="100-header-lines"),
     pytest.param(f"DELETE {POPULAR_URI} HTTP/1.1", 501, id="unsupported-method"),
@@ -463,6 +465,19 @@ def test_refused_head_gets_one_json_answer_and_closes(gateway, head, status):
     assert [(s, headers.get("connection")) for s, headers, _ in answers] == [(status, "close")]
     assert list(json.loads(answers[0][2])) == ["error"]
     assert _log_lines(gateway) == []
+
+
+@pytest.mark.parametrize("empty, answered", [
+    pytest.param(b"\r\n", 2, id="crlf"),
+    pytest.param(b"\n", 2, id="lf"),
+    pytest.param(b"\r\n" * MAX_BLANK_LINES, 2, id="most-skipped"),
+    pytest.param(b"\r\n" * (MAX_BLANK_LINES + 1), 1, id="one-more-closes"),
+])
+def test_empty_lines_between_pipelined_requests_are_skipped(gateway, empty, answered):
+    with GatewayServer(gateway) as server:
+        answers = _pipeline(server, _get_request(MAP_DATA_URI) + empty + _get_request(MAP_DATA_URI))
+    assert [status for status, _, _ in answers] == [200] * answered
+    assert [(line["uri"], line["status"]) for line in _log_lines(gateway)] == [(MAP_DATA_URI, 200)] * answered
 
 
 _TOKEN = st.text(alphabet="!#$%&'*+-.^_`|~" + string.ascii_letters + string.digits, min_size=1, max_size=12)
@@ -698,29 +713,35 @@ _PIPELINED = st.lists(
 )
 
 
+_EMPTY_LINES = st.sampled_from([b"", b"", b"\r\n", b"\n", b"\r\n\n", b"\r\n" * MAX_BLANK_LINES])
+
+
 def test_fuzz_pipelined_requests_answered_in_order_one_log_line_each(gateway):
     logged_total = 0
     with GatewayServer(gateway) as server:
 
         @settings(max_examples=60, deadline=None)
-        @given(requests=_PIPELINED, unread=st.none() | st.sampled_from(UNREAD_BODY_REQUESTS))
-        def pipeline(requests, unread):
+        @given(requests=_PIPELINED, unread=st.none() | st.sampled_from(UNREAD_BODY_REQUESTS),
+               empty=st.lists(_EMPTY_LINES, min_size=8, max_size=8))
+        def pipeline(requests, unread, empty):
             nonlocal logged_total
-            raw, expected = b"", []  # (logged uri or None, status or None, echoed location or None)
+            sent, expected = [], []  # (logged uri or None, status or None, echoed location or None)
             for kind, value in requests:
                 if kind == "locate":
-                    raw += _locate_request(value)
+                    sent.append(_locate_request(value))
                     expected.append(("/api/locate", None, None))
                     continue
                 x, y = value
                 params = {k: v for k, v in (("x", x), ("y", y)) if v is not None}
-                raw += _get_request(f"/api/recommend/popularnear?{urllib.parse.urlencode(params)}")
+                sent.append(_get_request(f"/api/recommend/popularnear?{urllib.parse.urlencode(params)}"))
                 ok = _finite(x) and _finite(y)
                 expected.append((f"/api/recommend/popularnear?x={x}&y={y}", 200 if ok else 400,
                                  {"x": float(x), "y": float(y)} if ok else None))
             if unread is not None:  # its answer closes the connection: the GET after it goes unread
-                raw += _unread_body_request(unread) + _get_request(MAP_DATA_URI)
+                sent += [_unread_body_request(unread), _get_request(MAP_DATA_URI)]
                 expected.append((unread[4], unread[3], None))
+            # stray empty lines before each request, which the server skips
+            raw = b"".join(lines + request for lines, request in zip(empty, sent))
             before = len(_log_lines(gateway))
             answers = _pipeline(server, raw)
             lines = _log_lines(gateway)[before:]

@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,19 @@ def _rects(draw):
     return Rect(x, y, x + w, y + h)
 
 
+def _scan(shelves, p, radius) -> list:
+    """The all-shelves oracle of ranges_for_location."""
+    kept = sorted(
+        (s for s in shelves if s.bounds.distance_to(p) <= radius),
+        key=lambda s: (s.bounds.distance_to(p), s.shelf_number),
+    )
+    return [s.range for s in kept]
+
+
+# far off any map drawn here (its shelves lie within 1,300 of the origin), out to 1e300
+_FAR = st.sampled_from([-1.0, 1.0]).flatmap(lambda sign: st.floats(2e3, 1e300).map(sign.__mul__))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_ranges_for_location_matches_all_shelves_scan(data):
@@ -275,21 +289,88 @@ def test_ranges_for_location_matches_all_shelves_scan(data):
     ]
     m = StackMap(shelves=shelves)
     anchor = data.draw(st.sampled_from(rects))
-    # anywhere, or level with a shelf so that one distance component is 0
+    # anywhere, level with a shelf so that one distance component is 0, on a
+    # grid cell edge, or far outside the map on one side or both
     p = data.draw(
         st.tuples(_COORD, _COORD)
         | st.tuples(st.floats(anchor.x_min, anchor.x_max), _COORD)
         | st.tuples(_COORD, st.floats(anchor.y_min, anchor.y_max))
+        | st.tuples(st.sampled_from(m._xs), st.sampled_from(m._ys))
+        | st.tuples(_FAR, _COORD | _FAR)
+        | st.tuples(_COORD, _FAR)
     )
-    # a radius exactly at the anchor shelf's distance keeps that shelf
+    # a radius exactly at the anchor shelf's distance keeps that shelf; one
+    # from p to a cell edge ends the query's window exactly on that edge
     radius = data.draw(
-        st.floats(0, 3000) | st.just(anchor.distance_to(p)) | st.sampled_from([0.0, math.inf])
+        st.floats(0, 3000)
+        | st.just(anchor.distance_to(p))
+        | st.sampled_from(m._xs).map(lambda edge: abs(edge - p[0]))
+        | st.sampled_from(m._ys).map(lambda edge: abs(edge - p[1]))
+        | st.sampled_from([0.0, math.inf])
     )
-    expected = sorted(
-        (s for s in shelves if s.bounds.distance_to(p) <= radius),
-        key=lambda s: (s.bounds.distance_to(p), s.shelf_number),
-    )
-    assert ranges_for_location(p, m, radius) == [s.range for s in expected]
+    assert ranges_for_location(p, m, radius) == _scan(shelves, p, radius)
+
+
+def _tiled_map(cols=4, rows=3, w=30.0, h=10.0) -> StackMap:
+    """Equal shelves edge to edge, so that the shared edges lie on cell edges."""
+    return StackMap(shelves=[
+        Shelf(1 + i + cols * j, Rect(w * i, h * j, w * (i + 1), h * (j + 1)),
+              lccn.parse_range(f"PS{1 + i + cols * j}", f"PS{1 + i + cols * j}"))
+        for i in range(cols) for j in range(rows)
+    ])
+
+
+def test_radius_zero_on_a_shared_edge_returns_both_shelves():
+    m = _tiled_map()
+    assert any(x in m._xs for x in (30.0, 60.0, 90.0))  # a shared edge is a cell edge
+    for x in (0.0, 15.0, 30.0, 45.0, 60.0, 90.0, 120.0):
+        for y in (0.0, 5.0, 10.0, 20.0, 30.0):
+            inside = [s for s in m.shelves if s.bounds.contains((x, y))]
+            assert ranges_for_location((x, y), m, 0.0) == _scan(m.shelves, (x, y), 0.0)
+            assert len(ranges_for_location((x, y), m, 0.0)) == len(inside)
+    by_number = {s.shelf_number: s for s in m.shelves}
+    # the corner that shelves 1, 2, 5 and 6 share
+    assert ranges_for_location((30.0, 10.0), m, 0.0) == [by_number[n].range for n in (1, 2, 5, 6)]
+
+
+@pytest.mark.parametrize("first, x", [
+    # ends one float below the cell edge at 1.0; 1000 - radius rounds to that edge
+    (Rect(0.0, 0.0, math.nextafter(1.0, 0.0), 1.0), 1000.0),
+    # starts one float above 1.0, the first cell edge; -1000 + radius rounds to 1.0
+    (Rect(math.nextafter(1.0, 2.0), 0.0, 2.0, 1.0), -1000.0),
+])
+def test_window_keeps_a_shelf_kept_by_rounding(first, x):
+    second = Rect(first.x_max, 0.0, first.x_max + 1.0, 1.0)
+    shelves = [Shelf(n, rect, lccn.parse_range(f"PS{n}", f"PS{n}")) for n, rect in ((1, first), (2, second))]
+    m = StackMap(shelves=shelves)
+    radius = first.distance_to((x, 0.5))
+    assert radius == round(radius)  # the float past the edge rounded away
+    assert ranges_for_location((x, 0.5), m, radius) == _scan(shelves, (x, 0.5), radius)
+    assert shelves[0].range in ranges_for_location((x, 0.5), m, radius)
+
+
+def test_empty_map_builds_and_finds_nothing():
+    m = StackMap(shelves=[])
+    assert ranges_for_location((0.0, 0.0), m, math.inf) == []
+
+
+def test_tiny_shelves_far_apart_get_a_coarser_grid():
+    m = StackMap(shelves=[
+        Shelf(n, Rect(x, y, x + 0.001, y + 0.001), lccn.parse_range(f"PS{n}", f"PS{n}"))
+        for n, (x, y) in enumerate([(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0)], start=1)
+    ])
+    assert len(m._starts) - 1 <= 4 * len(m)
+    assert ranges_for_location((1000.0, 0.0), m, 0.0) == [m.shelves[1].range]
+
+
+@pytest.mark.parametrize("x_min, x_max", [("20", "inf"), ("-inf", "30")])
+def test_load_skips_unbounded_shelves(tmp_path, x_min, x_max):
+    m = load_stackmap(_write_map(
+        tmp_path, [(1, 0, 0, 10, 10, "PN1990", "PN1999"), (2, x_min, 0, x_max, 10, "SF440", "SF450")]
+    ))
+    assert [s.shelf_number for s in m.shelves] == [1]
+    (message,) = m.diagnostics
+    assert message.startswith("row 3: unbounded rectangle")
 
 
 # --- complexity guards: counted calls, not wall time ----------------------------
@@ -309,3 +390,45 @@ def test_shelf_for_call_tests_at_most_one_range(monkeypatch, ref_stackmap, ref_c
         found += shelf_for_call(cn, ref_stackmap) is not None
         assert calls[0] <= 1
     assert found
+
+
+def _multi_cell_map() -> StackMap:
+    """Small shelves, and long ones that each span several grid cells."""
+    small = [Rect(20.0 * i, 0.0, 20.0 * i + 10.0, 10.0) for i in range(6)]
+    long = [Rect(20.0 * i + 5.0, 20.0, 20.0 * i + 15.0, 100.0) for i in range(3)]
+    return StackMap(shelves=[
+        Shelf(n, rect, lccn.parse_range(f"PS{n}", f"PS{n}"))
+        for n, rect in enumerate(small + long, start=1)
+    ])
+
+
+def test_one_query_tests_each_shelf_at_most_once(monkeypatch):
+    m = _multi_cell_map()
+    listed = Counter(m._members)
+    assert max(listed.values()) >= 3  # some shelf is listed under three cells or more
+    calls = count_calls(monkeypatch, Rect, "distance_to")
+    assert len(ranges_for_location((50.0, 50.0), m, math.inf)) == len(m)
+    assert calls[0] == len(m)
+    for p in [(10.0, 60.0), (10.0, 20.0), (m._xs[1], m._ys[2]), (200.0, 200.0)]:
+        for radius in (0.0, 7.5, 40.0):
+            calls[0] = 0
+            ranges_for_location(p, m, radius)
+            assert calls[0] <= len(m)
+
+
+def test_query_off_the_map_tests_no_shelf(monkeypatch, ref_stackmap):
+    calls = count_calls(monkeypatch, Rect, "distance_to")
+    extent = ref_stackmap.map_extent
+    radius = 10.0
+    # farther from the map than the radius plus one grid cell, which may reach past the map
+    gap = radius + (ref_stackmap._xs[1] - ref_stackmap._xs[0]) + 1.0
+    off = [
+        (extent.x_min - gap, extent.y_min - gap),
+        (extent.x_min - gap, (extent.y_min + extent.y_max) / 2),
+        ((extent.x_min + extent.x_max) / 2, extent.y_max + gap),
+        (extent.x_max + gap, extent.y_max + gap),
+        (-1e300, 1e300),
+    ]
+    for p in off:
+        assert ranges_for_location(p, ref_stackmap, radius) == []
+    assert calls[0] == 0
