@@ -84,9 +84,9 @@ class StackMap:
     # shelf is listed under every cell its rectangle touches, edges included:
     # _members holds the indexes into `shelves` cell by cell, and the cell
     # numbered c holds _members[_starts[c]:_starts[c + 1]].  Two flat lists,
-    # not a list per cell: a map then keeps no object per cell for the
-    # cyclic garbage collector to count, which moved the collector's passes
-    # into the loaders of a process that reloads its data.
+    # not an object per cell: per-cell objects kept alive moved the cyclic
+    # garbage collector's passes into the loaders of a process that reloads
+    # its maps.
     _by_start: list[Shelf] = field(init=False, repr=False, compare=False)
     _xs: list[float] = field(init=False, repr=False, compare=False)
     _ys: list[float] = field(init=False, repr=False, compare=False)
@@ -116,7 +116,7 @@ class StackMap:
                 for c in range(i * rows + j0, i * rows + j1):
                     cells[c].append(k)
         self._starts = list(accumulate(map(len, cells), initial=0))
-        self._members = [k for cell in cells for k in cell]
+        self._members = [k for listed in cells for k in listed]
 
     @property
     def map_extent(self) -> Rect:
