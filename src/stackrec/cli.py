@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import logging
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import corpus, lccn, stacksmap
@@ -17,14 +19,21 @@ from .gateway import Gateway, GatewayServer
 
 
 def cmd_serve(args) -> int:
+    """Serve until SIGINT or SIGTERM; in-flight requests finish and the log closes."""
     gw = Gateway.from_config(ServiceConfig.from_json(args.config), args.log)
     try:
         with GatewayServer(gw, host=args.host, port=args.port) as server:
-            print(f"serving on {server.base_url}, logging to {args.log}")
+            previous = None
+            if threading.current_thread() is threading.main_thread():  # else signal() raises
+                previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
             try:
+                print(f"serving on {server.base_url}, logging to {args.log}", flush=True)
                 server.thread.join()
             except KeyboardInterrupt:
                 pass
+            finally:
+                if previous is not None:
+                    signal.signal(signal.SIGTERM, previous)
     finally:
         gw.txn_log.close()
     return 0
@@ -50,6 +59,7 @@ def _annotated(args):
 
 
 def cmd_annotate(args) -> int:
+    from . import telemetry
     annotated = _annotated(args)
     out = Path(args.out)
     telemetry.write_wayfinder_table(annotated, out)

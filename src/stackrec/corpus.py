@@ -6,7 +6,6 @@ search service: CSV files loaded once into an immutable indexed store.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from bisect import bisect_left, bisect_right
@@ -15,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import lccn
+from .config import read_table
 from .lccn import CallNumber, CallNumberRange
 
 log = logging.getLogger(__name__)
@@ -96,14 +96,6 @@ class CorpusStore:
         return hits
 
 
-def _read_csv(path: str | Path, required: list[str]):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks, not None
-        if reader.fieldnames is None or not set(required) <= {f.strip() for f in reader.fieldnames}:
-            raise CorpusLoadError(f"{path}: expected columns {required}")
-        yield from enumerate(reader, start=2)
-
-
 def load_corpus(
     catalog_path: str | Path,
     circulation_path: str | Path | None = None,
@@ -118,7 +110,7 @@ def load_corpus(
     """
     diagnostics: list[str] = []
     records: dict[str, BibRecord] = {}
-    for row_no, row in _read_csv(catalog_path, ["bib_id", "title", "call_number", "format"]):
+    for row_no, row in read_table(catalog_path, ("bib_id", "title", "call_number", "format")):
         bib_id = row["bib_id"].strip()
         if bib_id in records:
             raise CorpusLoadError(f"{catalog_path} row {row_no}: duplicate bib_id {bib_id!r}")
@@ -134,12 +126,12 @@ def load_corpus(
 
     charges: Counter = Counter()
     if circulation_path is not None:
-        for row_no, row in _read_csv(circulation_path, ["bib_id", "charge_date"]):
+        for _, row in read_table(circulation_path, ("bib_id", "charge_date")):
             charges[row["bib_id"].strip()] += 1
 
     articles: list[tuple[str, str, str]] = []
     if articles_path is not None:
-        for row_no, row in _read_csv(articles_path, ["journal_title", "article_title", "subject"]):
+        for _, row in read_table(articles_path, ("journal_title", "article_title", "subject")):
             articles.append(
                 (row["journal_title"].strip(), row["article_title"].strip(), row["subject"].strip())
             )
@@ -147,19 +139,15 @@ def load_corpus(
     databases: list[DatabaseEntry] = []
     if databases_path is not None:
         by_name: dict[str, list[CallNumberRange]] = {}
-        order: list[str] = []
-        for row_no, row in _read_csv(databases_path, ["name", "range_start", "range_end"]):
+        for row_no, row in read_table(databases_path, ("name", "range_start", "range_end")):
             name = row["name"].strip()
             try:
                 rng = lccn.parse_range(row["range_start"], row["range_end"])
             except (ValueError, lccn.ParseError) as exc:
                 diagnostics.append(f"{databases_path} row {row_no}: {exc}")
                 continue
-            if name not in by_name:
-                by_name[name] = []
-                order.append(name)
-            by_name[name].append(rng)
-        databases = [DatabaseEntry(name, tuple(by_name[name])) for name in order]
+            by_name.setdefault(name, []).append(rng)
+        databases = [DatabaseEntry(name, tuple(ranges)) for name, ranges in by_name.items()]
 
     for msg in diagnostics:
         log.warning("corpus: %s", msg)

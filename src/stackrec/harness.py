@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import corpus, lccn, locate, stacksmap, telemetry
-from .config import ServiceConfig
+from .config import DATA_FILES, ServiceConfig
 from .gateway import ApiLogEntry, Gateway, GatewayServer
 from .telemetry import GridSpec, quoted
 
@@ -81,42 +81,11 @@ def packaged_outline_path() -> Path:
     return Path(str(resources.files("stackrec").joinpath("data/lcc_outline.tsv")))
 
 
-@dataclass
-class FixtureSet:
+@dataclass(kw_only=True)
+class FixtureSet(ServiceConfig):
+    """A generated library: its data files, named as in DATA_FILES, under root."""
+
     root: Path
-
-    @property
-    def catalog(self) -> Path:
-        return self.root / "catalog.csv"
-
-    @property
-    def circulation(self) -> Path:
-        return self.root / "circulation.csv"
-
-    @property
-    def articles(self) -> Path:
-        return self.root / "articles.csv"
-
-    @property
-    def databases(self) -> Path:
-        return self.root / "databases.csv"
-
-    @property
-    def stackmap(self) -> Path:
-        return self.root / "stackmap.csv"
-
-    @property
-    def beacons(self) -> Path:
-        return self.root / "beacons.csv"
-
-    @property
-    def outline(self) -> Path:
-        return self.root / "outline.tsv"
-
-    @property
-    def service(self) -> Path:
-        """A ``stackrec serve --config`` file naming the other files by relative path."""
-        return self.root / "service.json"
 
 
 def _random_call_number(rng: random.Random, letters: str, lo: int, hi: int) -> lccn.CallNumber:
@@ -156,7 +125,7 @@ def gen_corpus(
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fixtures = FixtureSet(out)
+    fixtures = FixtureSet(root=out, **{name: out / file for name, file in DATA_FILES.items()})
 
     letters_pool = [spec[0] for spec in CLASS_SPECS]
     weights = [spec[3] for spec in CLASS_SPECS]
@@ -249,11 +218,8 @@ def gen_corpus(
             fh.write(f"b{i + 1:02d},{bx},{by},{locate.DEFAULT_TX_POWER}\n")
 
     shutil.copyfile(packaged_outline_path(), fixtures.outline)
-    data_files = ("catalog", "stackmap", "outline", "circulation", "articles", "databases", "beacons")
-    fixtures.service.write_text(
-        json.dumps({name: getattr(fixtures, name).name for name in data_files}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    # A ``stackrec serve --config`` file naming the other files by relative path.
+    (out / "service.json").write_text(json.dumps(DATA_FILES, indent=2) + "\n", encoding="utf-8")
     return fixtures
 
 
@@ -478,9 +444,7 @@ def run_report(config: ReportConfig) -> dict:
     log_path = out / "gateway.jsonl"
     log_path.unlink(missing_ok=True)
     try:
-        gw = Gateway.from_config(
-            ServiceConfig.from_json(fixtures.service), log_path, clock=lambda: sim["now"]
-        )
+        gw = Gateway.from_config(fixtures, log_path, clock=lambda: sim["now"])
     except Exception as exc:
         raise ReportError("load", str(exc)) from exc
     store, stack, outline, txn_log = gw.corpus, gw.stackmap, gw.outline, gw.txn_log

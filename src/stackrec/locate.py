@@ -6,10 +6,11 @@ position is the 1/d-weighted centroid of the k strongest known beacons.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+
+from .config import read_table
 
 log = logging.getLogger(__name__)
 
@@ -98,20 +99,16 @@ def load_beacons(path: str | Path) -> list[Beacon]:
     """Load a ``beacon_id,x,y,tx_power`` CSV; blank tx_power falls back to the default."""
     beacons: list[Beacon] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks, not None
-        if not {"beacon_id", "x", "y"} <= set(reader.fieldnames or ()):
-            raise ValueError(f"{path}: expected columns beacon_id,x,y[,tx_power]")
-        for row_no, row in enumerate(reader, start=2):
-            beacon_id = row["beacon_id"].strip()
-            if beacon_id in seen:
-                raise ValueError(f"{path} row {row_no}: duplicate beacon_id {beacon_id!r}")
-            seen.add(beacon_id)
-            tx_raw = (row.get("tx_power") or "").strip()
-            try:
-                x, y = float(row["x"]), float(row["y"])
-                tx_power = float(tx_raw) if tx_raw else DEFAULT_TX_POWER
-            except ValueError as exc:
-                raise ValueError(f"{path} row {row_no}: {exc}") from None
-            beacons.append(Beacon(beacon_id=beacon_id, x=x, y=y, tx_power=tx_power))
+    for row_no, row in read_table(path, ("beacon_id", "x", "y")):
+        beacon_id = row["beacon_id"].strip()
+        if beacon_id in seen:
+            raise ValueError(f"{path} row {row_no}: duplicate beacon_id {beacon_id!r}")
+        seen.add(beacon_id)
+        tx_raw = (row.get("tx_power") or "").strip()
+        try:
+            x, y = float(row["x"]), float(row["y"])
+            tx_power = float(tx_raw) if tx_raw else DEFAULT_TX_POWER
+        except ValueError as exc:
+            raise ValueError(f"{path} row {row_no}: {exc}") from None
+        beacons.append(Beacon(beacon_id=beacon_id, x=x, y=y, tx_power=tx_power))
     return beacons

@@ -7,7 +7,6 @@ near a point on the floor.  All geometry is axis-aligned in one real-valued
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from bisect import bisect_right
@@ -17,6 +16,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import lccn
+from .config import read_table
 from .lccn import CallNumber, CallNumberRange
 
 log = logging.getLogger(__name__)
@@ -142,7 +142,7 @@ class StackMapLoadError(ValueError):
     pass
 
 
-_HEADER = ["shelf_number", "x_min", "y_min", "x_max", "y_max", "range_start", "range_end"]
+_COLUMNS = ("shelf_number", "x_min", "y_min", "x_max", "y_max", "range_start", "range_end")
 
 
 def load_stackmap(path: str | Path) -> StackMap:
@@ -155,26 +155,22 @@ def load_stackmap(path: str | Path) -> StackMap:
     """
     shelves: list[Shelf] = []
     diagnostics: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row reads as blanks, not None
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != _HEADER:
-            raise StackMapLoadError(f"{path}: expected header {','.join(_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                shelf = Shelf(
-                    shelf_number=int(row["shelf_number"]),
-                    bounds=Rect(
-                        float(row["x_min"]),
-                        float(row["y_min"]),
-                        float(row["x_max"]),
-                        float(row["y_max"]),
-                    ),
-                    range=lccn.parse_range(row["range_start"], row["range_end"]),
-                )
-            except (ValueError, lccn.ParseError) as exc:
-                diagnostics.append(f"row {row_no}: {exc}")
-                continue
-            shelves.append(shelf)
+    for row_no, row in read_table(path, _COLUMNS):
+        try:
+            shelf = Shelf(
+                shelf_number=int(row["shelf_number"]),
+                bounds=Rect(
+                    float(row["x_min"]),
+                    float(row["y_min"]),
+                    float(row["x_max"]),
+                    float(row["y_max"]),
+                ),
+                range=lccn.parse_range(row["range_start"], row["range_end"]),
+            )
+        except (ValueError, lccn.ParseError) as exc:
+            diagnostics.append(f"row {row_no}: {exc}")
+            continue
+        shelves.append(shelf)
 
     counts = Counter(s.shelf_number for s in shelves)
     dupes = sorted(n for n, c in counts.items() if c > 1)

@@ -423,18 +423,13 @@ def write_grid_pgm(grid: DensityGrid, path: str | Path) -> None:
 def write_wayfinder_table(annotated: list[AnnotatedEntry], path: str | Path) -> None:
     """Wayfinding table: uri, hit count, shelf target, call number (one row per uri)."""
     groups: dict[str, list[AnnotatedEntry]] = {}
-    order: list[str] = []
     for e in annotated:
         if e.entry.module != "wayfinder" or not e.entry.uri.startswith("/api/wayfinder/map_data/"):
             continue
-        if e.entry.uri not in groups:
-            groups[e.entry.uri] = []
-            order.append(e.entry.uri)
-        groups[e.entry.uri].append(e)
+        groups.setdefault(e.entry.uri, []).append(e)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("uri,sum-records,X,Y,shelf-number,call-number\n")
-        for uri in order:
-            entries = groups[uri]
+        for uri, entries in groups.items():
             hit = next((e for e in entries if e.x is not None), entries[0])
             call = next((a.call_number for a in hit.annotations if a.call_number), "")
             x = "" if hit.x is None else str(round(hit.x))

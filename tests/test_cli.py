@@ -1,8 +1,12 @@
 import json
 import os
+import select
 import shutil
+import signal
 import subprocess
 import sys
+import urllib.request
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -134,7 +138,7 @@ _SERVICE_WITH_BAD_BEACONS = json.dumps({
      {"catalog.csv": "id,name\n1,x\n"}, "expected columns"),
     (["telemetry", "heatmap", "--logs", "{log}", "--stackmap", "{dir}/stackmap.csv",
       "--cell-size", "10", "--out", "{out}"],
-     {"stackmap.csv": "shelf,x\n1,2\n"}, "expected header"),
+     {"stackmap.csv": "shelf,x\n1,2\n"}, "expected columns"),
     (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
      {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "id,x,y\nb1,0,0\n"},
      "expected columns beacon_id"),
@@ -230,3 +234,76 @@ def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
     (month,) = printed  # the one logged popularnear request, in the month it was made
     assert month.endswith("\t1")
     assert result["numpy_after"]
+
+
+@pytest.fixture
+def small_logs(tmp_path):
+    """A gateway log of served reference requests, and a module log of two searches."""
+    gateway_log = tmp_path / "gateway.jsonl"
+    gw = Gateway.from_config(ServiceConfig.from_json(REFERENCE / "config.json"), gateway_log,
+                             clock=lambda: datetime(2016, 9, 1, 10))
+    try:
+        assert gw.handle_map_data("uiu_undergrad", "uiu_8127460")[0] == 200
+        for x, y in (("337", "128"), ("155", "50"), ("205", "50"), ("92", "304")):
+            assert gw.handle_popular_near(x, y)[0] == 200
+    finally:
+        gw.txn_log.close()
+    modules_log = tmp_path / "modules.jsonl"
+    modules_log.write_text("".join(
+        ApiLogEntry(timestamp="2016-10-03T09:00:00", module="catalog",
+                    uri=f"/api/catalog/search?q={q}", params={"q": q}).to_json() + "\n"
+        for q in ("film", "film history")
+    ), encoding="utf-8")
+    return [str(gateway_log), str(modules_log)]
+
+
+_TABLES = [*_REF_ARGS["catalog"], *_REF_ARGS["outline"],
+           "--stackmap", str(REFERENCE / "stackmap.csv")]
+
+
+@pytest.mark.parametrize("argv, written, printed", [
+    (["annotate", *_TABLES, "--out", "{out}/wayfinder.csv"],
+     ["wayfinder.csv", "wayfinder_recommend.csv"], "(7 entries)"),
+    (["subjects", *_TABLES, "--fit", "--out", "{out}/subjects.csv"],
+     ["subjects.csv"], "power-law fit: exponent"),
+    (["heatmap", "--cell-size", "10", "--stackmap", str(REFERENCE / "stackmap.csv"),
+      "--out", "{out}/grid.csv,{out}/grid.pgm"], ["grid.csv", "grid.pgm"], "4 points, mass 4"),
+    (["trace", "--bib-id", "uiu_8127460"], [], "wayfinder\t1"),
+    (["mine", "--module", "catalog"], [], "total words\t3"),
+    (["monthly", "--module", "catalog"], [], "2016-10\t2"),
+], ids=["annotate", "subjects", "heatmap", "trace", "mine", "monthly"])
+def test_each_telemetry_command_runs_on_reference_tables(tmp_path, capsys, small_logs,
+                                                         argv, written, printed):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["telemetry", *(arg.format(out=out) for arg in argv), "--logs", *small_logs]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert printed in captured.out
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    for name in written:
+        assert (out / name).stat().st_size > 0
+
+
+def test_serve_stops_on_sigterm_with_status_0_and_a_closed_log(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
+    log = tmp_path / "api.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stackrec.cli", "serve", "--config", str(REFERENCE / "config.json"),
+         "--port", "0", "--log", str(log)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "no output within 30 s"
+        line = proc.stdout.readline()
+        assert line.startswith("serving on http://"), line + proc.stderr.read()
+        url = line.split()[2].rstrip(",")
+        with urllib.request.urlopen(url + "/api/recommend/popularnear?x=337&y=128",
+                                    timeout=10) as resp:
+            assert resp.status == 200
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0, proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(log.read_text(encoding="utf-8").splitlines()) == 1

@@ -1,0 +1,58 @@
+import csv
+import re
+from dataclasses import fields
+
+import pytest
+
+from stackrec import corpus, locate, stacksmap
+from stackrec.config import DATA_FILES, ServiceConfig, read_table
+
+from conftest import REFERENCE
+
+# Each table loader, the reference file it reads, and what it loaded.
+LOADERS = {
+    "catalog": (lambda path: corpus.load_corpus(path).records, "catalog.csv"),
+    "stackmap": (lambda path: stacksmap.load_stackmap(path).shelves, "stackmap.csv"),
+    "beacons": (locate.load_beacons, "beacons.csv"),
+}
+
+
+def _rewrite(tmp_path, name, transform):
+    """A copy of a reference table whose rows, header first, are passed through transform."""
+    with open(REFERENCE / name, newline="", encoding="utf-8") as fh:
+        rows = transform(list(csv.reader(fh)))
+    path = tmp_path / name
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def test_data_files_name_every_path_field_in_config_order():
+    paths = [f.name for f in fields(ServiceConfig) if f.name != "radius"]
+    assert list(DATA_FILES) == paths
+    assert all((REFERENCE / file).exists() for file in DATA_FILES.values())
+
+
+@pytest.mark.parametrize("table", LOADERS)
+def test_blanks_around_header_names_load_the_same_table(tmp_path, table):
+    load, name = LOADERS[table]
+    padded = _rewrite(tmp_path, name, lambda rows: [[f" {v}  " for v in rows[0]], *rows[1:]])
+    assert padded.read_text(encoding="utf-8").startswith(" ")
+    assert load(padded) == load(REFERENCE / name)
+
+
+def test_stackmap_columns_load_in_any_order(tmp_path):
+    reordered = _rewrite(tmp_path, "stackmap.csv", lambda rows: [row[::-1] for row in rows])
+    assert reordered.read_text(encoding="utf-8").startswith("range_end,")
+    assert stacksmap.load_stackmap(reordered).shelves == stacksmap.load_stackmap(
+        REFERENCE / "stackmap.csv").shelves
+
+
+@pytest.mark.parametrize("text", ["", "bib_id,title\nb_1,x\n"])
+def test_read_table_names_the_columns_it_expected(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}: expected columns bib_id,title,format"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        list(read_table(path, ("bib_id", "title", "format")))
+
