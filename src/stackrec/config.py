@@ -53,15 +53,18 @@ class ServiceConfig:
 def read_table(
     path: str | Path, columns: tuple[str, ...]
 ) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (row number from 2, row dict) for each row of a CSV table.
+    """Yield (line number, row dict) for each row of a CSV table.
 
-    Columns may come in any order, and blanks around a header name are
-    ignored.  A short row reads as blanks, not None.  Raises ValueError when
-    the header lacks one of columns.
+    The line number counts from 1 at the header, blank lines (which are
+    skipped) included; for a row with a quoted field that spans lines, it is
+    the row's last line.  Columns may come in any order, and blanks around a
+    header name are ignored.  A short row reads as blanks, not None.  Raises
+    ValueError when the header lacks one of columns.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")
         reader.fieldnames = [name.strip() for name in reader.fieldnames or ()]
         if not set(columns) <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {','.join(columns)}")
-        yield from enumerate(reader, start=2)
+        for row in reader:
+            yield reader.line_num, row

@@ -18,11 +18,13 @@ import logging
 import math
 import re
 import socket
+import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
@@ -260,6 +262,10 @@ class Gateway:
 _MAP_DATA_RE = re.compile(r"^/api/wayfinder/map_data/([^/]+)/([^/]+)$")
 _DIGITS = re.compile(r"[0-9]+")
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+# The Server header's value: what the standard library's http.server sends,
+# and what this service has always sent.
+SERVER_HEADER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 # name ":" OWS value, the value without CR, LF or NUL (RFC 9112 §5, RFC 9110 §5.5).
 # A line that starts with whitespace (an obs-fold continuation), has whitespace
 # before its colon, or has no colon does not match.
@@ -309,7 +315,23 @@ def read_headers(rfile) -> dict[str, list[str]]:
     raise BadHead(431, f"More than {MAX_HEAD_LINES - 1} header lines")
 
 
-class _Handler(BaseHTTPRequestHandler):
+def _body_length(headers: dict[str, list[str]]) -> int | None:
+    """The declared body length: 0 for none, None unless it is one Content-Length of digits."""
+    lengths = headers.get("content-length", ())
+    if "transfer-encoding" in headers or len(lengths) > 1:
+        return None
+    if not lengths:
+        return 0
+    text = lengths[0].strip(" \t")
+    return int(text) if _DIGITS.fullmatch(text) else None
+
+
+def _refused(status: int, message: str) -> tuple[int, dict, bool]:
+    """A refused request's answer, which closes the connection."""
+    return status, {"error": message}, True
+
+
+class _Handler(socketserver.StreamRequestHandler):
     """HTTP/1.1 with persistent connections.
 
     A connection stays open between requests until the client closes it, sends
@@ -319,124 +341,90 @@ class _Handler(BaseHTTPRequestHandler):
     next request.
     """
 
-    gateway: Gateway  # set on the server class
-    server: _Server
-    protocol_version = "HTTP/1.1"
+    server: GatewayServer
     timeout = READ_TIMEOUT_S  # socket timeout, set on each connection by StreamRequestHandler
 
-    def parse_request(self) -> bool:
-        """Read the request line in raw_requestline and the head after it.
+    def handle(self) -> None:
+        """Answer requests on this connection until one of them closes it."""
+        try:
+            while True:
+                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                for _ in range(MAX_BLANK_LINES):
+                    if line not in (b"\r\n", b"\n"):
+                        break
+                    line = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if len(line) > MAX_LINE_BYTES:
+                    requestline, answer = "", _refused(414, _REASONS[414])
+                else:
+                    requestline = str(line, "iso-8859-1").rstrip("\r\n")
+                    answer = self._answer(requestline)
+                if answer is None:
+                    return
+                log.debug('http: "%s" %s -', requestline, answer[0])
+                if not self._send(*answer):
+                    return
+        except TimeoutError as exc:  # a read or a write waited READ_TIMEOUT_S: close unanswered
+            log.debug("http: request timed out: %r", exc)
 
-        Skips up to MAX_BLANK_LINES empty lines before the request line.  Sets
-        command, path, request_version, headers and close_connection.  On a
-        refused head, answers it and returns False.
-        """
-        self.close_connection = True
-        for _ in range(MAX_BLANK_LINES):
-            if self.raw_requestline not in (b"\r\n", b"\n"):
-                break
-            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
-        if len(self.raw_requestline) > MAX_LINE_BYTES:
-            self.requestline = ""
-            self.send_error(414)
-            return False
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
+    def _answer(self, requestline: str) -> tuple[int, dict, bool] | None:
+        """Read the rest of the request and answer it: (status, body, whether to close
+        after it), or None to close unanswered at end of input or too many empty lines."""
+        words = requestline.split()
         if not words:
-            return False
+            return None
         if len(words) != 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-            return False
-        self.command, path, self.request_version = words
-        numbers = _VERSION.fullmatch(self.request_version)
+            return _refused(400, f"Bad request syntax ({requestline!r})")
+        method, target, version_text = words
+        numbers = _VERSION.fullmatch(version_text)
         if numbers is None:
-            self.send_error(400, f"Bad request version ({self.request_version!r})")
-            return False
+            return _refused(400, f"Bad request version ({version_text!r})")
         version = int(numbers[1]), int(numbers[2])
         if version >= (2, 0):
-            self.send_error(505, f"Invalid HTTP version ({self.request_version[5:]})")
-            return False
+            return _refused(505, f"Invalid HTTP version ({version_text[5:]})")
         # a path that starts with // would read as a host to a client (gh-87389)
-        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        path = "/" + target.lstrip("/") if target.startswith("//") else target
         try:
-            self.headers = read_headers(self.rfile)
+            headers = read_headers(self.rfile)
         except BadHead as exc:
-            self.send_error(*exc.args)
-            return False
+            return _refused(*exc.args)
 
-        connection = self.headers.get("connection", ("",))[0].lower()
-        self.close_connection = connection == "close" or (
-            version < (1, 1) and connection != "keep-alive")
-        if version >= (1, 1) and self.headers.get("expect", ("",))[0].lower() == "100-continue":
+        connection = headers.get("connection", ("",))[0].lower()
+        close = connection == "close" or (version < (1, 1) and connection != "keep-alive")
+        if version >= (1, 1) and headers.get("expect", ("",))[0].lower() == "100-continue":
             # the client waits for this interim answer before it sends the body
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return True
+        if method == "POST" and urlsplit(path).path == "/api/locate":
+            status, body, unread = self._locate(headers)
+            return status, body, close or unread
+        if method == "GET":
+            status, body = self._get(path)
+        elif method == "POST":
+            status, body = 404, {"error": "no such endpoint"}
+        else:
+            return _refused(501, f"Unsupported method ({method!r})")
+        # a body left unread would be read as the next request
+        return status, body, close or _body_length(headers) != 0
 
-    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
-        """Refuse the request with a JSON error answer and close the connection."""
-        self.close_connection = True
-        self._send(code, {"error": message or self.responses[code][0]})
-
-    def _send(self, status: int, body: dict) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        self.log_request(status)
-        head = (
-            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.version_string()}\r\n"
-            f"Date: {self.server.http_date()}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
-        )
-        # One write (wfile is unbuffered): sent as two, the body would wait for
-        # the client's delayed ACK of the head (Nagle), some 40 ms an answer.
-        self.wfile.write(head.encode("latin-1") + payload)
-
-    def _body_length(self) -> int | None:
-        """The declared body length: 0 for none, None unless it is one Content-Length of digits."""
-        lengths = self.headers.get("content-length", ())
-        if "transfer-encoding" in self.headers or len(lengths) > 1:
-            return None
-        if not lengths:
-            return 0
-        text = lengths[0].strip(" \t")
-        return int(text) if _DIGITS.fullmatch(text) else None
-
-    def _close_if_body(self) -> None:
-        """Close after this answer if the request carries a body that is left unread."""
-        if self._body_length() != 0:
-            self.close_connection = True
-
-    def do_GET(self):  # noqa: N802 (BaseHTTPRequestHandler API)
-        self._close_if_body()
-        split = urlsplit(self.path)
+    def _get(self, path: str) -> tuple[int, dict]:
+        split = urlsplit(path)
         m = _MAP_DATA_RE.match(split.path)
         if m:
-            status, body = self.gateway.handle_map_data(m.group(1), m.group(2))
-            self._send(status, body)
-            return
+            return self.server.gateway.handle_map_data(m.group(1), m.group(2))
         if split.path == "/api/recommend/popularnear":
             q = dict(parse_qsl(split.query, keep_blank_values=True))
-            status, body = self.gateway.handle_popular_near(q.get("x"), q.get("y"))
-            self._send(status, body)
-            return
-        self._send(404, {"error": "no such endpoint"})
+            return self.server.gateway.handle_popular_near(q.get("x"), q.get("y"))
+        return 404, {"error": "no such endpoint"}
 
-    def do_POST(self):  # noqa: N802
-        if urlsplit(self.path).path != "/api/locate":
-            self._close_if_body()
-            self._send(404, {"error": "no such endpoint"})
-            return
-        self._send(*self._locate())
+    def _locate(self, headers: dict[str, list[str]]) -> tuple[int, dict, bool]:
+        """The answer to a locate POST, and whether its body is left unread."""
+        gateway = self.server.gateway
 
-    def _locate(self) -> tuple[int, dict]:
-        def refuse(status: int, message: str) -> tuple[int, dict]:
-            self.close_connection = True  # the unread rest would be read as the next request
-            return self.gateway.refuse("wayfinder", "/api/locate", {}, status, message)
+        def refuse(status: int, message: str) -> tuple[int, dict, bool]:
+            return *gateway.refuse("wayfinder", "/api/locate", {}, status, message), True
 
-        if "transfer-encoding" in self.headers:
+        if "transfer-encoding" in headers:
             return refuse(411, "send the body with a Content-Length, not a Transfer-Encoding")
-        length = self._body_length()
+        length = _body_length(headers)
         if length is None:
             return refuse(400, "Content-Length must be one non-negative integer")
         if length > MAX_BODY_BYTES:
@@ -451,25 +439,50 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(raw or b"{}")
         except (ValueError, RecursionError):  # malformed JSON, bad UTF-8, or nested too deep
             # read in full, so the connection stays open
-            return self.gateway.refuse("wayfinder", "/api/locate", {}, 400, "body must be JSON")
-        return self.gateway.handle_locate(body)
+            return *gateway.refuse("wayfinder", "/api/locate", {}, 400, "body must be JSON"), False
+        return *gateway.handle_locate(body), False
 
-    def log_message(self, fmt, *args):
-        log.debug("http: " + fmt, *args)
+    def _send(self, status: int, body: dict, close: bool) -> bool:
+        """Write one answer; True when the connection stays open for a next request."""
+        payload = json.dumps(body).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+            f"Server: {SERVER_HEADER}\r\n"
+            f"Date: {self.server.http_date()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            + ("Connection: close\r\n\r\n" if close else "\r\n")
+        )
+        # One write (wfile is unbuffered): sent as two, the body would wait for
+        # the client's delayed ACK of the head (Nagle), some 40 ms an answer.
+        self.wfile.write(head.encode("latin-1") + payload)
+        return not close
 
 
-class _Server(ThreadingHTTPServer):
-    """A thread per connection, with the open connections kept for shutdown."""
+class GatewayServer(socketserver.ThreadingTCPServer):
+    """A gateway served on a background thread, a thread per connection; usable
+    as a context manager.  The open connections are kept for shutdown."""
 
+    allow_reuse_address = True
     daemon_threads = False  # server_close joins every connection's thread
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _Handler)
+        self.gateway = gateway
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         # (second, its Date text), replaced whole so that no reader pairs one
         # second with another second's text
         self._date = (0, "")
+        # shutdown() returns once serve_forever next wakes, at most a poll interval later
+        self.thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
 
     def http_date(self) -> str:
         """The Date header's text for now, formatted at most once a second."""
@@ -503,29 +516,12 @@ class _Server(ThreadingHTTPServer):
                 except OSError:  # the client has already gone
                     pass
 
-
-class GatewayServer:
-    """A gateway served on a background thread; usable as a context manager."""
-
-    def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 0):
-        handler = type("GatewayHandler", (_Handler,), {"gateway": gateway})
-        self.httpd = _Server((host, port), handler)
-        # shutdown() returns once serve_forever next wakes, at most a poll interval later
-        self.thread = threading.Thread(
-            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
     def __enter__(self) -> "GatewayServer":
         self.thread.start()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.httpd.shutdown()
-        self.httpd.end_reads()
-        self.httpd.server_close()  # returns once every connection is answered and closed
+        self.shutdown()
+        self.end_reads()
+        self.server_close()  # returns once every connection is answered and closed
         self.thread.join(timeout=5)

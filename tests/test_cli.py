@@ -199,16 +199,21 @@ def test_serve_with_a_config_that_is_not_json_is_one_stderr_line_and_status_2(tm
 
 
 _SERVE_IMPORTS = """
-import json, sys
+import json, socket, sys
 from stackrec import cli
 from stackrec.config import ServiceConfig
-from stackrec.gateway import Gateway
+from stackrec.gateway import Gateway, GatewayServer
 
 config, log = sys.argv[1:]
 gw = Gateway.from_config(ServiceConfig.from_json(config), log)
-status, _ = gw.handle_popular_near("337", "128")
+with GatewayServer(gw) as server, socket.create_connection(server.server_address[:2], timeout=10) as sock:
+    sock.sendall(b"GET /api/recommend/popularnear?x=337&y=128 HTTP/1.1\\r\\nConnection: close\\r\\n\\r\\n")
+    answer = b""
+    while chunk := sock.recv(65536):
+        answer += chunk
 gw.txn_log.close()
-serving = {"numpy": "numpy" in sys.modules, "status": status,
+serving = {"numpy": "numpy" in sys.modules, "status": int(answer.split()[1]),
+           "http": [m for m in ("http.server", "http.client", "ssl") if m in sys.modules],
            "stackrec": sorted(m for m in sys.modules if m.startswith("stackrec."))}
 code = cli.main(["telemetry", "monthly", "--logs", log, "--module", "recommend"])
 print(json.dumps({"serving": serving, "monthly": code, "numpy_after": "numpy" in sys.modules}))
@@ -216,7 +221,8 @@ print(json.dumps({"serving": serving, "monthly": code, "numpy_after": "numpy" in
 
 
 def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
-    """The serve path leaves numpy unloaded; the telemetry commands load it when run."""
+    """Serving a request over a socket leaves numpy, http.server, http.client and ssl
+    unloaded; the telemetry commands load numpy when run."""
     env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", _SERVE_IMPORTS, str(REFERENCE / "config.json"),
@@ -226,7 +232,7 @@ def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
     *printed, result = done.stdout.splitlines()
     result = json.loads(result)
     assert result["serving"] == {
-        "numpy": False, "status": 200,
+        "numpy": False, "status": 200, "http": [],
         "stackrec": [f"stackrec.{name}" for name in (
             "cli", "config", "corpus", "gateway", "lccn", "locate", "recommend", "stacksmap")],
     }

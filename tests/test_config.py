@@ -56,3 +56,30 @@ def test_read_table_names_the_columns_it_expected(tmp_path, text):
     with pytest.raises(ValueError, match=re.escape(message)):
         list(read_table(path, ("bib_id", "title", "format")))
 
+
+
+# A table with a blank line before a bad row: the row is on line 4.
+def _after_blank_line(tmp_path, name, header, good, bad):
+    path = tmp_path / name
+    path.write_text(f"{header}\n{good}\n\n{bad}\n", encoding="utf-8")
+    return path
+
+
+def test_catalog_diagnostic_counts_the_blank_line(tmp_path):
+    path = _after_blank_line(tmp_path, "catalog.csv", "bib_id,title,call_number,format",
+                             "uiu_1,One,PS100 .A1,print", "uiu_2,Two,???,print")
+    (message,) = corpus.load_corpus(path).diagnostics
+    assert message.startswith(f"{path} row 4: ")
+
+
+def test_stackmap_diagnostic_counts_the_blank_line(tmp_path):
+    path = _after_blank_line(tmp_path, "stackmap.csv", ",".join(stacksmap._COLUMNS),
+                             "12,150,40,160,60,PR80,PR90", "20,wide,40,210,60,E150,E900")
+    (message,) = stacksmap.load_stackmap(path).diagnostics
+    assert message.startswith("row 4: ")
+
+
+def test_bad_beacon_row_error_counts_the_blank_line(tmp_path):
+    path = _after_blank_line(tmp_path, "beacons.csv", "beacon_id,x,y", "b1,0,0", "b2,zero,0")
+    with pytest.raises(ValueError, match=re.escape(f"{path} row 4: could not convert")):
+        locate.load_beacons(path)

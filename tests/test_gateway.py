@@ -3,6 +3,7 @@ import http.client
 import io
 import json
 import math
+import re
 import socket
 import string
 import sys
@@ -13,6 +14,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -329,14 +331,20 @@ def test_bad_locate_posts_get_4xx_and_one_log_line_each(gateway):
     ]
 
 
-def _read_responses(sock: socket.socket) -> list[tuple[int, dict[str, str], bytes]]:
-    """(status, lower-cased headers, body) of each response sent before the server closes."""
+def _recv_all(sock: socket.socket) -> bytes:
+    """Every byte the server sends before it closes."""
     data = b""
     try:
         while chunk := sock.recv(65536):
             data += chunk
     except ConnectionResetError:  # a close with unread input resets, after what was sent
         pass
+    return data
+
+
+def _read_responses(sock: socket.socket) -> list[tuple[int, dict[str, str], bytes]]:
+    """(status, lower-cased headers, body) of each response sent before the server closes."""
+    data = _recv_all(sock)
     responses = []
     while data:
         head, _, data = data.partition(b"\r\n\r\n")
@@ -362,7 +370,7 @@ def _locate_request(body: bytes) -> bytes:
 
 def _pipeline(server, raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
     """Send raw on one connection, end the client's side, and read every answer."""
-    with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
+    with socket.create_connection(server.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
         sock.sendall(raw)
         sock.shutdown(socket.SHUT_WR)
         return _read_responses(sock)
@@ -370,7 +378,7 @@ def _pipeline(server, raw: bytes) -> list[tuple[int, dict[str, str], bytes]]:
 
 def test_short_body_gets_408_and_one_log_line_within_read_timeout(gateway):
     with GatewayServer(gateway) as server:
-        with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
+        with socket.create_connection(server.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
             sock.sendall(
                 _get_request(MAP_DATA_URI)
                 + b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\n"
@@ -392,7 +400,7 @@ def test_short_body_gets_408_and_one_log_line_within_read_timeout(gateway):
 
 def test_idle_keep_alive_connection_closes_unanswered_and_unlogged(gateway):
     with GatewayServer(gateway) as server:
-        address = server.httpd.server_address[:2]
+        address = server.server_address[:2]
         with socket.create_connection(address, timeout=READ_TIMEOUT_S + 10) as silent, \
                 socket.create_connection(address, timeout=READ_TIMEOUT_S + 10) as idle:
             idle.sendall(_get_request(MAP_DATA_URI))
@@ -465,6 +473,62 @@ def test_refused_head_gets_one_json_answer_and_closes(gateway, head, status):
     assert [(s, headers.get("connection")) for s, headers, _ in answers] == [(status, "close")]
     assert list(json.loads(answers[0][2])) == ["error"]
     assert _log_lines(gateway) == []
+
+
+def _http10_request(uri: str, connection: str = "") -> bytes:
+    return f"GET {uri} HTTP/1.0\r\n{connection}\r\n".encode()
+
+
+LOCATE_BODY = b'{"observations": [{"beacon_id": "b1", "rssi": -59}]}'
+
+WIRE_CASES = [  # (id, raw requests sent on one connection before the client ends its side)
+    ("keep-alive-pipelined", _get_request(MAP_DATA_URI) + _get_request(POPULAR_URI)
+     + _get_request("/api/recommend/popularnear?x=1") + _get_request("/api/wayfinder/map_data/c/uiu_0")
+     + _get_request("/api/recommend/popularnear?x=2000&y=2000")),
+    ("connection-close", f"GET {MAP_DATA_URI} HTTP/1.1\r\nConnection: close\r\n\r\n".encode()
+     + _get_request(MAP_DATA_URI)),
+    ("http-1.0", _http10_request(MAP_DATA_URI) + _get_request(MAP_DATA_URI)),
+    ("http-1.0-keep-alive", _http10_request(MAP_DATA_URI, "Connection: keep-alive\r\n")
+     + _http10_request(MAP_DATA_URI) + _get_request(MAP_DATA_URI)),
+    ("expect-100-continue", _locate_request(LOCATE_BODY).replace(
+        b"\r\n\r\n", b"\r\nExpect: 100-continue\r\n\r\n", 1) + _get_request(MAP_DATA_URI)),
+    ("locate-and-bad-json", _locate_request(LOCATE_BODY) + _locate_request(b"{bad")
+     + _get_request(MAP_DATA_URI)),
+    ("double-slash-path", _get_request("/" + MAP_DATA_URI)),
+    ("get-404", _get_request("/nope") + _get_request(MAP_DATA_URI)),
+    ("post-404", b"POST /nope HTTP/1.1\r\nHost: localhost\r\n\r\n"
+     + b"POST /nope HTTP/1.1\r\nHost: localhost\r\nContent-Length: 2\r\n\r\n{}"
+     + _get_request(MAP_DATA_URI)),
+    ("locate-411", b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked\r\n\r\n"
+     + b"2\r\n{}\r\n0\r\n\r\n"),
+    ("locate-413", b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n{}"
+     % (MAX_BODY_BYTES + 1)),
+    ("locate-400-bad-length", b"POST /api/locate HTTP/1.1\r\nHost: localhost\r\nContent-Length: abc\r\n\r\n{}"),
+] + [
+    (f"refused-{param.id}", f"{param.values[0]}\r\n\r\n".encode() + _get_request(MAP_DATA_URI))
+    for param in REFUSED_HEADS
+]
+WIRE_ANSWERS = Path(__file__).parent / "fixtures" / "golden" / "wire_answers.json"
+
+
+def _wire_answers(server, raw: bytes) -> str:
+    """Every byte answered to raw on one connection, with the Date value masked."""
+    split = urllib.parse.urlsplit(server.base_url)
+    with socket.create_connection((split.hostname, split.port), timeout=READ_TIMEOUT_S + 10) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        data = _recv_all(sock)
+    server_header = f"\r\nServer: BaseHTTP/0.6 Python/{sys.version.split()[0]}\r\n"
+    text = data.decode("latin-1").replace(server_header, "\r\nServer: BaseHTTP/0.6 Python/<version>\r\n")
+    return re.sub("\r\nDate: [^\r\n]*\r\n", "\r\nDate: <masked>\r\n", text)
+
+
+def test_raw_answers_are_byte_exact(gateway):
+    # The answers in WIRE_ANSWERS were recorded from the http.server-based
+    # gateway this loop replaced; the wire contract is theirs, byte for byte.
+    with GatewayServer(gateway) as server:
+        answers = {case: _wire_answers(server, raw) for case, raw in WIRE_CASES}
+    assert answers == json.loads(WIRE_ANSWERS.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("empty, answered", [
@@ -594,7 +658,7 @@ def test_expect_100_continue_is_answered_before_the_body(gateway):
     body = json.dumps({"observations": [{"beacon_id": "b1", "rssi": -59}]}).encode()
     head, _, _ = _locate_request(body).partition(b"\r\n\r\n")
     with GatewayServer(gateway) as server:
-        with socket.create_connection(server.httpd.server_address[:2], timeout=READ_TIMEOUT_S / 2) as sock:
+        with socket.create_connection(server.server_address[:2], timeout=READ_TIMEOUT_S / 2) as sock:
             sock.sendall(head + b"\r\nExpect: 100-continue\r\n\r\n")
             interim = sock.recv(4096)  # times out if the interim answer is never flushed
             sock.sendall(body)
