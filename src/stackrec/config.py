@@ -7,6 +7,7 @@ import csv
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 
 # Each data-file field of ServiceConfig, in config order, and its file name in a
@@ -51,20 +52,37 @@ class ServiceConfig:
 
 
 def read_table(
-    path: str | Path, columns: tuple[str, ...]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (line number, row dict) for each row of a CSV table.
+    path: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, values) for each row of a CSV table.
 
-    The line number counts from 1 at the header, blank lines (which are
-    skipped) included; for a row with a quoted field that spans lines, it is
-    the row's last line.  Columns may come in any order, and blanks around a
-    header name are ignored.  A short row reads as blanks, not None.  Raises
+    values is a tuple of the row's values in the order of columns, then of
+    optional, even for a single column.  The line number counts from 1 at the
+    header, blank lines (which are skipped) included; for a row with a quoted
+    field that spans lines, it is the row's last line.  Columns may come in
+    any order, and blanks around a header name are ignored.  A short row reads
+    as blanks, and so does an optional column that the header lacks.  Raises
     ValueError when the header lacks one of columns.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        reader.fieldnames = [name.strip() for name in reader.fieldnames or ()]
-        if not set(columns) <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = [name.strip() for name in next(reader, ())]
+        if not set(columns) <= set(header):
             raise ValueError(f"{path}: expected columns {','.join(columns)}")
+        # A repeated name reads its last column.  An absent optional column
+        # reads the field just past the header's, which every row has blank.
+        index = {name: i for i, name in enumerate(header)}
+        spare = len(header)
+        picks = [index.get(name, spare) for name in columns + optional]
+        pick = itemgetter(*picks)
+        if len(picks) == 1:  # itemgetter of one index returns the bare value
+            pick = lambda row, get=pick: (get(row),)
+        width = max(picks) + 1
         for row in reader:
-            yield reader.line_num, row
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            if width > spare:  # an absent optional column reads row[spare]
+                row[spare] = ""
+            yield reader.line_num, pick(row)

@@ -110,39 +110,42 @@ def load_corpus(
     """
     diagnostics: list[str] = []
     records: dict[str, BibRecord] = {}
-    for row_no, row in read_table(catalog_path, ("bib_id", "title", "call_number", "format")):
-        bib_id = row["bib_id"].strip()
+    rows = read_table(catalog_path, ("bib_id", "title", "call_number", "format"))
+    for row_no, (bib_id, title, call_number, fmt) in rows:
+        bib_id = bib_id.strip()
         if bib_id in records:
             raise CorpusLoadError(f"{catalog_path} row {row_no}: duplicate bib_id {bib_id!r}")
         try:
             records[bib_id] = BibRecord(
                 bib_id=bib_id,
-                title=row["title"].strip(),
-                call_number=lccn.parse(row["call_number"].strip()),
-                format=row["format"].strip(),
+                title=title.strip(),
+                call_number=lccn.parse(call_number.strip()),
+                format=fmt.strip(),
             )
         except (ValueError, lccn.ParseError) as exc:
             diagnostics.append(f"{catalog_path} row {row_no}: {exc}")
 
     charges: Counter = Counter()
     if circulation_path is not None:
-        for _, row in read_table(circulation_path, ("bib_id", "charge_date")):
-            charges[row["bib_id"].strip()] += 1
+        charges.update(
+            bib_id.strip()
+            for _, (bib_id, _date) in read_table(circulation_path, ("bib_id", "charge_date"))
+        )
 
     articles: list[tuple[str, str, str]] = []
     if articles_path is not None:
-        for _, row in read_table(articles_path, ("journal_title", "article_title", "subject")):
-            articles.append(
-                (row["journal_title"].strip(), row["article_title"].strip(), row["subject"].strip())
-            )
+        rows = read_table(articles_path, ("journal_title", "article_title", "subject"))
+        for _, (journal, article, subject) in rows:
+            articles.append((journal.strip(), article.strip(), subject.strip()))
 
     databases: list[DatabaseEntry] = []
     if databases_path is not None:
         by_name: dict[str, list[CallNumberRange]] = {}
-        for row_no, row in read_table(databases_path, ("name", "range_start", "range_end")):
-            name = row["name"].strip()
+        rows = read_table(databases_path, ("name", "range_start", "range_end"))
+        for row_no, (name, start, end) in rows:
+            name = name.strip()
             try:
-                rng = lccn.parse_range(row["range_start"], row["range_end"])
+                rng = lccn.parse_range(start, end)
             except (ValueError, lccn.ParseError) as exc:
                 diagnostics.append(f"{databases_path} row {row_no}: {exc}")
                 continue

@@ -365,6 +365,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
         except TimeoutError as exc:  # a read or a write waited READ_TIMEOUT_S: close unanswered
             log.debug("http: request timed out: %r", exc)
+        except ConnectionError as exc:  # the client reset or closed its end: nobody to answer
+            log.debug("http: connection lost: %r", exc)
 
     def _answer(self, requestline: str) -> tuple[int, dict, bool] | None:
         """Read the rest of the request and answer it: (status, body, whether to close

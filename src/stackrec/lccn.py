@@ -13,6 +13,11 @@ with trailing zeros stripped.  Compared as strings these order exactly as the
 decimal fractions they spell ("79835" < "8", "6" < "62"), at any length.
 A CallNumber hashes its key, and a CallNumberRange its start key and upper
 key: equal fields give equal keys, so the hash agrees with ``==``.
+
+``parse`` reads the class letters, number and fraction with one compiled
+regex, then cutters up to an optional year with one token regex; whatever
+follows is the suffix.  Text that fails the first regex is matched again for
+its class letters alone, which give its ParseError's offset and reason.
 """
 
 from __future__ import annotations
@@ -39,15 +44,20 @@ class Unclassified(LookupError):
     """Raised when no outline range contains a call number."""
 
 
+_LETTER = re.compile(r"[A-Z]")
+_CLASS_LETTERS = re.compile(r"[A-Z]{1,3}")
+_DIGITS = re.compile(r"[0-9]+")
+
+
 @dataclass(frozen=True, slots=True)
 class Cutter:
     letter: str
     digits: str
 
     def __post_init__(self):
-        if not re.fullmatch(r"[A-Z]", self.letter):
+        if not _LETTER.fullmatch(self.letter):
             raise ValueError(f"cutter letter must be one uppercase letter: {self.letter!r}")
-        if not re.fullmatch(r"[0-9]+", self.digits) or int(self.digits) == 0:
+        if not _DIGITS.fullmatch(self.digits) or int(self.digits) == 0:
             raise ValueError(f"cutter digits must be nonzero decimals: {self.digits!r}")
 
 
@@ -63,17 +73,17 @@ class CallNumber:
     _text: str | None = field(init=False, compare=False, repr=False)  # see canonical_format
 
     def __post_init__(self):
-        if not re.fullmatch(r"[A-Z]{1,3}", self.class_letters):
+        if not _CLASS_LETTERS.fullmatch(self.class_letters):
             raise ValueError(f"class letters must match [A-Z]{{1,3}}: {self.class_letters!r}")
         if self.class_int < 0:
             raise ValueError("class number must be non-negative")
-        if self.class_frac and not re.fullmatch(r"[0-9]+", self.class_frac):
+        if self.class_frac and not _DIGITS.fullmatch(self.class_frac):
             raise ValueError(f"bad class fraction: {self.class_frac!r}")
         object.__setattr__(self, "_key", (
             self.class_letters,
             self.class_int,
             self.class_frac.rstrip("0"),
-            tuple((c.letter, c.digits.rstrip("0")) for c in self.cutters),
+            tuple([(c.letter, c.digits.rstrip("0")) for c in self.cutters]),
             (0, 0) if self.year is None else (1, self.year),
             self.suffix or "",
         ))
@@ -89,10 +99,11 @@ class CallNumber:
         return canonical_format(self)
 
 
+# The class letters, then the class number and fraction.
+_HEAD_RE = re.compile(r"\s*([A-Za-z]{1,3})\s*([0-9]+)(?:\.([0-9]+))?")
 _CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
-_NUMBER_RE = re.compile(r"\s*([0-9]+)(?:\.([0-9]+))?")
-_CUTTER_RE = re.compile(r"([A-Za-z])([0-9]+)")
-_YEAR_RE = re.compile(r"([0-9]{4})(?![0-9.])")
+# After separators (blank, dot, tab): a year, or a cutter (letter and digits).
+_TOKEN_RE = re.compile(r"[ .\t]*(?:([0-9]{4})(?![0-9.])|([A-Za-z])([0-9]+))")
 
 
 def parse(text: str) -> CallNumber:
@@ -102,45 +113,33 @@ def parse(text: str) -> CallNumber:
     input; canonical_format() produces one normal form.  Unrecognized
     trailing tokens land in ``suffix``.
     """
-    if not text or not text.strip():
-        raise ParseError(text, 0, "no class letters")
-    m = _CLASS_RE.match(text)
-    if not m:
-        raise ParseError(text, 0, "no class letters")
-    letters = m.group(1).upper()
-    pos = m.end()
-    m = _NUMBER_RE.match(text, pos)
-    if not m:
-        raise ParseError(text, pos, "missing class number")
-    class_int = int(m.group(1))
-    class_frac = (m.group(2) or "").rstrip("0")
+    m = _HEAD_RE.match(text or "")
+    if m is None:  # the class letters alone say where the text goes wrong
+        m = _CLASS_RE.match(text) if text else None
+        if m is None:
+            raise ParseError(text, 0, "no class letters")
+        raise ParseError(text, m.end(), "missing class number")
+    letters, number, frac = m.groups()
+    class_int = int(number)
     pos = m.end()
 
+    # Cutters until the year; the first text that is neither ends the tokens.
     cutters: list[Cutter] = []
     year: int | None = None
-    suffix: str | None = None
-    while pos < len(text):
-        if text[pos] in " .\t":
-            pos += 1
-            continue
-        if year is None:
-            m = _YEAR_RE.match(text, pos)
-            if m:
-                year = int(m.group(1))
-                pos = m.end()
-                continue
-            m = _CUTTER_RE.match(text, pos)
-            if m:
-                digits = m.group(2)
-                if int(digits) == 0:
-                    raise ParseError(text, pos, "malformed cutter: zero digits")
-                cutters.append(Cutter(m.group(1).upper(), digits.rstrip("0") or digits[:1]))
-                pos = m.end()
-                continue
-        suffix = text[pos:].strip()
-        break
-
-    return CallNumber(letters, class_int, class_frac, tuple(cutters), year, suffix)
+    while m := _TOKEN_RE.match(text, pos):
+        pos = m.end()
+        year_digits, letter, digits = m.groups()
+        if year_digits:
+            year = int(year_digits)
+            break
+        if int(digits) == 0:
+            raise ParseError(text, m.start(2), "malformed cutter: zero digits")
+        cutters.append(Cutter(letter.upper(), digits.rstrip("0")))
+    rest = text[pos:].lstrip(" .\t")
+    return CallNumber(
+        letters.upper(), class_int, (frac or "").rstrip("0"), tuple(cutters), year,
+        rest.strip() if rest else None,
+    )
 
 
 def canonical_format(cn: CallNumber) -> str:

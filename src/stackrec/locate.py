@@ -99,14 +99,15 @@ def load_beacons(path: str | Path) -> list[Beacon]:
     """Load a ``beacon_id,x,y,tx_power`` CSV; blank tx_power falls back to the default."""
     beacons: list[Beacon] = []
     seen: set[str] = set()
-    for row_no, row in read_table(path, ("beacon_id", "x", "y")):
-        beacon_id = row["beacon_id"].strip()
+    rows = read_table(path, ("beacon_id", "x", "y"), optional=("tx_power",))
+    for row_no, (beacon_id, x, y, tx_raw) in rows:
+        beacon_id = beacon_id.strip()
         if beacon_id in seen:
             raise ValueError(f"{path} row {row_no}: duplicate beacon_id {beacon_id!r}")
         seen.add(beacon_id)
-        tx_raw = (row.get("tx_power") or "").strip()
+        tx_raw = tx_raw.strip()
         try:
-            x, y = float(row["x"]), float(row["y"])
+            x, y = float(x), float(y)
             tx_power = float(tx_raw) if tx_raw else DEFAULT_TX_POWER
         except ValueError as exc:
             raise ValueError(f"{path} row {row_no}: {exc}") from None

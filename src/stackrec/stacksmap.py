@@ -155,17 +155,12 @@ def load_stackmap(path: str | Path) -> StackMap:
     """
     shelves: list[Shelf] = []
     diagnostics: list[str] = []
-    for row_no, row in read_table(path, _COLUMNS):
+    for row_no, (number, x_min, y_min, x_max, y_max, start, end) in read_table(path, _COLUMNS):
         try:
             shelf = Shelf(
-                shelf_number=int(row["shelf_number"]),
-                bounds=Rect(
-                    float(row["x_min"]),
-                    float(row["y_min"]),
-                    float(row["x_max"]),
-                    float(row["y_max"]),
-                ),
-                range=lccn.parse_range(row["range_start"], row["range_end"]),
+                shelf_number=int(number),
+                bounds=Rect(float(x_min), float(y_min), float(x_max), float(y_max)),
+                range=lccn.parse_range(start, end),
             )
         except (ValueError, lccn.ParseError) as exc:
             diagnostics.append(f"row {row_no}: {exc}")

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,56 @@ def oracle_classify(rows, cn: lccn.CallNumber) -> str | None:
     best_end = min(oracle_upper_key(r.end) for r, _, _ in candidates)
     candidates = [row for row in candidates if oracle_upper_key(row[0].end) == best_end]
     return min(candidates, key=lambda row: row[2])[1]
+
+
+# The call-number parser as it stood before its one-regex head and token loop,
+# copied verbatim: the oracle that lccn.parse must agree with on every input.
+_REF_CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
+_REF_NUMBER_RE = re.compile(r"\s*([0-9]+)(?:\.([0-9]+))?")
+_REF_CUTTER_RE = re.compile(r"([A-Za-z])([0-9]+)")
+_REF_YEAR_RE = re.compile(r"([0-9]{4})(?![0-9.])")
+
+
+def reference_parse(text: str) -> lccn.CallNumber:
+    if not text or not text.strip():
+        raise lccn.ParseError(text, 0, "no class letters")
+    m = _REF_CLASS_RE.match(text)
+    if not m:
+        raise lccn.ParseError(text, 0, "no class letters")
+    letters = m.group(1).upper()
+    pos = m.end()
+    m = _REF_NUMBER_RE.match(text, pos)
+    if not m:
+        raise lccn.ParseError(text, pos, "missing class number")
+    class_int = int(m.group(1))
+    class_frac = (m.group(2) or "").rstrip("0")
+    pos = m.end()
+
+    cutters: list[lccn.Cutter] = []
+    year: int | None = None
+    suffix: str | None = None
+    while pos < len(text):
+        if text[pos] in " .\t":
+            pos += 1
+            continue
+        if year is None:
+            m = _REF_YEAR_RE.match(text, pos)
+            if m:
+                year = int(m.group(1))
+                pos = m.end()
+                continue
+            m = _REF_CUTTER_RE.match(text, pos)
+            if m:
+                digits = m.group(2)
+                if int(digits) == 0:
+                    raise lccn.ParseError(text, pos, "malformed cutter: zero digits")
+                cutters.append(lccn.Cutter(m.group(1).upper(), digits.rstrip("0") or digits[:1]))
+                pos = m.end()
+                continue
+        suffix = text[pos:].strip()
+        break
+
+    return lccn.CallNumber(letters, class_int, class_frac, tuple(cutters), year, suffix)
 
 
 def random_call_number(rng: random.Random) -> lccn.CallNumber:

@@ -3,6 +3,8 @@ import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackrec import corpus, locate, stacksmap
 from stackrec.config import DATA_FILES, ServiceConfig, read_table
@@ -56,6 +58,62 @@ def test_read_table_names_the_columns_it_expected(tmp_path, text):
     with pytest.raises(ValueError, match=re.escape(message)):
         list(read_table(path, ("bib_id", "title", "format")))
 
+
+
+
+def _oracle_rows(path, columns, optional):
+    """read_table's rows by csv.DictReader: (line number, values of columns then optional)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")
+        reader.fieldnames = [name.strip() for name in reader.fieldnames or ()]
+        return [
+            (reader.line_num, tuple(row[c] for c in columns) + tuple(row.get(c, "") for c in optional))
+            for row in reader
+        ]
+
+
+NAMES = ["a", "b", "c", "d"]
+# Commas, quotes and line breaks make the writer quote a field; a break inside
+# quotes spans lines.
+VALUES = st.text('xy ,"\n\r', max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """(header, rows, columns, optional): a header of NAMES in any order, padded with
+    blanks and maybe repeating one; rows short, long or empty (a blank line)."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5))
+    header = [draw(st.sampled_from(["", " ", "\t"])) + n + draw(st.sampled_from(["", "  "]))
+              for n in names]
+    rows = draw(st.lists(st.lists(VALUES, max_size=len(names) + 2), max_size=8))
+    columns = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)))
+    optional = tuple(draw(st.lists(st.sampled_from(NAMES + ["tx_power"]), max_size=2, unique=True)))
+    return header, rows, columns, optional
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_read_table_agrees_with_a_dict_reader(tmp_path_factory, table):
+    header, rows, columns, optional = table
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    got = list(read_table(path, columns, optional))
+    assert got == _oracle_rows(path, columns, optional)
+    assert all(len(values) == len(columns) + len(optional) for _, values in got)
+
+
+def test_read_table_reads_one_column_as_one_tuples(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n1,2\n\n3\n", encoding="utf-8")
+    assert list(read_table(path, ("b",))) == [(2, ("2",)), (4, ("",))]
+
+
+def test_read_table_reads_an_absent_optional_column_as_blank(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("beacon_id,x,y\nb1,1,2\nb2,3,4,extra\n", encoding="utf-8")
+    assert list(read_table(path, ("beacon_id",), optional=("tx_power",))) == [
+        (2, ("b1", "")), (3, ("b2", ""))]
 
 
 # A table with a blank line before a bad row: the row is on line 4.

@@ -2,10 +2,12 @@ import email.utils
 import http.client
 import io
 import json
+import logging
 import math
 import re
 import socket
 import string
+import struct
 import sys
 import time
 import urllib.error
@@ -411,6 +413,26 @@ def test_idle_keep_alive_connection_closes_unanswered_and_unlogged(gateway):
     assert [(status, headers.get("connection")) for status, headers, _ in answers] == [(200, None)]
     assert READ_TIMEOUT_S - 0.5 < waited < READ_TIMEOUT_S + 5
     assert [(line["uri"], line["status"]) for line in _log_lines(gateway)] == [(MAP_DATA_URI, 200)]
+
+
+def test_client_reset_closes_quietly_and_leaves_whole_log_lines(gateway, monkeypatch, caplog):
+    errors = []
+    monkeypatch.setattr(GatewayServer, "handle_error", lambda self, request, address: errors.append(address))
+    caplog.set_level(logging.DEBUG, logger="stackrec.gateway")
+    with GatewayServer(gateway) as server:
+        for _ in range(3):
+            sock = socket.create_connection(server.server_address[:2], timeout=READ_TIMEOUT_S + 10)
+            # linger 0: close() resets the connection instead of ending it in order
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(_get_request(POPULAR_URI) * 200)
+            assert sock.recv(1) == b"H"  # the first answer has begun
+            sock.close()
+    assert errors == []
+    assert any("connection lost" in r.getMessage() for r in caplog.records)
+    parsed = telemetry.parse_logs([gateway.txn_log.path])
+    assert parsed.malformed == []
+    assert 3 <= len(parsed.entries) < 600
+    assert {(e.module, e.uri, e.status) for e in parsed.entries} == {("recommend", POPULAR_URI, 200)}
 
 
 HIDDEN_URI = "/api/recommend/popularnear?x=1.5&y=2.5"

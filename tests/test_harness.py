@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -14,6 +15,8 @@ from stackrec.harness import (
     gen_walk,
     run_report,
 )
+
+from conftest import count_calls
 
 
 def _digest(fixtures: FixtureSet) -> dict:
@@ -70,6 +73,28 @@ def test_circulation_follows_configured_skew(tmp_path):
     fit = telemetry.fit_power_law(counts)
     assert fit.exponent == pytest.approx(-1.0, abs=0.1)
     assert fit.r_squared > 0.95
+
+
+def test_loaders_parse_each_call_number_once(tmp_path, monkeypatch):
+    """lccn.parse runs once per catalog row and twice per database and shelf row:
+    the benchmark's lccn.parse_calls, 624 for a report's default library."""
+    fixtures = gen_corpus(ReportConfig().seed, ReportConfig().records, out_dir=tmp_path)
+
+    def rows(path) -> int:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return sum(1 for row in csv.reader(fh) if row) - 1
+
+    calls = count_calls(monkeypatch, lccn, "parse")
+    corpus.load_corpus(fixtures.catalog, fixtures.circulation, fixtures.articles, fixtures.databases)
+    assert calls[0] == rows(fixtures.catalog) + 2 * rows(fixtures.databases)
+    calls[0] = 0
+    stacksmap.load_stackmap(fixtures.stackmap)
+    assert calls[0] == 2 * rows(fixtures.stackmap)
+    calls[0] = 0
+    outline = lccn.load_outline(fixtures.outline)
+    assert calls[0] == 2 * len(outline)
+    assert rows(fixtures.catalog) + 2 * (
+        rows(fixtures.databases) + rows(fixtures.stackmap) + len(outline)) == 624
 
 
 @pytest.mark.parametrize("alpha", [0, -1.0])

@@ -1,11 +1,13 @@
+import csv
 import dataclasses
 import random
+import string
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackrec import lccn
@@ -27,6 +29,7 @@ from conftest import (
     CALL_NUMBERS,
     KNOWN_SORT_ORDER,
     KNOWN_SUBJECTS,
+    REFERENCE,
     call_number_ranges,
     oracle_call_number_key,
     oracle_classify,
@@ -34,6 +37,7 @@ from conftest import (
     oracle_ranges_overlap,
     oracle_upper_key,
     random_call_number,
+    reference_parse,
 )
 
 
@@ -88,6 +92,52 @@ def test_trailing_garbage_lands_in_suffix():
 def test_suffix_captures_volume_designators():
     cn = parse("QA76.73 .P98 2001 v.2")
     assert cn.suffix == "v.2"
+
+
+def _parse_outcome(parser, text):
+    """What parser makes of text: its call number's fields, or the error it raises."""
+    try:
+        cn = parser(text)
+    except ParseError as exc:
+        return "ParseError", exc.text, exc.offset, exc.reason
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return "parsed", dataclasses.astuple(cn), cn.sort_key()
+
+
+# ASCII letters and digits, the separators, and non-ASCII digits and letters.
+PARSE_ALPHABET = string.ascii_letters + string.digits + " .\t\n-/²٠é"
+# Runs of call-number parts, so that most texts get past the class number.
+PARSE_PARTS = ["PN", "b", "QA", "ABCD", "1995", "76.73", "7", "0", "00", ".", " ", "\t", "\n",
+               ".C655", "R79835", "x0", "2015", "1974.", "20155", "v.2", "-", "/", "²", "٠", "é"]
+PARSE_TEXT = st.text(PARSE_ALPHABET, max_size=30) | st.lists(
+    st.sampled_from(PARSE_PARTS), max_size=10).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(PARSE_TEXT)
+@example("")  # no class letters at offset 0
+@example("PN" + "1" * 5000)  # a class number past int()'s digit limit: ValueError
+@example("PN1 .C" + "9" * 5000)
+@example("PN1 .C" + "0" * 5000)
+@example("PN1995\n")  # an empty suffix, not None
+@example("PN1995 .C655\t")  # separators to the end: no suffix
+@example("PN1995 2015 .\t")
+def test_parse_agrees_with_the_reference_parser(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+
+
+def test_parse_agrees_with_the_reference_parser_on_every_fixture_cell():
+    cells = set()
+    for path in REFERENCE.iterdir():
+        if path.suffix in (".csv", ".tsv"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                for row in csv.reader(fh, delimiter="\t" if path.suffix == ".tsv" else ","):
+                    cells.update(row)
+    cells.update(cell.strip() for cell in list(cells))
+    assert {"PN1995 .C655 2015", "PR80", "B5802"} <= cells
+    for text in sorted(cells):
+        assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text), text
 
 
 # --- canonical form --------------------------------------------------------
