@@ -24,7 +24,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from http import HTTPStatus
 from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
@@ -265,7 +264,20 @@ _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 # The Server header's value: what the standard library's http.server sends,
 # and what this service has always sent.
 SERVER_HEADER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
+# The reason phrase of each status the gateway answers with.  Fixed here, not
+# read from http.HTTPStatus, whose phrases for 413 and 414 changed in Python 3.13.
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    408: "Request Timeout",
+    411: "Length Required",
+    413: "Request Entity Too Large",
+    414: "Request-URI Too Long",
+    431: "Request Header Fields Too Large",
+    501: "Not Implemented",
+    505: "HTTP Version Not Supported",
+}
 # name ":" OWS value, the value without CR, LF or NUL (RFC 9112 §5, RFC 9110 §5.5).
 # A line that starts with whitespace (an obs-fold continuation), has whitespace
 # before its colon, or has no colon does not match.
