@@ -431,7 +431,7 @@ def test_client_reset_closes_quietly_and_leaves_whole_log_lines(gateway, monkeyp
     assert any("connection lost" in r.getMessage() for r in caplog.records)
     parsed = telemetry.parse_logs([gateway.txn_log.path])
     assert parsed.malformed == []
-    assert 3 <= len(parsed.entries) < 600
+    assert len(parsed.entries) >= 3  # each connection's first answer was sent
     assert {(e.module, e.uri, e.status) for e in parsed.entries} == {("recommend", POPULAR_URI, 200)}
 
 
