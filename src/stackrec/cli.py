@@ -19,10 +19,20 @@ from .gateway import Gateway, GatewayServer
 
 
 def cmd_serve(args) -> int:
-    """Serve until SIGINT or SIGTERM; in-flight requests finish and the log closes."""
-    gw = Gateway.from_config(ServiceConfig.from_json(args.config), args.log)
+    """Serve until SIGINT or SIGTERM; in-flight requests finish and the log closes.
+
+    The port is bound before the log opens, so that a busy port, like a failed
+    load, leaves no log behind.
+    """
+    cfg = ServiceConfig.from_json(args.config)
+    server = GatewayServer(None, host=args.host, port=args.port)
     try:
-        with GatewayServer(gw, host=args.host, port=args.port) as server:
+        server.gateway = gw = Gateway.from_config(cfg, args.log)
+    except BaseException:
+        server.server_close()
+        raise
+    try:
+        with server:
             previous = None
             if threading.current_thread() is threading.main_thread():  # else signal() raises
                 previous = signal.signal(signal.SIGTERM, signal.default_int_handler)

@@ -17,11 +17,13 @@ import json
 import logging
 import math
 import re
+import selectors
 import socket
 import socketserver
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -123,13 +125,13 @@ class TransactionLog:
 
     def append(self, entry: ApiLogEntry) -> None:
         line = entry.to_json() + "\n"
-        try:
-            with self._lock:
+        with self._lock:
+            try:
                 self._fh.write(line)
                 self._fh.flush()
-        except OSError:
-            self.write_errors += 1
-            log.exception("transaction log write failed")
+            except OSError:
+                self.write_errors += 1  # counted under the lock, so no concurrent count is lost
+                log.exception("transaction log write failed")
 
     def close(self) -> None:
         with self._lock:
@@ -473,25 +475,36 @@ class _Handler(socketserver.StreamRequestHandler):
         return not close
 
 
-class GatewayServer(socketserver.ThreadingTCPServer):
-    """A gateway served on a background thread, a thread per connection; usable
-    as a context manager.  The open connections are kept for shutdown."""
+class GatewayServer(socketserver.TCPServer):
+    """A gateway served on a background thread; usable as a context manager.
+
+    Connections are served by a set of threads that grows with the number of
+    open connections.  A thread whose connection closes waits for the next one
+    the accept loop hands over, and ends once none comes within READ_TIMEOUT_S;
+    a new thread starts only when no thread is waiting.  The open connections
+    are kept for the exit, which finishes the requests being answered, closes
+    idle connections and joins every thread the server started.
+    """
 
     allow_reuse_address = True
-    daemon_threads = False  # server_close joins every connection's thread
 
-    def __init__(self, gateway: Gateway, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, gateway: Gateway | None, host: str = "127.0.0.1", port: int = 0):
+        # shutdown() writes to _wake_w to wake the accept loop.  Made before the
+        # bind, since a failed bind calls server_close(), which closes this pair.
+        self._wake_r, self._wake_w = socket.socketpair()
         super().__init__((host, port), _Handler)
-        self.gateway = gateway
+        self.gateway = gateway  # when None here, set before the server is entered
         self._lock = threading.Lock()
+        self._handed = threading.Condition(self._lock)  # a connection is pending or closing is set
+        self._pending: deque[tuple[socket.socket, object]] = deque()
+        self._idle = 0  # threads waiting for a connection, less the connections pending
+        self._closing = False
+        self._threads: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
         # (second, its Date text), replaced whole so that no reader pairs one
         # second with another second's text
         self._date = (0, "")
-        # shutdown() returns once serve_forever next wakes, at most a poll interval later
-        self.thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
+        self.thread = threading.Thread(target=self.serve_forever, daemon=True)
 
     @property
     def base_url(self) -> str:
@@ -507,10 +520,51 @@ class GatewayServer(socketserver.ThreadingTCPServer):
             self._date = (now, text)
         return text
 
+    def serve_forever(self) -> None:
+        """Accept connections until shutdown(), which wakes this loop at once."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.socket, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                if any(key.fileobj is self._wake_r for key, _ in selector.select()):
+                    return
+                self._handle_request_noblock()
+
+    def shutdown(self) -> None:
+        """Stop accepting connections; returns once the accept loop has."""
+        self._wake_w.send(b"\0")
+        self.thread.join()
+
     def process_request(self, request, client_address):
+        """Hand the connection to a waiting thread, or start a thread for it."""
         with self._lock:
             self._connections.add(request)
-        super().process_request(request, client_address)
+            if self._idle:
+                self._idle -= 1
+                self._pending.append((request, client_address))
+                self._handed.notify()
+                return
+            thread = threading.Thread(target=self._serve_connections, args=(request, client_address))
+            thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()] + [thread]
+
+    def _serve_connections(self, request, client_address) -> None:
+        """Serve this connection and each one handed over next, until none comes
+        within READ_TIMEOUT_S or the server closes."""
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._handed:
+                self._idle += 1
+                self._handed.wait_for(lambda: self._pending or self._closing, READ_TIMEOUT_S)
+                if not self._pending:
+                    self._idle -= 1
+                    return
+                request, client_address = self._pending.popleft()
 
     def shutdown_request(self, request):
         with self._lock:
@@ -530,6 +584,11 @@ class GatewayServer(socketserver.ThreadingTCPServer):
                 except OSError:  # the client has already gone
                     pass
 
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
+
     def __enter__(self) -> "GatewayServer":
         self.thread.start()
         return self
@@ -537,5 +596,9 @@ class GatewayServer(socketserver.ThreadingTCPServer):
     def __exit__(self, *exc) -> None:
         self.shutdown()
         self.end_reads()
-        self.server_close()  # returns once every connection is answered and closed
-        self.thread.join(timeout=5)
+        with self._handed:
+            self._closing = True
+            self._handed.notify_all()
+        for thread in self._threads:  # no thread starts once the accept loop has returned
+            thread.join()
+        self.server_close()

@@ -3,6 +3,7 @@ import os
 import select
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -171,6 +172,20 @@ def test_serve_that_fails_to_load_leaves_no_log(tmp_path, capsys):
     argv = ["serve", "--config", str(tmp_path / "service.json"), "--port", "0", "--log", str(log)]
     assert cli.main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert not log.exists()
+
+
+def test_serve_on_a_busy_port_is_one_error_line_and_leaves_no_log(tmp_path, capsys):
+    log = tmp_path / "new.jsonl"
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        argv = ["serve", "--config", str(REFERENCE / "config.json"), "--port", str(port),
+                "--log", str(log)]
+        assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
     assert not log.exists()
 

@@ -1,14 +1,17 @@
 import email.utils
 import http.client
 import io
+import itertools
 import json
 import logging
 import math
+import random
 import re
 import socket
 import string
 import struct
 import sys
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -173,6 +176,42 @@ def test_log_concatenation_is_valid_log(gateway, tmp_path):
     parsed = telemetry.parse_logs([doubled])
     assert len(parsed.entries) == 4
     assert not parsed.malformed
+
+
+class _FailingFile:
+    def write(self, line):
+        raise OSError("disk full")
+
+    def close(self):
+        pass
+
+
+class _YieldingCountLog(TransactionLog):
+    """A log whose error count lets other threads run between its read and its write,
+    so that a count taken outside the log's lock loses increments."""
+
+    @property
+    def write_errors(self):
+        count = self._count
+        time.sleep(0)
+        return count
+
+    @write_errors.setter
+    def write_errors(self, value):
+        self._count = value
+
+
+def test_concurrent_failing_appends_are_each_counted(tmp_path, caplog):
+    n_threads, n_appends = 8, 50
+    txn_log = _YieldingCountLog(tmp_path / "api.jsonl")
+    txn_log._fh.close()
+    txn_log._fh = _FailingFile()
+    entry = ApiLogEntry("2024-01-01T00:00:00", "recommend", "/x")
+    caplog.set_level(logging.CRITICAL, logger="stackrec.gateway")  # no traceback per failure
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(lambda _: [txn_log.append(entry) for _ in range(n_appends)],
+                      range(n_threads)))
+    assert txn_log.write_errors == n_threads * n_appends
 
 
 # --- live HTTP -------------------------------------------------------------
@@ -673,7 +712,111 @@ def test_exit_returns_promptly_after_a_request(gateway):
     with GatewayServer(gateway) as server:
         assert _get(server.base_url + MAP_DATA_URI)[0] == 200
         exiting = time.monotonic()
-    assert time.monotonic() - exiting < 0.2  # shutdown waits for the serve loop's next poll
+    assert time.monotonic() - exiting < 0.2  # shutdown wakes the accept loop through its socket pair
+
+
+def test_twenty_exits_in_a_row_take_under_half_a_second(gateway):
+    took = 0.0
+    for _ in range(20):
+        with GatewayServer(gateway) as server:
+            assert _get(server.base_url + MAP_DATA_URI)[0] == 200
+            exiting = time.monotonic()
+        took += time.monotonic() - exiting
+    assert took < 0.5  # an accept loop that polled every 0.05 s would take 1 s in the polls alone
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """Each thread started from now on, with the thread that started it."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append((threading.current_thread(), thread))
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def _connection_threads(server, started) -> list[threading.Thread]:
+    return [thread for starter, thread in started if starter is server.thread]
+
+
+def test_sequential_connections_reuse_the_connection_threads(gateway, started):
+    with GatewayServer(gateway) as server:
+        for _ in range(30):
+            assert _get(server.base_url + MAP_DATA_URI)[0] == 200  # one connection each
+    # a second thread starts only if a connection comes before the first thread waits again
+    assert 1 <= len(_connection_threads(server, started)) <= 2
+    assert len(_log_lines(gateway)) == 30
+
+
+def test_threads_beyond_the_open_connections_end_after_read_timeout(gateway, started, monkeypatch):
+    monkeypatch.setattr("stackrec.gateway.READ_TIMEOUT_S", 0.2)
+    with GatewayServer(gateway) as server:
+        socks = [socket.create_connection(server.server_address[:2], timeout=10) for _ in range(8)]
+        for sock in socks:
+            sock.sendall(_get_request(MAP_DATA_URI))
+        for sock in socks:
+            assert sock.recv(1) == b"H"  # answered, and held open by its own thread
+        burst = _connection_threads(server, started)
+        assert len(burst) == 8
+        for sock in socks:
+            sock.close()
+        deadline = time.monotonic() + 5
+        while any(thread.is_alive() for thread in burst) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(thread.is_alive() for thread in burst)
+        assert _get(server.base_url + MAP_DATA_URI)[0] == 200  # served by a new thread
+    assert len(_connection_threads(server, started)) == 9
+    assert len(_log_lines(gateway)) == 9
+
+
+def test_each_request_gets_one_answer_while_threads_come_and_go(gateway, monkeypatch):
+    monkeypatch.setattr("stackrec.gateway.READ_TIMEOUT_S", 0.01)
+    n_clients, n_requests = 4, 25
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with GatewayServer(gateway) as server:
+
+            def client(seed):  # one connection per request, some just before a thread ends
+                rng = random.Random(seed)
+                statuses = []
+                for _ in range(n_requests):
+                    time.sleep(rng.choice((0, 0, 0.005, 0.01, 0.015)))
+                    answers = _pipeline(server, _get_request(MAP_DATA_URI))
+                    statuses.append([status for status, _, _ in answers])
+                return statuses
+
+            with ThreadPoolExecutor(max_workers=n_clients) as pool:
+                results = list(pool.map(client, range(n_clients)))
+            results.append(client(n_clients))  # and alone, one after another
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[[200]] * n_requests] * (n_clients + 1)
+    assert len(_log_lines(gateway)) == (n_clients + 1) * n_requests
+
+
+def test_a_connection_that_raises_does_not_stop_the_next(gateway, started, monkeypatch):
+    errors = []
+    monkeypatch.setattr(GatewayServer, "handle_error", lambda self, request, address: errors.append(address))
+    handle, calls = Gateway.handle_map_data, itertools.count()
+
+    def failing_first(self, *args):
+        if next(calls) == 0:
+            raise RuntimeError("handler fault")
+        return handle(self, *args)
+
+    monkeypatch.setattr(Gateway, "handle_map_data", failing_first)
+    with GatewayServer(gateway) as server:
+        assert _pipeline(server, _get_request(MAP_DATA_URI)) == []  # closed unanswered
+        for _ in range(3):
+            assert [status for status, _, _ in _pipeline(server, _get_request(MAP_DATA_URI))] == [200]
+        assert _connection_threads(server, started)[0].is_alive()  # back to waiting, not ended
+    assert len(errors) == 1
+    assert len(_log_lines(gateway)) == 3
 
 
 def test_expect_100_continue_is_answered_before_the_body(gateway):
