@@ -225,8 +225,9 @@ class Gateway:
         }
 
     def handle_popular_near(self, x_raw: str | None, y_raw: str | None) -> tuple[int, dict]:
-        uri = f"/api/recommend/popularnear?x={x_raw}&y={y_raw}"
         params = {k: v for k, v in (("x", x_raw), ("y", y_raw)) if v is not None}
+        query = "&".join(f"{k}={v}" for k, v in params.items())
+        uri = "/api/recommend/popularnear" + (f"?{query}" if query else "")
         try:
             if x_raw is None or y_raw is None:
                 raise ValueError("x and y are required")

@@ -7,6 +7,7 @@ position is the 1/d-weighted centroid of the k strongest known beacons.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,8 @@ class Beacon:
     tx_power: float = DEFAULT_TX_POWER
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"non-finite beacon position ({self.x}, {self.y})")
         if not -100.0 <= self.tx_power <= 0.0:
             raise ValueError(f"tx_power out of [-100, 0]: {self.tx_power}")
 
@@ -107,9 +110,8 @@ def load_beacons(path: str | Path) -> list[Beacon]:
         seen.add(beacon_id)
         tx_raw = tx_raw.strip()
         try:
-            x, y = float(x), float(y)
             tx_power = float(tx_raw) if tx_raw else DEFAULT_TX_POWER
+            beacons.append(Beacon(beacon_id=beacon_id, x=float(x), y=float(y), tx_power=tx_power))
         except ValueError as exc:
             raise ValueError(f"{path} row {row_no}: {exc}") from None
-        beacons.append(Beacon(beacon_id=beacon_id, x=x, y=y, tx_power=tx_power))
     return beacons

@@ -6,10 +6,11 @@ nearby, then append journal/database suggestions derived from the subject of
 each range.
 
 The in-range work is done once per range: the first request that needs a
-range summarizes it (its shortlist of candidates, its dominant journal, the
-curated databases it overlaps), and every request merges the summaries of its
-nearby ranges.  Merging shortlists is exact: the first k of a union, in any
-total order, lie within the union of each part's first k.
+range summarizes it into the recommendations it can contribute (its top
+prints, its first e-books, its dominant journal) and the curated databases it
+overlaps, and every request merges the ready items of its nearby ranges.
+Merging is exact: the first k of a union, in any total order, lie within the
+union of each part's first k.
 """
 
 from __future__ import annotations
@@ -54,22 +55,36 @@ class Recommendation:
         return d
 
 
+def _item(kind: str, rec: BibRecord, count: int) -> Recommendation:
+    return Recommendation(kind=kind, title=rec.title, score=float(count),
+                          bib_id=rec.bib_id, call_number=rec.call_number)
+
+
+def _by_count(item: Recommendation) -> tuple:
+    return -item.score, item.bib_id
+
+
+def _by_shelf(item: Recommendation) -> tuple:
+    return item.call_number.sort_key(), item.bib_id
+
+
 @dataclass(frozen=True, slots=True)
 class RangeSummary:
-    """What recommend_near needs of one shelf range, computed once per range.
+    """The recommendations one shelf range can contribute, built once per range.
 
-    ``shortlist`` holds the range's MAX_ITEMS most-circulated prints (count
-    above 0, by descending count then bib_id) and then its first MAX_EBOOKS
-    e-books in call-number order.  ``journal`` is the dominant journal of
-    the range's subject query and its share of the hits, or None.
-    ``databases`` holds the indexes into ``CorpusStore.databases`` of the
-    curated entries whose subject ranges overlap the range; it is a tuple, not
-    a set, because there is one summary per shelf, most overlap no database,
-    and the empty tuple costs no memory.
+    ``prints`` holds the range's MAX_ITEMS most-circulated prints (count
+    above 0), in ``_by_count`` order; ``ebooks`` its first MAX_EBOOKS e-books
+    in call-number order, each scored by its count.  ``journal`` is the
+    dominant journal of the range's subject query when its share is above
+    MAJORITY_THRESHOLD, else None.  ``databases`` holds the indexes into
+    ``CorpusStore.databases`` of the curated entries whose subject ranges
+    overlap the range; it is a tuple, not a set, because there is one summary
+    per shelf, most overlap no database, and the empty tuple costs no memory.
     """
 
-    shortlist: tuple[BibRecord, ...]
-    journal: tuple[str, float] | None
+    prints: tuple[Recommendation, ...]
+    ebooks: tuple[Recommendation, ...]
+    journal: Recommendation | None
     databases: tuple[int, ...]
 
 
@@ -128,6 +143,11 @@ class Recommender:
         self.radius = radius if radius is not None else stacksmap.default_radius(stackmap_)
         # range -> its summary; see _summary
         self._summaries: dict[CallNumberRange, RangeSummary] = {}
+        # one suggestion per curated database, in CorpusStore.databases order
+        self._curated = [
+            Recommendation(kind="database", title=entry.name, score=1.0, name=entry.name)
+            for entry in corpus_.databases
+        ]
 
     def recommend_near(self, p: Point) -> RecommendationSet:
         """Full pipeline for one point; empty ranges/items is a normal outcome."""
@@ -136,10 +156,9 @@ class Recommender:
         if not ranges:
             return RecommendationSet(location, [], [])
         summaries = [self._summary(r) for r in ranges]
-        candidates = [rec for s in summaries for rec in s.shortlist]
-        items = self.popular_books(candidates)
-        items.extend(self.ebook_suggestions(candidates))
-        items.extend(self.database_suggestions(ranges))
+        items = sorted((i for s in summaries for i in s.prints), key=_by_count)[:MAX_ITEMS]
+        items += sorted((i for s in summaries for i in s.ebooks), key=_by_shelf)[:MAX_EBOOKS]
+        items += self._database_items(summaries)
         return RecommendationSet(location, ranges, items)
 
     def _summary(self, r: CallNumberRange) -> RangeSummary:
@@ -157,62 +176,21 @@ class Recommender:
 
     def _summarize(self, r: CallNumberRange) -> RangeSummary:
         records = self.corpus.books_in_range(r)  # in (call number, bib_id) order
+        count = self.corpus.circulation_count
+        ranked = sorted(
+            ((rec, n) for rec in records if rec.format == "print" and (n := count(rec.bib_id)) > 0),
+            key=lambda pair: (-pair[1], pair[0].bib_id),
+        )
         ebooks = [rec for rec in records if rec.format == "ebook"][:MAX_EBOOKS]
         return RangeSummary(
-            shortlist=tuple([rec for rec, _ in self._ranked_prints(records)] + ebooks),
+            prints=tuple(_item("print", rec, n) for rec, n in ranked[:MAX_ITEMS]),
+            ebooks=tuple(_item("ebook", rec, count(rec.bib_id)) for rec in ebooks),
             journal=self._dominant_journal(r),
             databases=tuple(
                 i for i, entry in enumerate(self.corpus.databases)
                 if any(lccn.ranges_overlap(r, sr) for sr in entry.subject_ranges)
             ),
         )
-
-    def _ranked_prints(self, candidates: list[BibRecord]) -> list[tuple[BibRecord, int]]:
-        """The MAX_ITEMS most-circulated prints and their counts, by (-count, bib_id).
-
-        Prints with no charges drop out.
-        """
-        count = self.corpus.circulation_count
-        prints = [
-            (rec, n) for rec in candidates
-            if rec.format == "print" and (n := count(rec.bib_id)) > 0
-        ]
-        prints.sort(key=lambda pair: (-pair[1], pair[0].bib_id))
-        return prints[:MAX_ITEMS]
-
-    def popular_books(self, candidates: list[BibRecord]) -> list[Recommendation]:
-        """Print candidates by descending circulation; zero-count items drop out."""
-        return [
-            Recommendation(
-                kind="print",
-                title=rec.title,
-                score=float(n),
-                bib_id=rec.bib_id,
-                call_number=rec.call_number,
-            )
-            for rec, n in self._ranked_prints(candidates)
-        ]
-
-    def ebook_suggestions(self, candidates: list[BibRecord]) -> list[Recommendation]:
-        """E-book candidates in call-number order.
-
-        Shelf ranges do not overlap (load_stackmap enforces it), so the
-        candidates of the nearby ranges hold each record at most once.
-        """
-        ordered = sorted(
-            (rec for rec in candidates if rec.format == "ebook"),
-            key=lambda rec: (rec.call_number.sort_key(), rec.bib_id),
-        )
-        return [
-            Recommendation(
-                kind="ebook",
-                title=rec.title,
-                score=float(self.corpus.circulation_count(rec.bib_id)),
-                bib_id=rec.bib_id,
-                call_number=rec.call_number,
-            )
-            for rec in ordered[:MAX_EBOOKS]
-        ]
 
     def database_suggestions(self, ranges: list[CallNumberRange]) -> list[Recommendation]:
         """Journal titles that dominate a subject search, plus curated databases.
@@ -222,29 +200,28 @@ class Recommender:
         share.  Curated database entries whose subject ranges intersect any
         nearby range are always included.
         """
-        summaries = [self._summary(r) for r in ranges]
+        return self._database_items([self._summary(r) for r in ranges])
+
+    def _database_items(self, summaries: list[RangeSummary]) -> list[Recommendation]:
+        """The summaries' journals, then their curated databases, each name once."""
         out: list[Recommendation] = []
         seen: set[str] = set()
         for s in summaries:
-            if s.journal is None:
-                continue
-            journal, share = s.journal
-            if share > MAJORITY_THRESHOLD and journal not in seen:
-                seen.add(journal)
-                out.append(Recommendation(kind="database", title=journal, score=share, name=journal))
-        near = {i for s in summaries for i in s.databases}
-        for i, entry in enumerate(self.corpus.databases):
-            if i in near and entry.name not in seen:
+            if s.journal is not None and s.journal.name not in seen:
+                seen.add(s.journal.name)
+                out.append(s.journal)
+        for i in sorted({i for s in summaries for i in s.databases}):
+            entry = self._curated[i]
+            if entry.name not in seen:
                 seen.add(entry.name)
-                out.append(
-                    Recommendation(kind="database", title=entry.name, score=1.0, name=entry.name)
-                )
+                out.append(entry)
         return out
 
-    def _dominant_journal(self, r: CallNumberRange) -> tuple[str, float] | None:
-        """The journal with most article hits for r's subject query, and its share.
+    def _dominant_journal(self, r: CallNumberRange) -> Recommendation | None:
+        """The journal with most article hits for r's subject query, scored by its share.
 
-        None when r is unclassified or its query finds nothing.
+        None when r is unclassified, its query finds nothing, or the journal's
+        share is not above MAJORITY_THRESHOLD.
         """
         query = subject_query_from_range(r, self.outline)
         results = self.corpus.article_search(query) if query is not None else []
@@ -252,4 +229,7 @@ class Recommender:
             return None
         shares = Counter(a.journal_title for a in results)
         journal, hits = max(shares.items(), key=lambda kv: (kv[1], kv[0]))
-        return journal, hits / len(results)
+        share = hits / len(results)
+        if share <= MAJORITY_THRESHOLD:
+            return None
+        return Recommendation(kind="database", title=journal, score=share, name=journal)

@@ -309,22 +309,23 @@ def test_each_telemetry_command_runs_on_reference_tables(tmp_path, capsys, small
 def test_serve_stops_on_sigterm_with_status_0_and_a_closed_log(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
     log = tmp_path / "api.jsonl"
-    proc = subprocess.Popen(
+    # leaving the with block closes the pipes
+    with subprocess.Popen(
         [sys.executable, "-m", "stackrec.cli", "serve", "--config", str(REFERENCE / "config.json"),
          "--port", "0", "--log", str(log)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        assert select.select([proc.stdout], [], [], 30)[0], "no output within 30 s"
-        line = proc.stdout.readline()
-        assert line.startswith("serving on http://"), line + proc.stderr.read()
-        url = line.split()[2].rstrip(",")
-        with urllib.request.urlopen(url + "/api/recommend/popularnear?x=337&y=128",
-                                    timeout=10) as resp:
-            assert resp.status == 200
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0, proc.stderr.read()
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no output within 30 s"
+            line = proc.stdout.readline()
+            assert line.startswith("serving on http://"), line + proc.stderr.read()
+            url = line.split()[2].rstrip(",")
+            with urllib.request.urlopen(url + "/api/recommend/popularnear?x=337&y=128",
+                                        timeout=10) as resp:
+                assert resp.status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
     assert len(log.read_text(encoding="utf-8").splitlines()) == 1

@@ -843,6 +843,15 @@ def test_popular_near_non_finite_400_logged(gateway, x, y):
     assert (entry.module, entry.status, entry.params) == ("recommend", 400, {"x": x, "y": y})
 
 
+@pytest.mark.parametrize("query", ["x=1", "y=2", ""])
+def test_popular_near_logs_only_the_parameters_sent(gateway, query):
+    uri = "/api/recommend/popularnear" + (f"?{query}" if query else "")
+    with GatewayServer(gateway) as server:
+        status, _ = _get(server.base_url + uri)
+    assert status == 400
+    assert _log_lines(gateway)[-1]["uri"] == uri
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -964,7 +973,9 @@ def test_fuzz_pipelined_requests_answered_in_order_one_log_line_each(gateway):
                 params = {k: v for k, v in (("x", x), ("y", y)) if v is not None}
                 sent.append(_get_request(f"/api/recommend/popularnear?{urllib.parse.urlencode(params)}"))
                 ok = _finite(x) and _finite(y)
-                expected.append((f"/api/recommend/popularnear?x={x}&y={y}", 200 if ok else 400,
+                query = "&".join(f"{k}={v}" for k, v in params.items())
+                uri = "/api/recommend/popularnear" + (f"?{query}" if query else "")
+                expected.append((uri, 200 if ok else 400,
                                  {"x": float(x), "y": float(y)} if ok else None))
             if unread is not None:  # its answer closes the connection: the GET after it goes unread
                 sent += [_unread_body_request(unread), _get_request(MAP_DATA_URI)]

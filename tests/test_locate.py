@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -147,4 +148,14 @@ def test_load_beacons_duplicate_id_fatal(tmp_path):
     path = tmp_path / "beacons.csv"
     path.write_text("beacon_id,x,y,tx_power\nb1,0,0,-59\nb1,5,5,-59\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
+        load_beacons(path)
+
+
+@pytest.mark.parametrize("x, y, tx_power", [
+    ("nan", "0", "-59"), ("0", "inf", "-59"), ("-inf", "0", ""), ("0", "1e309", "-59"), ("0", "0", "5"),
+])
+def test_load_beacons_refuses_bad_values_naming_file_and_row(tmp_path, x, y, tx_power):
+    path = tmp_path / "beacons.csv"
+    path.write_text(f"beacon_id,x,y,tx_power\nb1,0,0,-59\nb2,{x},{y},{tx_power}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} row 3: "):
         load_beacons(path)

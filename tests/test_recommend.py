@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from stackrec import lccn, stacksmap
 from stackrec.corpus import BibRecord, CorpusStore, load_corpus
 from stackrec.lccn import ClassificationOutline
-from stackrec.recommend import Recommender, subject_query_from_range
+from stackrec.recommend import (
+    MAX_EBOOKS, MAX_ITEMS, Recommendation, Recommender, subject_query_from_range,
+)
 from stackrec.stacksmap import Rect, Shelf, StackMap
 
 from conftest import REFERENCE, count_calls
@@ -93,23 +95,43 @@ def test_ebook_shelved_nearby_is_suggested(ref_recommender):
     assert "hat_606736" in [i.bib_id for i in ebooks]
 
 
-def test_no_ebooks_in_range_is_empty(ref_recommender, ref_corpus):
-    candidates = ref_corpus.books_in_range(lccn.parse_range("PZ5", "PZ90"))
-    assert ref_recommender.ebook_suggestions(candidates) == []
+def _one_shelf(store, outline, start, end):
+    """A recommender over one shelf holding start..end, and the shelf's centre."""
+    shelf = Shelf(1, Rect(0.0, 0.0, 10.0, 5.0), lccn.parse_range(start, end))
+    return Recommender(StackMap([shelf]), store, outline, radius=0.0), shelf.bounds.center
 
 
-def test_ebook_suggestions_keep_only_ebooks(ref_recommender, ref_corpus):
-    candidates = ref_corpus.books_in_range(lccn.parse_range("PS1", "PS3626"))
-    assert any(rec.format == "print" for rec in candidates)
-    assert [i.bib_id for i in ref_recommender.ebook_suggestions(candidates)] == ["hat_615138"]
+def _store(rows):
+    """A CorpusStore of (bib_id, call number, format, circulation count) rows."""
+    recs = [BibRecord(bib_id, bib_id, lccn.parse(cn), fmt) for bib_id, cn, fmt, _ in rows]
+    charges = Counter({bib_id: n for bib_id, _, _, n in rows if n})
+    return CorpusStore({r.bib_id: r for r in recs}, charges, [], [])
 
 
-def test_popular_books_tie_break_and_zero_exclusion(ref_recommender, ref_corpus):
-    recs = {r.bib_id: r for r in ref_corpus.records.values()}
-    # counts: uiu_9000001=2, hat_615138 is ebook, hat_606736 count 0
-    candidates = [recs["uiu_9000001"], recs["hat_606736"], recs["uiu_8127460"]]
-    items = ref_recommender.popular_books(candidates)
-    assert [i.bib_id for i in items] == ["uiu_8127460", "uiu_9000001"]
+def test_no_ebooks_in_range_is_empty(ref_corpus, ref_outline):
+    rec, centre = _one_shelf(ref_corpus, ref_outline, "PZ5", "PZ90")
+    kinds = [i.kind for i in rec.recommend_near(centre).items]
+    assert "print" in kinds and "ebook" not in kinds
+
+
+def test_ebook_suggestions_keep_only_ebooks(ref_outline):
+    store = _store([
+        ("uiu_1", "B4", "ebook", 9), ("uiu_2", "B2", "print", 3), ("uiu_3", "B3 .A1", "ebook", 0),
+        ("uiu_4", "B1", "ebook", 2), ("uiu_5", "B3", "ebook", 0), ("uiu_6", "B5", "print", 1),
+    ])
+    rec, centre = _one_shelf(store, ref_outline, "B1", "B5")
+    ebooks = [(i.bib_id, i.score) for i in rec.recommend_near(centre).items if i.kind == "ebook"]
+    assert ebooks == [("uiu_4", 2.0), ("uiu_5", 0.0), ("uiu_3", 0.0)]
+
+
+def test_popular_books_tie_break_and_zero_exclusion(ref_outline):
+    store = _store([
+        ("uiu_3", "B1", "print", 2), ("uiu_1", "B2", "print", 0), ("uiu_2", "B3", "print", 2),
+        ("uiu_4", "B4", "print", 5), ("uiu_5", "B5", "ebook", 7),
+    ])
+    rec, centre = _one_shelf(store, ref_outline, "B1", "B5")
+    prints = [(i.bib_id, i.score) for i in rec.recommend_near(centre).items if i.kind == "print"]
+    assert prints == [("uiu_4", 5.0), ("uiu_2", 2.0), ("uiu_3", 2.0)]
 
 
 def test_subject_query_head_term_reduction(ref_outline):
@@ -367,3 +389,23 @@ def test_second_request_at_a_point_classifies_nothing(monkeypatch, ref_stackmap,
     classified[0] = searched[0] = 0
     assert rec.recommend_near(HOTSPOT).to_dict() == first.to_dict()
     assert classified[0] == searched[0] == 0
+
+
+def test_warmed_recommend_near_builds_and_counts_nothing(monkeypatch, ref_stackmap, ref_corpus,
+                                                          ref_outline):
+    rec = Recommender(ref_stackmap, ref_corpus, ref_outline, radius=25.0)
+    points = [s.bounds.center for s in ref_stackmap.shelves] + [HOTSPOT]
+    first = [rec.recommend_near(p).to_dict() for p in points]
+    built = count_calls(monkeypatch, Recommendation, "__init__")
+    counted = count_calls(monkeypatch, CorpusStore, "circulation_count")
+    assert [rec.recommend_near(p).to_dict() for p in points] == first
+    assert built[0] == counted[0] == 0
+
+
+def test_summaries_stay_bounded_by_the_map(ref_stackmap, ref_corpus, ref_outline):
+    rec = Recommender(ref_stackmap, ref_corpus, ref_outline, radius=25.0)
+    for shelf in ref_stackmap.shelves:
+        rec.recommend_near(shelf.bounds.center)
+    assert set(rec._summaries) <= {s.range for s in ref_stackmap.shelves}
+    for summary in rec._summaries.values():
+        assert len(summary.prints) <= MAX_ITEMS and len(summary.ebooks) <= MAX_EBOOKS
