@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--outline", required=True)
-    p.add_argument("--stackmap")
     p.add_argument("--out", required=True)
     p.add_argument("--fit", action="store_true")
     p.add_argument("--per-request", action="store_true")

@@ -62,27 +62,33 @@ def read_table(
     field that spans lines, it is the row's last line.  Columns may come in
     any order, and blanks around a header name are ignored.  A short row reads
     as blanks, and so does an optional column that the header lacks.  Raises
-    ValueError when the header lacks one of columns.
+    ValueError when the header lacks one of columns, or when the file is not
+    UTF-8 or not CSV.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [name.strip() for name in next(reader, ())]
-        if not set(columns) <= set(header):
-            raise ValueError(f"{path}: expected columns {','.join(columns)}")
-        # A repeated name reads its last column.  An absent optional column
-        # reads the field just past the header's, which every row has blank.
-        index = {name: i for i, name in enumerate(header)}
-        spare = len(header)
-        picks = [index.get(name, spare) for name in columns + optional]
-        pick = itemgetter(*picks)
-        if len(picks) == 1:  # itemgetter of one index returns the bare value
-            pick = lambda row, get=pick: (get(row),)
-        width = max(picks) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            if width > spare:  # an absent optional column reads row[spare]
-                row[spare] = ""
-            yield reader.line_num, pick(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader, ())]
+            if not set(columns) <= set(header):
+                raise ValueError(f"{path}: expected columns {','.join(columns)}")
+            # A repeated name reads its last column.  An absent optional column
+            # reads the field just past the header's, which every row has blank.
+            index = {name: i for i, name in enumerate(header)}
+            spare = len(header)
+            picks = [index.get(name, spare) for name in columns + optional]
+            pick = itemgetter(*picks)
+            if len(picks) == 1:  # itemgetter of one index returns the bare value
+                pick = lambda row, get=pick: (get(row),)
+            width = max(picks) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                if width > spare:  # an absent optional column reads row[spare]
+                    row[spare] = ""
+                yield reader.line_num, pick(row)
+    except UnicodeDecodeError as exc:  # the decoder reads ahead of the rows, so no row is named
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise ValueError(f"{path}: {exc}") from None

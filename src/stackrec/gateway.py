@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl, quote, urlsplit
 
 from . import corpus, lccn, locate, stacksmap
 from .config import ServiceConfig
@@ -226,7 +226,7 @@ class Gateway:
 
     def handle_popular_near(self, x_raw: str | None, y_raw: str | None) -> tuple[int, dict]:
         params = {k: v for k, v in (("x", x_raw), ("y", y_raw)) if v is not None}
-        query = "&".join(f"{k}={v}" for k, v in params.items())
+        query = "&".join(f"{k}={quote(v, safe='')}" for k, v in params.items())
         uri = "/api/recommend/popularnear" + (f"?{query}" if query else "")
         try:
             if x_raw is None or y_raw is None:

@@ -58,6 +58,7 @@ _TITLE_WORDS = [
 HEAD_CLASSES = ("PS", "PR")
 CHARGE_SCALE = 4000             # charges of the rank-1 item
 EBOOK_SHARE = 0.12
+N_BEACONS = 12                  # in 4 columns of 3, over the floor
 
 # Patron walks: draw weights of the near-shelf, aisle and entrance zones, and
 # extra idle steps as a fraction of requests.
@@ -110,7 +111,6 @@ def gen_corpus(
     alpha: float = 1.0,
     out_dir: str | Path = "fixtures",
     n_shelves: int = 40,
-    n_beacons: int = 12,
 ) -> FixtureSet:
     """Write a deterministic synthetic fixture set under out_dir.
 
@@ -210,11 +210,9 @@ def gen_corpus(
 
     with open(fixtures.beacons, "w", encoding="utf-8", newline="") as fh:
         fh.write("beacon_id,x,y,tx_power\n")
-        bcols = 4
-        brows = (n_beacons + bcols - 1) // bcols
-        for i in range(n_beacons):
-            bx = 80.0 + (i % bcols) * 260.0
-            by = 100.0 + (i // bcols) * (320.0 / max(1, brows - 1) if brows > 1 else 1)
+        for i in range(N_BEACONS):
+            bx = 80.0 + (i % 4) * 260.0
+            by = 100.0 + (i // 4) * 160.0
             fh.write(f"b{i + 1:02d},{bx},{by},{locate.DEFAULT_TX_POWER}\n")
 
     shutil.copyfile(packaged_outline_path(), fixtures.outline)

@@ -278,28 +278,31 @@ def load_outline(path: str | Path) -> ClassificationOutline:
     """
     outline = ClassificationOutline()
     seen_ranges: dict[tuple, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                outline.diagnostics.append(f"line {line_no}: expected 3 tab-separated fields")
-                continue
-            try:
-                rng = parse_range(fields[0].strip(), fields[1].strip())
-            except (ParseError, ValueError) as exc:
-                outline.diagnostics.append(f"line {line_no}: {exc}")
-                continue
-            key = (rng.start.sort_key(), rng.upper)
-            if key in seen_ranges:
-                outline.diagnostics.append(
-                    f"line {line_no}: duplicate range (first defined at line {seen_ranges[key]}); ignored"
-                )
-                continue
-            seen_ranges[key] = line_no
-            outline.entries.append(OutlineEntry(rng, fields[2].strip(), line_no))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    outline.diagnostics.append(f"line {line_no}: expected 3 tab-separated fields")
+                    continue
+                try:
+                    rng = parse_range(fields[0].strip(), fields[1].strip())
+                except (ParseError, ValueError) as exc:
+                    outline.diagnostics.append(f"line {line_no}: {exc}")
+                    continue
+                key = (rng.start.sort_key(), rng.upper)
+                if key in seen_ranges:
+                    outline.diagnostics.append(
+                        f"line {line_no}: duplicate range (first defined at line {seen_ranges[key]}); ignored"
+                    )
+                    continue
+                seen_ranges[key] = line_no
+                outline.entries.append(OutlineEntry(rng, fields[2].strip(), line_no))
+    except UnicodeDecodeError as exc:  # the decoder reads ahead of the lines, so no line is named
+        raise OutlineLoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not outline.entries:
         raise OutlineLoadError(f"no valid outline entries in {path}")
     outline.entries.sort(key=lambda e: (e.range.upper, e.line_no))

@@ -1,7 +1,7 @@
 """BLE-beacon positioning: RSSI observations in, patron coordinates out.
 
 Log-distance path loss turns RSSI into a range estimate per beacon; the
-position is the 1/d-weighted centroid of the k strongest known beacons.
+position is the 1/d-weighted centroid of the K strongest known beacons.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from .config import read_table
 log = logging.getLogger(__name__)
 
 DEFAULT_TX_POWER = -59.0        # dBm at 1 m, conventional for BLE proximity beacons
-DEFAULT_PATH_LOSS_EXPONENT = 2.0
-DEFAULT_K = 3
+PATH_LOSS_EXPONENT = 2.0        # free space
+K = 3                           # strongest beacons in the centroid
 
 
 class NoKnownBeacons(ValueError):
@@ -52,23 +52,16 @@ class BeaconObservation:
 class PatronLocation:
     x: float
     y: float
-    confidence_radius: float = 0.0
+    confidence_radius: float
 
 
-def rssi_to_distance(rssi: float, tx_power: float, path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT) -> float:
-    """Log-distance path-loss model: d = 10^((tx_power - rssi) / (10 n)), meters."""
-    if path_loss_exponent <= 0:
-        raise ValueError("path_loss_exponent must be > 0")
-    return 10.0 ** ((tx_power - rssi) / (10.0 * path_loss_exponent))
+def rssi_to_distance(rssi: float, tx_power: float) -> float:
+    """Log-distance path-loss model: d = 10^((tx_power - rssi) / (10 n)), meters, n = PATH_LOSS_EXPONENT."""
+    return 10.0 ** ((tx_power - rssi) / (10.0 * PATH_LOSS_EXPONENT))
 
 
-def estimate_position(
-    observations: list[BeaconObservation],
-    deployment: list[Beacon],
-    k: int = DEFAULT_K,
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-) -> PatronLocation:
-    """Weighted centroid of the k strongest matched beacons, weights 1/d.
+def estimate_position(observations: list[BeaconObservation], deployment: list[Beacon]) -> PatronLocation:
+    """Weighted centroid of the K strongest matched beacons, weights 1/d.
 
     Observations naming unknown beacons are ignored (counted in a warning).
     The confidence radius is the weighted mean of the per-beacon distances.
@@ -82,11 +75,11 @@ def estimate_position(
         raise NoKnownBeacons("no observation matches a deployed beacon")
     # strongest = highest rssi; ties broken by beacon_id for determinism
     matched.sort(key=lambda pair: (-pair[0].rssi, pair[1].beacon_id))
-    matched = matched[:k]
+    matched = matched[:K]
 
     weights, xs, ys, dists = [], [], [], []
     for obs, beacon in matched:
-        d = max(rssi_to_distance(obs.rssi, beacon.tx_power, path_loss_exponent), 1e-9)
+        d = max(rssi_to_distance(obs.rssi, beacon.tx_power), 1e-9)
         weights.append(1.0 / d)
         dists.append(d)
         xs.append(beacon.x)

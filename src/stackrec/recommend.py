@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from . import lccn, stacksmap
 from .corpus import BibRecord, CorpusStore
 from .lccn import CallNumber, CallNumberRange, ClassificationOutline, Unclassified
-from .locate import PatronLocation
 from .stacksmap import Point, StackMap
 
 SCHEMA_VERSION = 1
@@ -90,7 +89,7 @@ class RangeSummary:
 
 @dataclass
 class RecommendationSet:
-    location: PatronLocation
+    location: Point                 # the point asked about
     ranges_used: list[CallNumberRange]
     items: list[Recommendation]
 
@@ -101,7 +100,7 @@ class RecommendationSet:
     def to_dict(self) -> dict:
         return {
             "v": SCHEMA_VERSION,
-            "location": {"x": self.location.x, "y": self.location.y},
+            "location": {"x": self.location[0], "y": self.location[1]},
             "ranges": [
                 {"start": lccn.canonical_format(r.start), "end": lccn.canonical_format(r.end)}
                 for r in self.ranges_used
@@ -152,14 +151,13 @@ class Recommender:
     def recommend_near(self, p: Point) -> RecommendationSet:
         """Full pipeline for one point; empty ranges/items is a normal outcome."""
         ranges = stacksmap.ranges_for_location(p, self.stackmap, self.radius)
-        location = PatronLocation(p[0], p[1])
         if not ranges:
-            return RecommendationSet(location, [], [])
+            return RecommendationSet(p, [], [])
         summaries = [self._summary(r) for r in ranges]
         items = sorted((i for s in summaries for i in s.prints), key=_by_count)[:MAX_ITEMS]
         items += sorted((i for s in summaries for i in s.ebooks), key=_by_shelf)[:MAX_EBOOKS]
         items += self._database_items(summaries)
-        return RecommendationSet(location, ranges, items)
+        return RecommendationSet(p, ranges, items)
 
     def _summary(self, r: CallNumberRange) -> RangeSummary:
         """The summary of r, built the first time any request asks for it.

@@ -366,12 +366,11 @@ def _next_month(ym: tuple[int, int]) -> tuple[int, int]:
     return (year + 1, 1) if month == 12 else (year, month + 1)
 
 
-def time_series(entries: list[ApiLogEntry], module: str | None = None) -> list[tuple[str, int]]:
-    """Per-calendar-month request counts, zero-filled over the entries' span."""
-    selected = [e for e in entries if module is None or e.module == module]
-    if not selected:
+def time_series(entries: list[ApiLogEntry], module: str) -> list[tuple[str, int]]:
+    """Per-calendar-month request counts of one module, zero-filled over its entries' span."""
+    months = [_month_of(e.timestamp) for e in entries if e.module == module]
+    if not months:
         return []
-    months = [_month_of(e.timestamp) for e in selected]
     counter = Counter(months)
     series = []
     ym = min(months)

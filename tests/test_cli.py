@@ -278,12 +278,11 @@ def small_logs(tmp_path):
     return [str(gateway_log), str(modules_log)]
 
 
-_TABLES = [*_REF_ARGS["catalog"], *_REF_ARGS["outline"],
-           "--stackmap", str(REFERENCE / "stackmap.csv")]
+_TABLES = [*_REF_ARGS["catalog"], *_REF_ARGS["outline"]]
 
 
 @pytest.mark.parametrize("argv, written, printed", [
-    (["annotate", *_TABLES, "--out", "{out}/wayfinder.csv"],
+    (["annotate", *_TABLES, "--stackmap", str(REFERENCE / "stackmap.csv"), "--out", "{out}/wayfinder.csv"],
      ["wayfinder.csv", "wayfinder_recommend.csv"], "(7 entries)"),
     (["subjects", *_TABLES, "--fit", "--out", "{out}/subjects.csv"],
      ["subjects.csv"], "power-law fit: exponent"),

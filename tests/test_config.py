@@ -116,6 +116,13 @@ def test_read_table_reads_an_absent_optional_column_as_blank(tmp_path):
         (2, ("b1", "")), (3, ("b2", ""))]
 
 
+def test_read_table_refuses_a_field_over_the_csv_limit_naming_the_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text('a,b\n1,"' + "x" * (csv.field_size_limit() + 1) + '"\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: field larger than field limit"):
+        list(read_table(path, ("a", "b")))
+
+
 # A table with a blank line before a bad row: the row is on line 4.
 def _after_blank_line(tmp_path, name, header, good, bad):
     path = tmp_path / name

@@ -852,6 +852,14 @@ def test_popular_near_logs_only_the_parameters_sent(gateway, query):
     assert _log_lines(gateway)[-1]["uri"] == uri
 
 
+def test_popular_near_logs_a_refused_value_quoted_so_no_valid_request_shares_its_uri(gateway):
+    with GatewayServer(gateway) as server:
+        status, _ = _get(server.base_url + "/api/recommend/popularnear?x=1%26y%3D2")
+    assert status == 400
+    line = _log_lines(gateway)[-1]
+    assert (line["uri"], line["params"]) == ("/api/recommend/popularnear?x=1%26y%3D2", {"x": "1&y=2"})
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -951,6 +959,11 @@ _PIPELINED = st.lists(
 )
 
 
+def _refuse_constant(name: str):
+    """A json.loads parse_constant hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise AssertionError(f"answer body holds {name}")
+
+
 _EMPTY_LINES = st.sampled_from([b"", b"", b"\r\n", b"\n", b"\r\n\n", b"\r\n" * MAX_BLANK_LINES])
 
 
@@ -973,7 +986,7 @@ def test_fuzz_pipelined_requests_answered_in_order_one_log_line_each(gateway):
                 params = {k: v for k, v in (("x", x), ("y", y)) if v is not None}
                 sent.append(_get_request(f"/api/recommend/popularnear?{urllib.parse.urlencode(params)}"))
                 ok = _finite(x) and _finite(y)
-                query = "&".join(f"{k}={v}" for k, v in params.items())
+                query = "&".join(f"{k}={urllib.parse.quote(v, safe='')}" for k, v in params.items())
                 uri = "/api/recommend/popularnear" + (f"?{query}" if query else "")
                 expected.append((uri, 200 if ok else 400,
                                  {"x": float(x), "y": float(y)} if ok else None))
@@ -989,8 +1002,9 @@ def test_fuzz_pipelined_requests_answered_in_order_one_log_line_each(gateway):
             assert len(answers) == len(expected)
             for (status, _, body), (_, want, location) in zip(answers, expected):
                 assert status == want if want is not None else status in (200, 400, 404)
+                decoded = json.loads(body, parse_constant=_refuse_constant)
                 if location is not None:
-                    assert json.loads(body)["location"] == location
+                    assert decoded["location"] == location
             logged = [(uri, status) for (status, _, _), (uri, _, _) in zip(answers, expected) if uri]
             assert [(line["uri"], line["status"]) for line in lines] == logged
             logged_total += len(logged)

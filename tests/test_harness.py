@@ -39,7 +39,7 @@ def test_gen_corpus_seed_changes_output(tmp_path):
 
 
 def test_small_corpus_loads_cleanly(tmp_path):
-    fixtures = gen_corpus(3, 10, out_dir=tmp_path, n_shelves=4, n_beacons=2)
+    fixtures = gen_corpus(3, 10, out_dir=tmp_path, n_shelves=4)
     store = corpus.load_corpus(
         fixtures.catalog, fixtures.circulation, fixtures.articles, fixtures.databases
     )
@@ -47,7 +47,7 @@ def test_small_corpus_loads_cleanly(tmp_path):
     assert not store.diagnostics
     stack = stacksmap.load_stackmap(fixtures.stackmap)
     assert 1 <= len(stack.shelves) <= 4
-    assert len(locate.load_beacons(fixtures.beacons)) == 2
+    assert len(locate.load_beacons(fixtures.beacons)) == 12
     lccn.load_outline(fixtures.outline)
 
 

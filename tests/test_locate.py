@@ -23,16 +23,11 @@ def test_distance_is_one_meter_at_reference_power():
 
 def test_distance_hand_check():
     # 10^((−59 − (−79)) / 20) = 10^1
-    assert rssi_to_distance(-79, -59, 2.0) == pytest.approx(10.0)
+    assert rssi_to_distance(-79, -59) == pytest.approx(10.0)
 
 
 def test_distance_strictly_decreasing_in_rssi():
     assert rssi_to_distance(-60, -59) < rssi_to_distance(-70, -59)
-
-
-def test_bad_path_loss_exponent():
-    with pytest.raises(ValueError):
-        rssi_to_distance(-60, -59, 0.0)
 
 
 DEPLOYMENT = [
@@ -69,7 +64,7 @@ def test_three_beacons_match_hand_computed_weights():
     ex = sum(w * positions[bid][0] for bid, w in weights.items()) / total
     ey = sum(w * positions[bid][1] for bid, w in weights.items()) / total
 
-    loc = estimate_position(obs, DEPLOYMENT, k=3)
+    loc = estimate_position(obs, DEPLOYMENT)
     assert loc.x == pytest.approx(ex)
     assert loc.y == pytest.approx(ey)
     assert loc.confidence_radius == pytest.approx(
@@ -95,16 +90,16 @@ def test_only_k_strongest_contribute():
         BeaconObservation("c", -60.0),
         BeaconObservation("d", -90.0),
     ]
-    with_k3 = estimate_position(obs, DEPLOYMENT, k=3)
-    without_d = estimate_position(obs[:3], DEPLOYMENT, k=3)
-    assert (with_k3.x, with_k3.y) == (without_d.x, without_d.y)
+    with_d = estimate_position(obs, DEPLOYMENT)
+    without_d = estimate_position(obs[:3], DEPLOYMENT)
+    assert (with_d.x, with_d.y) == (without_d.x, without_d.y)
 
 
 def test_estimate_in_convex_hull():
     rng = random.Random(11)
     for _ in range(100):
         obs = [BeaconObservation(b.beacon_id, rng.uniform(-100, -40)) for b in DEPLOYMENT]
-        loc = estimate_position(obs, DEPLOYMENT, k=4)
+        loc = estimate_position(obs, DEPLOYMENT)
         assert -1e-9 <= loc.x <= 10 + 1e-9
         assert -1e-9 <= loc.y <= 10 + 1e-9
 
@@ -115,9 +110,9 @@ def test_permutation_invariance():
         BeaconObservation("b", -65.0),
         BeaconObservation("c", -70.0),
     ]
-    base = estimate_position(obs, DEPLOYMENT, k=3)
+    base = estimate_position(obs, DEPLOYMENT)
     for perm in itertools.permutations(obs):
-        loc = estimate_position(list(perm), DEPLOYMENT, k=3)
+        loc = estimate_position(list(perm), DEPLOYMENT)
         assert (loc.x, loc.y) == (base.x, base.y)
 
 
@@ -127,8 +122,8 @@ def test_stronger_rssi_pulls_estimate_closer(r1, r2):
     assume(stronger > weaker)
     obs_weak = [BeaconObservation("a", weaker), BeaconObservation("b", -60.0)]
     obs_strong = [BeaconObservation("a", stronger), BeaconObservation("b", -60.0)]
-    weak = estimate_position(obs_weak, DEPLOYMENT, k=2)
-    strong = estimate_position(obs_strong, DEPLOYMENT, k=2)
+    weak = estimate_position(obs_weak, DEPLOYMENT)
+    strong = estimate_position(obs_strong, DEPLOYMENT)
     d_weak = math.hypot(weak.x - 0.0, weak.y - 0.0)
     d_strong = math.hypot(strong.x - 0.0, strong.y - 0.0)
     # monotone: never farther, strictly closer once the gap is material

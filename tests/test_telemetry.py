@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackrec import telemetry
-from stackrec.gateway import ApiLogEntry, Gateway, TransactionLog
+from stackrec.gateway import MODULES, ApiLogEntry, Gateway, TransactionLog
 from stackrec.stacksmap import Rect
 from stackrec.telemetry import (
     GridSpec,
@@ -198,7 +198,8 @@ def test_fuzz_parse_logs_never_raises_and_accounts_for_every_line(lines):
         parsed = parse_logs([path])
     assert len(parsed.entries) + len(parsed.malformed) == sum(1 for line in lines if line.strip())
     # what parsed cleanly flows through the batch analyses
-    time_series(parsed.entries)
+    for module in MODULES:
+        time_series(parsed.entries, module)
     mine_queries(parsed.entries, "catalog")
     trace_identifier("uiu_8127460", parsed.entries)
     heatmap_points(
