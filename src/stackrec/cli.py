@@ -1,7 +1,7 @@
 """Command-line front end: serve, telemetry subcommands, harness subcommands.
 
-The telemetry and harness modules, and numpy with them, are imported only by
-the commands that use them, so that ``stackrec serve`` loads only what it serves.
+The telemetry module, which loads numpy, and harness are imported only by the
+commands that use them, so that ``stackrec serve`` loads only what it serves.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import signal
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import corpus, lccn, stacksmap
 from .config import ServiceConfig
@@ -93,9 +94,11 @@ def cmd_heatmap(args) -> int:
     if args.stackmap:
         extent = stacksmap.load_stackmap(args.stackmap).map_extent
     elif points:
+        # Far from the origin the widening is lost, which a Rect would refuse;
+        # GridSpec.covering gives each side at least one cell.
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-        extent = stacksmap.Rect(min(xs), min(ys), max(xs) + 1e-9, max(ys) + 1e-9)
+        extent = SimpleNamespace(x_min=min(xs), y_min=min(ys), x_max=max(xs) + 1e-9, y_max=max(ys) + 1e-9)
     else:
         print("error: no points and no --stackmap to size the grid", file=sys.stderr)
         return 2
@@ -161,7 +164,7 @@ def cmd_monthly(args) -> int:
 
 def cmd_gen(args) -> int:
     from . import harness
-    fixtures = harness.gen_corpus(args.seed, args.records, args.alpha, args.out)
+    fixtures = harness.gen_corpus(args.seed, args.records, args.out)
     print(f"fixtures written under {fixtures.root}")
     return 0
 
@@ -178,9 +181,11 @@ def cmd_walk(args) -> int:
 
 def cmd_report(args) -> int:
     from . import harness
-    config = harness.ReportConfig.from_json(args.config) if args.config else harness.ReportConfig()
+    config = harness.ReportConfig()
     if args.out:
         config.out_dir = args.out
+    if args.seed is not None:
+        config.seed = args.seed
     try:
         summary = harness.run_report(config)
     except harness.ReportError as exc:
@@ -261,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = har.add_parser("gen", help="generate a synthetic fixture set")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--records", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_walk)
 
     p = har.add_parser("report", help="full end-to-end run: gen, replay, analyze")
-    p.add_argument("--config")
+    p.add_argument("--seed", type=int, help="seed of the study (default: ReportConfig.seed)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

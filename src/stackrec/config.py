@@ -1,12 +1,13 @@
-"""Service configuration: the library's data files, how their tables are read,
-and the recommendation radius, from JSON."""
+"""Service configuration: the library's data files, how their tables are read
+and written, and the recommendation radius, from JSON."""
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,19 +37,40 @@ class ServiceConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ServiceConfig":
+        """Raises ValueError naming the file, and the key when one is at fault."""
         path = Path(path)
         raw = json.loads(path.read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a service config is a JSON object, not {type(raw).__name__}")
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(known)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        cfg = cls(**raw)
-        # Relative data paths resolve against the config file's directory.
         for name in DATA_FILES:
-            value = getattr(cfg, name)
-            if value is not None and not Path(value).is_absolute():
-                setattr(cfg, name, str(path.parent / value))
-        return cfg
+            value = raw.get(name)
+            if value is None:
+                if known[name].default is MISSING:
+                    raise ValueError(f"{path}: {name} is required")
+            elif not isinstance(value, str):
+                raise ValueError(f"{path}: {name} must be a path string, not {value!r}")
+            elif not Path(value).is_absolute():  # resolves against the config's directory
+                raw[name] = str(path.parent / value)
+        radius = raw.get("radius")
+        # A bool is an int, and NaN fails every comparison.
+        if radius is not None and (isinstance(radius, bool) or not isinstance(radius, (int, float))
+                                   or not 0 <= radius <= sys.float_info.max):
+            raise ValueError(f"{path}: radius must be a finite number >= 0, not {radius!r}")
+        return cls(**raw)
+
+
+def quoted(value: str) -> str:
+    """value as one quoted CSV field, any inner quote doubled (RFC 4180)."""
+    return '"' + value.replace('"', '""') + '"'
+
+
+def csv_field(value: str) -> str:
+    """value as one CSV field, quoted only when it holds a comma, a quote or a line break."""
+    return quoted(value) if any(c in value for c in ',"\r\n') else value
 
 
 def read_table(

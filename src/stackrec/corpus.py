@@ -122,7 +122,7 @@ def load_corpus(
                 call_number=lccn.parse(call_number.strip()),
                 format=fmt.strip(),
             )
-        except (ValueError, lccn.ParseError) as exc:
+        except ValueError as exc:
             diagnostics.append(f"{catalog_path} row {row_no}: {exc}")
 
     charges: Counter = Counter()
@@ -146,7 +146,7 @@ def load_corpus(
             name = name.strip()
             try:
                 rng = lccn.parse_range(start, end)
-            except (ValueError, lccn.ParseError) as exc:
+            except ValueError as exc:
                 diagnostics.append(f"{databases_path} row {row_no}: {exc}")
                 continue
             by_name.setdefault(name, []).append(rng)

@@ -194,7 +194,7 @@ class Gateway:
                 uri=uri,
                 params=params,
                 status=status,
-                bib_ids=bib_ids if 200 <= status < 300 else (),
+                bib_ids=bib_ids,
             )
         )
 

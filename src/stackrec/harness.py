@@ -15,15 +15,15 @@ import random
 import shutil
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
-from . import corpus, lccn, locate, stacksmap, telemetry
-from .config import DATA_FILES, ServiceConfig
+from . import corpus, lccn, locate, stacksmap
+from .config import DATA_FILES, ServiceConfig, quoted
 from .gateway import ApiLogEntry, Gateway, GatewayServer
-from .telemetry import GridSpec, quoted
 
 log = logging.getLogger(__name__)
 
@@ -54,16 +54,19 @@ _TITLE_WORDS = [
     "survey", "perspectives", "handbook", "anthology", "notes", "guide",
 ]
 
-# Circulation skew: the most-charged ranks go to the head classes.
+# Circulation skew: the most-charged ranks go to the head classes, and the
+# charges of rank r fall as a Zipf law, CHARGE_SCALE / r ** ZIPF_EXPONENT.
 HEAD_CLASSES = ("PS", "PR")
 CHARGE_SCALE = 4000             # charges of the rank-1 item
+ZIPF_EXPONENT = 1.0
 EBOOK_SHARE = 0.12
 N_BEACONS = 12                  # in 4 columns of 3, over the floor
 
-# Patron walks: draw weights of the near-shelf, aisle and entrance zones, and
-# extra idle steps as a fraction of requests.
+# Patron walks: draw weights of the near-shelf, aisle and entrance zones, extra
+# idle steps as a fraction of requests, and the requests' wayfinding share.
 ZONE_WEIGHTS = (0.62, 0.18, 0.20)
 IDLE_SHARE = 0.10
+WAYFIND_SHARE = 1 / 3
 
 # The replay's wayfinding collection, and the report's heat-map cell and
 # Gaussian smoothing width, in map units.
@@ -108,20 +111,17 @@ def _random_call_number(rng: random.Random, letters: str, lo: int, hi: int) -> l
 def gen_corpus(
     seed: int,
     n_records: int,
-    alpha: float = 1.0,
     out_dir: str | Path = "fixtures",
     n_shelves: int = 40,
 ) -> FixtureSet:
     """Write a deterministic synthetic fixture set under out_dir.
 
     The catalog spreads over the configured classes; circulation follows a
-    Zipf(alpha) rank-frequency law with the head ranks concentrated in
+    Zipf(ZIPF_EXPONENT) rank-frequency law with the head ranks concentrated in
     HEAD_CLASSES.
     """
     if n_records < 10:
         raise ValueError("n_records must be >= 10")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,7 +163,7 @@ def gen_corpus(
     with open(fixtures.circulation, "w", encoding="utf-8", newline="") as fh:
         fh.write("bib_id,charge_date\n")
         for rank, (bib_id, *_rest) in enumerate(ranked, start=1):
-            count = max(1, round(CHARGE_SCALE / rank ** alpha))
+            count = max(1, round(CHARGE_SCALE / rank ** ZIPF_EXPONENT))
             for _ in range(count):
                 at = STUDY_START + timedelta(minutes=rng.randrange(window_minutes))
                 fh.write(f"{bib_id},{at.isoformat()}\n")
@@ -269,13 +269,12 @@ def gen_walk(
     stackmap_: stacksmap.StackMap,
     n_requests: int,
     corpus_: corpus.CorpusStore | None = None,
-    wayfind_share: float = 1 / 3,
 ) -> WalkScript:
     """A deterministic patron walk: near-shelf, aisle, and entrance-zone points.
 
     Near-shelf points pick a class by the configured draw weights (topical
     interest), then a point just outside that class's stack; wayfinding steps,
-    wayfind_share of the requests, target circulation-weighted items when a
+    WAYFIND_SHARE of the requests, target circulation-weighted items when a
     corpus is supplied.  The remaining requests are recommendations.
     """
     if n_requests < 0:
@@ -329,7 +328,7 @@ def gen_walk(
     mean_dwell = total_seconds / max(1, n_steps)
 
     actions = ["idle"] * n_idle
-    n_wayfind = round(n_requests * wayfind_share) if wayfind_bibs else 0
+    n_wayfind = round(n_requests * WAYFIND_SHARE) if wayfind_bibs else 0
     actions += ["wayfind"] * n_wayfind + ["recommend"] * (n_requests - n_wayfind)
     rng.shuffle(actions)
 
@@ -346,22 +345,15 @@ def gen_walk(
 
 @dataclass
 class ReportConfig:
+    """Where a study report goes and its seed; the study's sizes are constants."""
+
     out_dir: str = "report"
     seed: int = 7
-    records: int = 500
-    recommend_requests: int = 400
-    wayfind_requests: int = 200
-    catalog_searches: int = 600
-    journal_searches: int = 200
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ReportConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown report config keys {sorted(unknown)}")
-        return cls(**raw)
+    records: ClassVar[int] = 500
+    recommend_requests: ClassVar[int] = 400
+    wayfind_requests: ClassVar[int] = 200      # WAYFIND_SHARE of the walk's requests
+    catalog_searches: ClassVar[int] = 600
+    journal_searches: ClassVar[int] = 200
 
 
 class ReportError(RuntimeError):
@@ -430,6 +422,8 @@ def run_report(config: ReportConfig) -> dict:
     Returns a summary dict (also written to summary.json); raises ReportError
     naming the failing stage.
     """
+    from . import telemetry  # numpy with it, so only the report loads it
+
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -447,12 +441,8 @@ def run_report(config: ReportConfig) -> dict:
         raise ReportError("load", str(exc)) from exc
     store, stack, outline, txn_log = gw.corpus, gw.stackmap, gw.outline, gw.txn_log
 
-    walk = gen_walk(
-        config.seed + 1, stack, config.recommend_requests + config.wayfind_requests,
-        corpus_=store,
-        wayfind_share=config.wayfind_requests
-        / max(1, config.recommend_requests + config.wayfind_requests),
-    )
+    n_requests = config.recommend_requests + config.wayfind_requests
+    walk = gen_walk(config.seed + 1, stack, n_requests, corpus_=store)
     (out / "walk.json").write_text(walk.to_json(), encoding="utf-8")
 
     try:
@@ -495,7 +485,7 @@ def run_report(config: ReportConfig) -> dict:
         telemetry.write_recommend_table(annotated, out / "recommend_table.csv")
 
         rec_annotated = [a for a in annotated if a.entry.module == "recommend"]
-        spec = GridSpec.covering(stack.map_extent, CELL_SIZE, margin=CELL_SIZE)
+        spec = telemetry.GridSpec.covering(stack.map_extent, CELL_SIZE, margin=CELL_SIZE)
         grid = telemetry.heatmap(rec_annotated, spec, mode="bin")
         telemetry.write_grid_csv(grid, out / "heatmap_grid.csv")
         telemetry.write_grid_pgm(grid, out / "heatmap.pgm")

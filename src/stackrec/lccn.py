@@ -160,7 +160,7 @@ def _format(cn: CallNumber) -> str:
     head = f"{cn.class_letters}{cn.class_int}" + (f".{frac}" if frac else "")
     parts = [head]
     for i, c in enumerate(cn.cutters):
-        digits = c.digits.rstrip("0") or c.digits[:1]
+        digits = c.digits.rstrip("0")  # never empty: a Cutter refuses all-zero digits
         parts.append(("." if i == 0 else "") + f"{c.letter}{digits}")
     if cn.year is not None:
         parts.append(str(cn.year))
@@ -290,7 +290,7 @@ def load_outline(path: str | Path) -> ClassificationOutline:
                     continue
                 try:
                     rng = parse_range(fields[0].strip(), fields[1].strip())
-                except (ParseError, ValueError) as exc:
+                except ValueError as exc:
                     outline.diagnostics.append(f"line {line_no}: {exc}")
                     continue
                 key = (rng.start.sort_key(), rng.upper)

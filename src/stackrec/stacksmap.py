@@ -162,7 +162,7 @@ def load_stackmap(path: str | Path) -> StackMap:
                 bounds=Rect(float(x_min), float(y_min), float(x_max), float(y_max)),
                 range=lccn.parse_range(start, end),
             )
-        except (ValueError, lccn.ParseError) as exc:
+        except ValueError as exc:
             diagnostics.append(f"row {row_no}: {exc}")
             continue
         shelves.append(shelf)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lccn, stacksmap
+from .config import csv_field, quoted
 from .corpus import CorpusStore
 from .gateway import MODULES, ApiLogEntry
 from .lccn import ClassificationOutline, Unclassified
@@ -384,16 +385,6 @@ def time_series(entries: list[ApiLogEntry], module: str) -> list[tuple[str, int]
 
 
 # --- report output helpers -------------------------------------------------
-
-def quoted(value: str) -> str:
-    """value as one quoted CSV field, any inner quote doubled (RFC 4180)."""
-    return '"' + value.replace('"', '""') + '"'
-
-
-def csv_field(value: str) -> str:
-    """value as one CSV field, quoted only when it holds a comma, a quote or a line break."""
-    return quoted(value) if any(c in value for c in ',"\r\n') else value
-
 
 def write_grid_csv(grid: DensityGrid, path: str | Path) -> None:
     header = (

@@ -66,7 +66,8 @@ def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["harness", "gen", "--seed", "1", "--records", "20", "--alpha", "0"], "alpha must be > 0"),
+    (["telemetry", "heatmap", "--cell-size", "10", "--mode", "gaussian:0", "--logs", "{log}"],
+     "gaussian mode requires sigma > 0"),
     (["harness", "gen", "--seed", "1", "--records", "5"], "n_records must be >= 10"),
     (["telemetry", "heatmap", "--cell-size", "0", "--logs", "{log}"], "cell size must be > 0"),
 ])
@@ -132,8 +133,6 @@ _SERVICE_WITH_BAD_BEACONS = json.dumps({
 
 
 @pytest.mark.parametrize("argv, files, message", [
-    (["harness", "report", "--config", "{dir}/report.json", "--out", "{out}"],
-     {"report.json": '{"bogus": 1}'}, "unknown report config keys"),
     (["telemetry", "subjects", "--logs", "{log}", "--catalog", "{dir}/catalog.csv",
       *_REF_ARGS["outline"], "--out", "{out}"],
      {"catalog.csv": "id,name\n1,x\n"}, "expected columns"),
@@ -149,7 +148,7 @@ _SERVICE_WITH_BAD_BEACONS = json.dumps({
     (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
      {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "beacon_id,x,y\nb1,0,0\nb2,zero,0\n"},
      "beacons.csv row 3: could not convert string to float: 'zero'"),
-], ids=["harness-report", "telemetry-subjects", "telemetry-heatmap", "serve", "serve-short-row",
+], ids=["telemetry-subjects", "telemetry-heatmap", "serve", "serve-short-row",
         "serve-bad-number"])
 def test_malformed_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -213,13 +212,87 @@ def test_serve_with_a_config_that_is_not_json_is_one_stderr_line_and_status_2(tm
     assert not log.exists()
 
 
+def _service(**changes) -> str:
+    service = {name: str(REFERENCE / file) for name, file in (
+        ("catalog", "catalog.csv"), ("stackmap", "stackmap.csv"), ("outline", "outline.tsv"))}
+    service.update(changes)
+    return json.dumps({k: v for k, v in service.items() if v is not ...})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "a service config is a JSON object, not list"),
+    ("null", "a service config is a JSON object, not NoneType"),
+    (_service(stackmap=..., outline=...), "stackmap is required"),
+    (_service(outline=None), "outline is required"),
+    (_service(catalog=5), "catalog must be a path string, not 5"),
+    (_service(beacons=["beacons.csv"]), "beacons must be a path string"),
+    (_service(radius="25"), "radius must be a finite number >= 0, not '25'"),
+    (_service(radius=-1), "radius must be a finite number >= 0, not -1"),
+    (_service(radius=True), "radius must be a finite number >= 0, not True"),
+    (_service(radius=float("nan")), "radius must be a finite number >= 0, not nan"),
+    (_service(radius=float("inf")), "radius must be a finite number >= 0, not inf"),
+    (_service(radius=10 ** 400), "radius must be a finite number >= 0"),
+], ids=["list", "null", "no-stackmap-or-outline", "null-outline", "number-path", "list-path",
+        "radius-string", "radius-negative", "radius-bool", "radius-nan", "radius-inf",
+        "radius-past-float"])
+def test_serve_with_a_malformed_config_is_one_stderr_line_and_status_2(tmp_path, capsys, monkeypatch,
+                                                                     text, message):
+    """Each is refused before the library loads, so no server starts on a config
+    whose requests it could not answer."""
+    def loaded(*args, **kwargs):
+        raise AssertionError("the config was accepted")
+
+    monkeypatch.setattr(Gateway, "from_config", loaded)
+    config = tmp_path / "service.json"
+    config.write_text(text, encoding="utf-8")
+    log = tmp_path / "api.jsonl"
+    assert cli.main(["serve", "--config", str(config), "--port", "0", "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {config}: {message}")
+    assert not log.exists()
+
+
+def test_a_service_config_radius_may_be_zero_or_a_whole_number(tmp_path):
+    config = tmp_path / "service.json"
+    for radius in (0, 25, 12.5):
+        config.write_text(_service(radius=radius), encoding="utf-8")
+        assert ServiceConfig.from_json(config).radius == radius
+
+
+@pytest.mark.parametrize("x", ["20000000", "1e25"])
+def test_heatmap_without_a_stackmap_sizes_its_grid_from_far_points(tmp_path, capsys, x):
+    log = tmp_path / "api.jsonl"
+    log.write_text(ApiLogEntry(
+        timestamp="2016-09-01T10:00:00", module="recommend",
+        uri=f"/api/recommend/popularnear?x={x}&y=5", params={"x": x, "y": "5"},
+    ).to_json() + "\n", encoding="utf-8")
+    grid = tmp_path / "grid.csv"
+    code = cli.main(["telemetry", "heatmap", "--logs", str(log), "--cell-size", "10",
+                     "--out", str(grid)])
+    assert code == 0
+    assert "1 points, mass 1, 0 out of extent" in capsys.readouterr().out
+    header, *rows = grid.read_text(encoding="utf-8").splitlines()
+    assert header.endswith("out_of_extent=0")
+    assert 1 <= len(rows) <= 3 and all(1 <= len(row.split(",")) <= 3 for row in rows)
+
+
+def test_harness_report_seed_sets_the_study_seed(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert cli.main(["harness", "report", "--seed", "8", "--out", str(out)]) == 0
+    assert f"report in {out}: 600 requests" in capsys.readouterr().out
+    # the walk's seed follows the library's
+    assert json.loads((out / "walk.json").read_text(encoding="utf-8"))["seed"] == 9
+
+
 _SERVE_IMPORTS = """
-import json, socket, sys
+import contextlib, io, json, socket, sys
 from stackrec import cli
 from stackrec.config import ServiceConfig
 from stackrec.gateway import Gateway, GatewayServer
 
-config, log = sys.argv[1:]
+config, log, library = sys.argv[1:]
 gw = Gateway.from_config(ServiceConfig.from_json(config), log)
 with GatewayServer(gw) as server, socket.create_connection(server.server_address[:2], timeout=10) as sock:
     sock.sendall(b"GET /api/recommend/popularnear?x=337&y=128 HTTP/1.1\\r\\nConnection: close\\r\\n\\r\\n")
@@ -230,18 +303,23 @@ gw.txn_log.close()
 serving = {"numpy": "numpy" in sys.modules, "status": int(answer.split()[1]),
            "http": [m for m in ("http.server", "http.client", "ssl") if m in sys.modules],
            "stackrec": sorted(m for m in sys.modules if m.startswith("stackrec."))}
+with contextlib.redirect_stdout(io.StringIO()):
+    generated = cli.main(["harness", "gen", "--seed", "7", "--records", "30", "--out", library])
+generating = {"status": generated, "numpy": "numpy" in sys.modules}
 code = cli.main(["telemetry", "monthly", "--logs", log, "--module", "recommend"])
-print(json.dumps({"serving": serving, "monthly": code, "numpy_after": "numpy" in sys.modules}))
+print(json.dumps({"serving": serving, "generating": generating, "monthly": code,
+                  "numpy_after": "numpy" in sys.modules}))
 """
 
 
 def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
     """Serving a request over a socket leaves numpy, http.server, http.client and ssl
-    unloaded; the telemetry commands load numpy when run."""
+    unloaded, and so does generating a library; the telemetry commands load numpy
+    when run."""
     env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", _SERVE_IMPORTS, str(REFERENCE / "config.json"),
-         str(tmp_path / "api.jsonl")],
+         str(tmp_path / "api.jsonl"), str(tmp_path / "library")],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     *printed, result = done.stdout.splitlines()
@@ -251,6 +329,7 @@ def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
         "stackrec": [f"stackrec.{name}" for name in (
             "cli", "config", "corpus", "gateway", "lccn", "locate", "recommend", "stacksmap")],
     }
+    assert result["generating"] == {"status": 0, "numpy": False}
     assert result["monthly"] == 0
     (month,) = printed  # the one logged popularnear request, in the month it was made
     assert month.endswith("\t1")

@@ -7,6 +7,7 @@ import pytest
 
 from stackrec import corpus, lccn, locate, stacksmap, telemetry
 from stackrec.harness import (
+    ZIPF_EXPONENT,
     FixtureSet,
     ReportConfig,
     ReportError,
@@ -64,21 +65,21 @@ def test_generated_shelves_cover_catalog(tmp_path):
 
 
 def test_circulation_follows_configured_skew(tmp_path):
-    fixtures = gen_corpus(7, 500, alpha=1.0, out_dir=tmp_path)
+    fixtures = gen_corpus(7, 500, out_dir=tmp_path)
     store = corpus.load_corpus(fixtures.catalog, fixtures.circulation)
     counts = sorted(
         (store.circulation_count(b) for b in store.records), reverse=True
     )
     counts = [c for c in counts if c > 0]
     fit = telemetry.fit_power_law(counts)
-    assert fit.exponent == pytest.approx(-1.0, abs=0.1)
+    assert fit.exponent == pytest.approx(-ZIPF_EXPONENT, abs=0.1)
     assert fit.r_squared > 0.95
 
 
 def test_loaders_parse_each_call_number_once(tmp_path, monkeypatch):
     """lccn.parse runs once per catalog row and twice per database and shelf row:
     the benchmark's lccn.parse_calls, 624 for a report's default library."""
-    fixtures = gen_corpus(ReportConfig().seed, ReportConfig().records, out_dir=tmp_path)
+    fixtures = gen_corpus(ReportConfig().seed, ReportConfig.records, out_dir=tmp_path)
 
     def rows(path) -> int:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -95,12 +96,6 @@ def test_loaders_parse_each_call_number_once(tmp_path, monkeypatch):
     assert calls[0] == 2 * len(outline)
     assert rows(fixtures.catalog) + 2 * (
         rows(fixtures.databases) + rows(fixtures.stackmap) + len(outline)) == 624
-
-
-@pytest.mark.parametrize("alpha", [0, -1.0])
-def test_gen_corpus_rejects_alpha_not_positive(tmp_path, alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        gen_corpus(7, 500, alpha=alpha, out_dir=tmp_path)
 
 
 def test_head_circulation_lands_in_head_classes(tmp_path):
@@ -166,13 +161,21 @@ def test_gen_walk_rejects_a_negative_request_count(world):
 
 # --- end-to-end report ------------------------------------------------------
 
-SMALL = dict(records=120, recommend_requests=60, wayfind_requests=30,
-             catalog_searches=80, journal_searches=40)
+def test_report_config_sets_only_where_and_which_seed():
+    config = ReportConfig(out_dir="r", seed=8)
+    assert (config.out_dir, config.seed) == ("r", 8)
+    with pytest.raises(TypeError):
+        ReportConfig(records=100)
+    # the study's sizes stay readable from an instance
+    assert config.recommend_requests + config.wayfind_requests == 600
 
 
 def test_run_report_small(tmp_path):
-    summary = run_report(ReportConfig(out_dir=str(tmp_path), **SMALL))
-    assert summary["requests"] == 90
+    summary = run_report(ReportConfig(out_dir=str(tmp_path)))
+    assert summary["requests"] == 600
+    # the walk splits its requests by the one wayfinding share
+    assert summary["wayfind_requests"] == ReportConfig.wayfind_requests
+    assert summary["recommend_requests"] == ReportConfig.recommend_requests
     assert summary["heatmap_mass"] == summary["recommend_requests"]
     assert summary["heatmap_out_of_extent"] == 0
     for name in (
@@ -187,8 +190,8 @@ def test_run_report_small(tmp_path):
 
 
 def test_run_report_rerun_is_identical(tmp_path):
-    a = run_report(ReportConfig(out_dir=str(tmp_path / "a"), **SMALL))
-    b = run_report(ReportConfig(out_dir=str(tmp_path / "b"), **SMALL))
+    a = run_report(ReportConfig(out_dir=str(tmp_path / "a")))
+    b = run_report(ReportConfig(out_dir=str(tmp_path / "b")))
     sa = (tmp_path / "a" / "summary.json").read_text()
     sb = (tmp_path / "b" / "summary.json").read_text()
     assert sa == sb
@@ -234,19 +237,10 @@ def test_seed7_report_matches_golden_outputs(tmp_path):
     )
 
 
-def test_report_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    # "bogus" was never a field; the others were, and are now constants
-    for key, value in (("bogus", 1), ("alpha", 1.0), ("cell_size", 20.0),
-                       ("gaussian_sigma", 30.0), ("collection", "uiu_undergrad")):
-        path.write_text(json.dumps({"records": 100, key: value}), encoding="utf-8")
-        with pytest.raises(ValueError, match=f"unknown report config keys \\['{key}'\\]"):
-            ReportConfig.from_json(path)
-
-
 def test_report_error_names_stage(tmp_path):
+    (tmp_path / "fixtures").write_text("a file where the fixtures directory goes")
     with pytest.raises(ReportError) as exc:
-        run_report(ReportConfig(out_dir=str(tmp_path), records=5))
+        run_report(ReportConfig(out_dir=str(tmp_path)))
     assert exc.value.stage == "gen_corpus"
 
 
@@ -256,20 +250,20 @@ def test_report_load_failure_names_stage_and_opens_no_log(tmp_path, monkeypatch)
 
     monkeypatch.setattr(stacksmap, "load_stackmap", broken_loader)
     with pytest.raises(ReportError, match="unreadable stack map") as exc:
-        run_report(ReportConfig(out_dir=str(tmp_path), **SMALL))
+        run_report(ReportConfig(out_dir=str(tmp_path)))
     assert exc.value.stage == "load"
     # a TransactionLog creates its file on opening, so no file means no open log
     assert not (tmp_path / "gateway.jsonl").exists()
 
 
 def test_report_walk_file_replayable(tmp_path):
-    run_report(ReportConfig(out_dir=str(tmp_path), **SMALL))
+    run_report(ReportConfig(out_dir=str(tmp_path)))
     walk = WalkScript.from_json((tmp_path / "walk.json").read_text())
-    assert walk.request_count == 90
+    assert walk.request_count == 600
 
 
 def test_report_monthly_series_spans_study_window(tmp_path):
-    run_report(ReportConfig(out_dir=str(tmp_path), **SMALL))
+    run_report(ReportConfig(out_dir=str(tmp_path)))
     lines = (tmp_path / "monthly_catalog.csv").read_text().splitlines()[1:]
     months = [line.split(",")[0] for line in lines]
     assert months[0].startswith("2016-")
