@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 
 BIB_ID_RE = re.compile(r"[a-z]+_[0-9]+")
 FORMATS = ("print", "ebook")
+_FORMATS = {fmt: fmt for fmt in FORMATS}  # each format text -> its one FORMATS string
 
 
 class CorpusLoadError(ValueError):
@@ -106,7 +107,12 @@ def load_corpus(
 
     Rows with unparseable call numbers are skipped and reported; a duplicate
     bib_id is fatal.  Circulation is aggregated to per-bib charge counts at
-    load; a bib with no charge rows counts 0.
+    load; a bib with no charge rows counts 0.  The circulation header must
+    name charge_date, but its values are never read.
+
+    Values that repeat across rows are held once: each record's format is the
+    FORMATS string it names, and each charge count of a catalog record is
+    keyed by that record's own bib_id string.
     """
     diagnostics: list[str] = []
     records: dict[str, BibRecord] = {}
@@ -115,22 +121,24 @@ def load_corpus(
         bib_id = bib_id.strip()
         if bib_id in records:
             raise CorpusLoadError(f"{catalog_path} row {row_no}: duplicate bib_id {bib_id!r}")
+        fmt = fmt.strip()
         try:
             records[bib_id] = BibRecord(
                 bib_id=bib_id,
                 title=title.strip(),
                 call_number=lccn.parse(call_number.strip()),
-                format=fmt.strip(),
+                format=_FORMATS.get(fmt, fmt),
             )
         except ValueError as exc:
             diagnostics.append(f"{catalog_path} row {row_no}: {exc}")
 
     charges: Counter = Counter()
     if circulation_path is not None:
-        charges.update(
-            bib_id.strip()
-            for _, (bib_id, _date) in read_table(circulation_path, ("bib_id", "charge_date"))
-        )
+        rows = read_table(circulation_path, ("bib_id", "charge_date"))
+        for bib_id, n in Counter(row[0] for _, row in rows).items():
+            bib_id = bib_id.strip()
+            record = records.get(bib_id)
+            charges[record.bib_id if record else bib_id] += n
 
     articles: list[tuple[str, str, str]] = []
     if articles_path is not None:

@@ -7,8 +7,11 @@ total order defined here.
 
 Each CallNumber builds its shelf key once, at construction, and
 ``sort_key()`` returns it: a tuple of class letters, class integer, class
-fraction, a tuple of ``(letter, digits)`` per cutter, year (absent first), and
-suffix.  The class fraction and each cutter's digits are kept as digit strings
+fraction, the cutters, year (absent first), and suffix.  The cutters are one
+flat tuple of alternating letters and digits, ``("C", "655", "D", "84")``:
+letters then only ever meet letters and digits meet digits, so it sorts as a
+tuple of ``(letter, digits)`` pairs would, and a prefix cutter list files
+first.  The class fraction and each cutter's digits are kept as digit strings
 with trailing zeros stripped.  Compared as strings these order exactly as the
 decimal fractions they spell ("79835" < "8", "6" < "62"), at any length.
 A CallNumber hashes its key, and a CallNumberRange its start key and upper
@@ -18,13 +21,24 @@ key: equal fields give equal keys, so the hash agrees with ``==``.
 regex, then cutters up to an optional year with one token regex; whatever
 follows is the suffix.  Text that fails the first regex is matched again for
 its class letters alone, which give its ParseError's offset and reason.
+What the regexes matched needs no second check, so ``parse`` builds its
+Cutters and CallNumber without ``__post_init__``; public construction checks
+every field.
+
+A loaded collection repeats a few values across thousands of call numbers, so
+``parse`` gives each of them one shared object: the class letters are
+interned strings (at most 26 + 26**2 + 26**3 = 18,278 of them), and each
+year's ``int`` and key part ``(1, year)`` come from a memo keyed by the four
+year digits (at most 10,000 entries).  Both are bounded by the grammar, not
+by the number of texts parsed.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -83,7 +97,7 @@ class CallNumber:
             self.class_letters,
             self.class_int,
             self.class_frac.rstrip("0"),
-            tuple([(c.letter, c.digits.rstrip("0")) for c in self.cutters]),
+            tuple([part for c in self.cutters for part in (c.letter, c.digits.rstrip("0"))]),
             (0, 0) if self.year is None else (1, self.year),
             self.suffix or "",
         ))
@@ -99,11 +113,37 @@ class CallNumber:
         return canonical_format(self)
 
 
+def _trusted(cls):
+    """A constructor for the slotted class cls that takes every field in order,
+    init=False fields included, and runs no __post_init__."""
+    setters = [cls.__dict__[f.name].__set__ for f in fields(cls)]
+    new = object.__new__
+
+    def build(*values):
+        obj = new(cls)
+        for set_field, value in zip(setters, values):
+            set_field(obj, value)
+        return obj
+
+    return build
+
+
+_trusted_cutter = _trusted(Cutter)
+_trusted_call_number = _trusted(CallNumber)
+
 # The class letters, then the class number and fraction.
 _HEAD_RE = re.compile(r"\s*([A-Za-z]{1,3})\s*([0-9]+)(?:\.([0-9]+))?")
 _CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
 # After separators (blank, dot, tab): a year, or a cutter (letter and digits).
 _TOKEN_RE = re.compile(r"[ .\t]*(?:([0-9]{4})(?![0-9.])|([A-Za-z])([0-9]+))")
+
+_NO_YEAR = (None, (0, 0))
+_YEARS: dict[str, tuple[int, tuple[int, int]]] = {}  # four year digits -> (year, its key part)
+
+
+def _year_parts(digits: str) -> tuple[int, tuple[int, int]]:
+    year = int(digits)
+    return _YEARS.setdefault(digits, (year, (1, year)))
 
 
 def parse(text: str) -> CallNumber:
@@ -125,21 +165,25 @@ def parse(text: str) -> CallNumber:
 
     # Cutters until the year; the first text that is neither ends the tokens.
     cutters: list[Cutter] = []
-    year: int | None = None
+    flat: list[str] = []  # the cutters' part of the key
+    year, year_key = _NO_YEAR
     while m := _TOKEN_RE.match(text, pos):
         pos = m.end()
         year_digits, letter, digits = m.groups()
         if year_digits:
-            year = int(year_digits)
+            year, year_key = _YEARS.get(year_digits) or _year_parts(year_digits)
             break
         if int(digits) == 0:
             raise ParseError(text, m.start(2), "malformed cutter: zero digits")
-        cutters.append(Cutter(letter.upper(), digits.rstrip("0")))
+        letter, digits = letter.upper(), digits.rstrip("0")
+        cutters.append(_trusted_cutter(letter, digits))
+        flat += letter, digits
     rest = text[pos:].lstrip(" .\t")
-    return CallNumber(
-        letters.upper(), class_int, (frac or "").rstrip("0"), tuple(cutters), year,
-        rest.strip() if rest else None,
-    )
+    suffix = rest.strip() if rest else None
+    letters = sys.intern(letters.upper())
+    frac = frac.rstrip("0") if frac else ""
+    key = (letters, class_int, frac, tuple(flat), year_key, suffix or "")  # as __post_init__ builds it
+    return _trusted_call_number(letters, class_int, frac, tuple(cutters), year, suffix, key, None)
 
 
 def canonical_format(cn: CallNumber) -> str:
@@ -221,7 +265,7 @@ def parse_range(start_text: str, end_text: str) -> CallNumberRange:
 
 
 # Files after every cutter list, so a class-prefix end covers its whole class.
-_CUTTERS_MAX = (("\uffff", ""),)
+_CUTTERS_MAX = ("\uffff", "")
 
 
 def _end_upper_key(end: CallNumber) -> tuple:

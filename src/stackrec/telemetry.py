@@ -143,6 +143,11 @@ def annotate(
     return out
 
 
+# Far above any real map: the 20,000-record map at cell size 20 is about 2,500
+# cells.  A grid of this many float64 cells takes 80 MB.
+MAX_GRID_CELLS = 10_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     origin_x: float
@@ -157,12 +162,21 @@ class GridSpec:
 
     @classmethod
     def covering(cls, extent: stacksmap.Rect, cell_size: float, margin: float = 0.0) -> "GridSpec":
+        """The grid of cell_size cells over extent widened by margin on each side.
+
+        Raises ValueError when the grid would have more than MAX_GRID_CELLS
+        cells, or a side too long to count.
+        """
         if not cell_size > 0:
             raise ValueError(f"cell size must be > 0: {cell_size}")
         x0, y0 = extent.x_min - margin, extent.y_min - margin
-        width = max(1, math.ceil((extent.x_max + margin - x0) / cell_size))
-        height = max(1, math.ceil((extent.y_max + margin - y0) / cell_size))
-        return cls(x0, y0, cell_size, width, height)
+        across = (extent.x_max + margin - x0) / cell_size
+        down = (extent.y_max + margin - y0) / cell_size
+        if math.isfinite(across) and math.isfinite(down):
+            width, height = max(1, math.ceil(across)), max(1, math.ceil(down))
+            if width * height <= MAX_GRID_CELLS:
+                return cls(x0, y0, cell_size, width, height)
+        raise ValueError(f"a grid of {across:.6g} x {down:.6g} cells is more than {MAX_GRID_CELLS:,} cells")
 
 
 @dataclass

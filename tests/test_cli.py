@@ -278,6 +278,26 @@ def test_heatmap_without_a_stackmap_sizes_its_grid_from_far_points(tmp_path, cap
     assert 1 <= len(rows) <= 3 and all(1 <= len(row.split(",")) <= 3 for row in rows)
 
 
+@pytest.mark.parametrize("xs, cell_size", [
+    (("-1.7e308", "1.7e308"), "10"),  # the span overflows to infinity
+    (("5", "15"), "1e-300"),  # 10**301 cells a side
+], ids=["x-1.7e308", "cell-1e-300"])
+def test_heatmap_too_big_to_hold_is_one_error_line_and_status_2(tmp_path, capsys, xs, cell_size):
+    log = tmp_path / "api.jsonl"
+    log.write_text("".join(ApiLogEntry(
+        timestamp="2016-09-01T10:00:00", module="recommend",
+        uri=f"/api/recommend/popularnear?x={x}&y=5", params={"x": x, "y": "5"},
+    ).to_json() + "\n" for x in xs), encoding="utf-8")
+    grid = tmp_path / "grid.csv"
+    argv = ["telemetry", "heatmap", "--logs", str(log), "--cell-size", cell_size, "--out", str(grid)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: a grid of ") and line.endswith(" cells is more than 10,000,000 cells")
+    assert not grid.exists()
+
+
 def test_harness_report_seed_sets_the_study_seed(tmp_path, capsys):
     out = tmp_path / "report"
     assert cli.main(["harness", "report", "--seed", "8", "--out", str(out)]) == 0

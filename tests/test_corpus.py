@@ -179,6 +179,59 @@ def test_books_in_range_calls_no_in_range(monkeypatch, ref_corpus):
     assert calls[0] == 0
 
 
+def _assert_repeated_values_shared(store):
+    """Each repeated value of a loaded store is one object: the class letters,
+    the year with its key part, the format, and each charge count's bib_id."""
+    letters, years = {}, {}
+    for record in store.records.values():
+        cn = record.call_number
+        key = cn.sort_key()
+        assert letters.setdefault(cn.class_letters, cn.class_letters) is cn.class_letters
+        assert key[0] is cn.class_letters
+        if cn.year is not None:
+            year, year_key = years.setdefault(cn.year, (cn.year, key[4]))
+            assert cn.year is year and key[4] is year_key
+        assert any(record.format is fmt for fmt in corpus.FORMATS)
+    for bib_id in store.charges:
+        if bib_id in store.records:
+            assert bib_id is store.records[bib_id].bib_id
+    return letters, years
+
+
+def test_load_shares_one_object_per_repeated_value(ref_corpus):
+    letters, _ = _assert_repeated_values_shared(ref_corpus)
+    assert Counter(r.call_number.class_letters for r in ref_corpus.records.values())["PS"] == 7
+    assert len(ref_corpus.charges) == 13 and set(ref_corpus.charges) <= set(ref_corpus.records)
+
+
+def test_load_shares_years_and_letters_however_the_text_spells_them(tmp_path):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(
+        "bib_id,title,call_number,format\n"
+        "uiu_1,One,ps100 .a1 1999,print\n"
+        "uiu_2,Two, PS200 .B2 1999 ,print \n"
+        "uiu_3,Three,Ps300.C3 1999,ebook\n"
+        "uiu_4,Four,PS400 2001,\tebook\n",
+        encoding="utf-8",
+    )
+    circulation = tmp_path / "circulation.csv"
+    circulation.write_text(
+        "charge_date,bib_id\n2016-09-01, uiu_1\n2016-09-02,uiu_1\n2016-09-03,uiu_9\n",
+        encoding="utf-8",
+    )
+    store = load_corpus(catalog, circulation)
+    letters, years = _assert_repeated_values_shared(store)
+    assert set(letters) == {"PS"} and set(years) == {1999, 2001}
+    assert store.charges == Counter({"uiu_1": 2, "uiu_9": 1})
+
+
+def test_circulation_header_must_name_charge_date(tmp_path):
+    circulation = tmp_path / "circulation.csv"
+    circulation.write_text("bib_id\nuiu_1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected columns bib_id,charge_date"):
+        load_corpus(REFERENCE / "catalog.csv", circulation)
+
+
 def test_circulation_counts(ref_corpus):
     assert ref_corpus.circulation_count("uiu_8378456") == 12
     assert ref_corpus.circulation_count("uiu_9000001") == 2

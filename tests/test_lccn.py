@@ -232,6 +232,50 @@ def test_compare_matches_oracle_property(a, b):
     assert compare(a, b) == expected
 
 
+# Mostly texts that parse: canonical forms, spelled in lower case with the
+# first cutter's dot run on, and the reference parser's draw.
+PARSEABLE_TEXT = (
+    call_numbers.map(canonical_format)
+    | call_numbers.map(lambda cn: canonical_format(cn).lower().replace(" .", "."))
+    | PARSE_TEXT
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(PARSEABLE_TEXT)
+@example("PN1995 .C655 2015")
+@example("pz7.r798350 1950 v.2")
+@example("B105.E9 G63")
+def test_parse_equals_checked_construction(text):
+    try:
+        cn = parse(text)
+    except ValueError:
+        return
+    cutters = tuple(Cutter(c.letter, c.digits) for c in cn.cutters)
+    checked = CallNumber(cn.class_letters, cn.class_int, cn.class_frac, cutters, cn.year, cn.suffix)
+    assert cn == checked and cn.sort_key() == checked.sort_key()
+    assert hash(cn) == hash(checked)
+    assert canonical_format(cn) == canonical_format(checked)
+    for parsed, built in zip(cn.cutters, cutters):
+        assert parsed == built and hash(parsed) == hash(built)
+    assert cn == reference_parse(text) and cn.sort_key() == reference_parse(text).sort_key()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CallNumber("hd", 1),
+    lambda: CallNumber("HDXY", 1),
+    lambda: CallNumber("HD", -1),
+    lambda: CallNumber("HD", 1, "5a"),
+    lambda: Cutter("V", "0"),
+    lambda: Cutter("v", "2"),
+    lambda: Cutter("V", ""),
+], ids=["lower-letters", "four-letters", "negative", "bad-fraction", "zero-cutter",
+        "lower-cutter", "empty-cutter"])
+def test_public_construction_keeps_every_check(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def _sign(a, b) -> int:
     return (a > b) - (a < b)
 

@@ -6,6 +6,7 @@ import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,6 +311,29 @@ def test_gaussian_requires_sigma():
 def test_covering_rejects_a_cell_size_not_positive(cell_size):
     with pytest.raises(ValueError, match="cell size must be > 0"):
         GridSpec.covering(Rect(0, 0, 10, 10), cell_size)
+
+
+def _extent(x_min, y_min, x_max, y_max):
+    # As cli.cmd_heatmap sizes a grid from logged points: no Rect checks.
+    return SimpleNamespace(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
+
+
+@pytest.mark.parametrize("extent, cell_size", [
+    (_extent(-1.7e308, 0, 1.7e308, 10), 10),  # a side too long to count
+    (_extent(0, 0, 1e7, 1e7), 10),  # 10**12 cells
+    (_extent(0, 0, 10, 10), 1e-300),
+], ids=["infinite-side", "span-1e7", "cell-1e-300"])
+def test_covering_refuses_a_grid_too_big_to_hold(extent, cell_size):
+    with pytest.raises(ValueError, match=r"cells is more than 10,000,000 cells"):
+        GridSpec.covering(extent, cell_size, margin=cell_size)
+
+
+def test_covering_allows_exactly_the_largest_grid():
+    assert telemetry.MAX_GRID_CELLS == 10_000_000
+    spec = GridSpec.covering(Rect(0, 0, 10_000, 1_000), 1)
+    assert spec.width * spec.height == telemetry.MAX_GRID_CELLS
+    with pytest.raises(ValueError, match="of 10000.1 x 1000 cells"):
+        GridSpec.covering(Rect(0, 0, 10_000.1, 1_000), 1)
 
 
 # --- subject distribution --------------------------------------------------
