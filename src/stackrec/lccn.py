@@ -5,32 +5,38 @@ class number, zero or more cutters, an optional year, and an optional trailing
 suffix (volume/copy designators).  Everything else in the package keys off the
 total order defined here.
 
-Each CallNumber builds its shelf key once, at construction, and
-``sort_key()`` returns it: a tuple of class letters, class integer, class
-fraction, the cutters, year (absent first), and suffix.  The cutters are one
-flat tuple of alternating letters and digits, ``("C", "655", "D", "84")``:
-letters then only ever meet letters and digits meet digits, so it sorts as a
-tuple of ``(letter, digits)`` pairs would, and a prefix cutter list files
-first.  The class fraction and each cutter's digits are kept as digit strings
-with trailing zeros stripped.  Compared as strings these order exactly as the
-decimal fractions they spell ("79835" < "8", "6" < "62"), at any length.
-A CallNumber hashes its key, and a CallNumberRange its start key and upper
-key: equal fields give equal keys, so the hash agrees with ``==``.
+A CallNumber is its shelf key, plus its canonical text once formatted.  The
+key is a tuple of class letters, class integer, class fraction, the cutters,
+year (absent first), and suffix; ``sort_key()`` returns it, and the class
+letters, number, fraction, cutters, year and suffix are read-only properties
+that read it back.  The cutters are one flat tuple of alternating letters and
+digits, ``("C", "655", "D", "84")``: letters then only ever meet letters and
+digits meet digits, so it sorts as a tuple of ``(letter, digits)`` pairs
+would, and a prefix cutter list files first.  The class fraction and each
+cutter's digits are kept as digit strings with trailing zeros stripped.
+Compared as strings these order exactly as the decimal fractions they spell
+("79835" < "8", "6" < "62"), at any length.
+
+Equality follows the key: the checked constructor normalizes what it is
+given, so ``CallNumber("PZ", 7, "50") == CallNumber("PZ", 7, "5")`` and a
+suffix of "" equals no suffix.  Two call numbers that file at one shelf
+position are equal, hash alike, and format to one canonical text.  A
+CallNumberRange hashes its start key and upper key.
 
 ``parse`` reads the class letters, number and fraction with one compiled
 regex, then cutters up to an optional year with one token regex; whatever
 follows is the suffix.  Text that fails the first regex is matched again for
 its class letters alone, which give its ParseError's offset and reason.
-What the regexes matched needs no second check, so ``parse`` builds its
-Cutters and CallNumber without ``__post_init__``; public construction checks
-every field.
+What the regexes matched needs no second check, so ``parse`` builds the key
+itself and makes the CallNumber from it; public construction checks every
+part and builds the same key.
 
 A loaded collection repeats a few values across thousands of call numbers, so
 ``parse`` gives each of them one shared object: the class letters are
 interned strings (at most 26 + 26**2 + 26**3 = 18,278 of them), and each
-year's ``int`` and key part ``(1, year)`` come from a memo keyed by the four
-year digits (at most 10,000 entries).  Both are bounded by the grammar, not
-by the number of texts parsed.
+year's key part ``(1, year)`` comes from a memo keyed by the four year digits
+(at most 10,000 entries).  Both are bounded by the grammar, not by the number
+of texts parsed.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -75,33 +81,66 @@ class Cutter:
             raise ValueError(f"cutter digits must be nonzero decimals: {self.digits!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class CallNumber:
-    class_letters: str
-    class_int: int
-    class_frac: str = ""          # fractional digits of the class number, "" if none
-    cutters: tuple[Cutter, ...] = ()
-    year: int | None = None
-    suffix: str | None = None
-    _key: tuple = field(init=False, compare=False, repr=False)
-    _text: str | None = field(init=False, compare=False, repr=False)  # see canonical_format
+    """A call number, held as its shelf key and its canonical text once formatted.
 
-    def __post_init__(self):
-        if not _CLASS_LETTERS.fullmatch(self.class_letters):
-            raise ValueError(f"class letters must match [A-Z]{{1,3}}: {self.class_letters!r}")
-        if self.class_int < 0:
+    ``CallNumber(class_letters, class_int, class_frac, cutters, year, suffix)``
+    checks each part and builds the key that ``parse`` builds; the parts are
+    read-only properties that read the key back.
+    """
+
+    __slots__ = ("_key", "_text")  # _text: see canonical_format
+
+    def __init__(self, class_letters: str, class_int: int, class_frac: str = "",
+                 cutters: tuple[Cutter, ...] = (), year: int | None = None,
+                 suffix: str | None = None):
+        if not _CLASS_LETTERS.fullmatch(class_letters):
+            raise ValueError(f"class letters must match [A-Z]{{1,3}}: {class_letters!r}")
+        if class_int < 0:
             raise ValueError("class number must be non-negative")
-        if self.class_frac and not _DIGITS.fullmatch(self.class_frac):
-            raise ValueError(f"bad class fraction: {self.class_frac!r}")
-        object.__setattr__(self, "_key", (
-            self.class_letters,
-            self.class_int,
-            self.class_frac.rstrip("0"),
-            tuple([part for c in self.cutters for part in (c.letter, c.digits.rstrip("0"))]),
-            (0, 0) if self.year is None else (1, self.year),
-            self.suffix or "",
-        ))
-        object.__setattr__(self, "_text", None)
+        if class_frac and not _DIGITS.fullmatch(class_frac):
+            raise ValueError(f"bad class fraction: {class_frac!r}")
+        self._key = (
+            class_letters,
+            class_int,
+            class_frac.rstrip("0"),
+            tuple([part for c in cutters for part in (c.letter, c.digits.rstrip("0"))]),
+            (0, 0) if year is None else (1, year),
+            suffix or "",
+        )
+        self._text = None
+
+    @property
+    def class_letters(self) -> str:
+        return self._key[0]
+
+    @property
+    def class_int(self) -> int:
+        return self._key[1]
+
+    @property
+    def class_frac(self) -> str:
+        """The class number's fractional digits, trailing zeros stripped; "" if none."""
+        return self._key[2]
+
+    @property
+    def cutters(self) -> tuple[Cutter, ...]:
+        flat = self._key[3]
+        return tuple(map(Cutter, flat[::2], flat[1::2]))
+
+    @property
+    def year(self) -> int | None:
+        has_year, year = self._key[4]
+        return year if has_year else None
+
+    @property
+    def suffix(self) -> str | None:
+        return self._key[5] or None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CallNumber):
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -112,24 +151,9 @@ class CallNumber:
     def __str__(self) -> str:
         return canonical_format(self)
 
+    def __repr__(self) -> str:
+        return f"CallNumber({canonical_format(self)!r})"
 
-def _trusted(cls):
-    """A constructor for the slotted class cls that takes every field in order,
-    init=False fields included, and runs no __post_init__."""
-    setters = [cls.__dict__[f.name].__set__ for f in fields(cls)]
-    new = object.__new__
-
-    def build(*values):
-        obj = new(cls)
-        for set_field, value in zip(setters, values):
-            set_field(obj, value)
-        return obj
-
-    return build
-
-
-_trusted_cutter = _trusted(Cutter)
-_trusted_call_number = _trusted(CallNumber)
 
 # The class letters, then the class number and fraction.
 _HEAD_RE = re.compile(r"\s*([A-Za-z]{1,3})\s*([0-9]+)(?:\.([0-9]+))?")
@@ -137,13 +161,7 @@ _CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
 # After separators (blank, dot, tab): a year, or a cutter (letter and digits).
 _TOKEN_RE = re.compile(r"[ .\t]*(?:([0-9]{4})(?![0-9.])|([A-Za-z])([0-9]+))")
 
-_NO_YEAR = (None, (0, 0))
-_YEARS: dict[str, tuple[int, tuple[int, int]]] = {}  # four year digits -> (year, its key part)
-
-
-def _year_parts(digits: str) -> tuple[int, tuple[int, int]]:
-    year = int(digits)
-    return _YEARS.setdefault(digits, (year, (1, year)))
+_YEARS: dict[str, tuple[int, int]] = {}  # four year digits -> the year's key part (1, year)
 
 
 def parse(text: str) -> CallNumber:
@@ -164,53 +182,44 @@ def parse(text: str) -> CallNumber:
     pos = m.end()
 
     # Cutters until the year; the first text that is neither ends the tokens.
-    cutters: list[Cutter] = []
-    flat: list[str] = []  # the cutters' part of the key
-    year, year_key = _NO_YEAR
+    cutters: list[str] = []  # the key's flat cutter part
+    year_key = (0, 0)
     while m := _TOKEN_RE.match(text, pos):
         pos = m.end()
         year_digits, letter, digits = m.groups()
         if year_digits:
-            year, year_key = _YEARS.get(year_digits) or _year_parts(year_digits)
+            year_key = _YEARS.setdefault(year_digits, (1, int(year_digits)))
             break
         if int(digits) == 0:
             raise ParseError(text, m.start(2), "malformed cutter: zero digits")
-        letter, digits = letter.upper(), digits.rstrip("0")
-        cutters.append(_trusted_cutter(letter, digits))
-        flat += letter, digits
-    rest = text[pos:].lstrip(" .\t")
-    suffix = rest.strip() if rest else None
-    letters = sys.intern(letters.upper())
+        cutters += letter.upper(), digits.rstrip("0")
+    suffix = text[pos:].lstrip(" .\t").strip()
     frac = frac.rstrip("0") if frac else ""
-    key = (letters, class_int, frac, tuple(flat), year_key, suffix or "")  # as __post_init__ builds it
-    return _trusted_call_number(letters, class_int, frac, tuple(cutters), year, suffix, key, None)
+    cn = object.__new__(CallNumber)
+    cn._key = (sys.intern(letters.upper()), class_int, frac, tuple(cutters), year_key, suffix)
+    cn._text = None
+    return cn
 
 
 def canonical_format(cn: CallNumber) -> str:
     """One normal rendering: ``LETTERS NUMBER .C1 C2 YEAR SUFFIX``.
 
     The dot appears only before the first cutter; segments are single-space
-    separated; trailing zeros in decimal fractions are dropped so that
-    parse(canonical_format(cn)) equals cn by value.  Each call number is
+    separated; decimal fractions have no trailing zeros and the year has four
+    digits, so that parse(canonical_format(cn)) == cn.  Each call number is
     formatted at most once; its text is kept on it for the next call.
     """
     if cn._text is None:
-        object.__setattr__(cn, "_text", _format(cn))
+        letters, number, frac, cutters, (has_year, year), suffix = cn._key
+        parts = [f"{letters}{number}.{frac}" if frac else f"{letters}{number}"]
+        for i in range(0, len(cutters), 2):  # letter, digits, letter, digits, ...
+            parts.append(("." if i == 0 else "") + cutters[i] + cutters[i + 1])
+        if has_year:
+            parts.append(f"{year:04d}")
+        if suffix:
+            parts.append(suffix)
+        cn._text = " ".join(parts)
     return cn._text
-
-
-def _format(cn: CallNumber) -> str:
-    frac = cn.class_frac.rstrip("0")
-    head = f"{cn.class_letters}{cn.class_int}" + (f".{frac}" if frac else "")
-    parts = [head]
-    for i, c in enumerate(cn.cutters):
-        digits = c.digits.rstrip("0")  # never empty: a Cutter refuses all-zero digits
-        parts.append(("." if i == 0 else "") + f"{c.letter}{digits}")
-    if cn.year is not None:
-        parts.append(str(cn.year))
-    if cn.suffix:
-        parts.append(cn.suffix)
-    return " ".join(parts)
 
 
 def compare(a: CallNumber, b: CallNumber) -> int:
@@ -275,7 +284,7 @@ def _end_upper_key(end: CallNumber) -> tuple:
     end in the sense of CallNumberRange (a class-prefix end covers its class).
     """
     key = end.sort_key()
-    if not end.cutters and end.year is None and not end.suffix:
+    if key[3:] == ((), (0, 0), ""):  # no cutters, year or suffix
         return key[:3] + (_CUTTERS_MAX, (2, 0), "\uffff")
     return key
 

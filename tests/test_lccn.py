@@ -31,6 +31,7 @@ from conftest import (
     KNOWN_SUBJECTS,
     REFERENCE,
     call_number_ranges,
+    count_calls,
     oracle_call_number_key,
     oracle_classify,
     oracle_in_range,
@@ -95,14 +96,15 @@ def test_suffix_captures_volume_designators():
 
 
 def _parse_outcome(parser, text):
-    """What parser makes of text: its call number's fields, or the error it raises."""
+    """What parser makes of text: its call number's parts and key, or the error it raises."""
     try:
         cn = parser(text)
     except ParseError as exc:
         return "ParseError", exc.text, exc.offset, exc.reason
     except ValueError as exc:
         return "ValueError", str(exc)
-    return "parsed", dataclasses.astuple(cn), cn.sort_key()
+    parts = (cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix)
+    return "parsed", parts, cn.sort_key()
 
 
 # ASCII letters and digits, the separators, and non-ASCII digits and letters.
@@ -120,7 +122,7 @@ PARSE_TEXT = st.text(PARSE_ALPHABET, max_size=30) | st.lists(
 @example("PN" + "1" * 5000)  # a class number past int()'s digit limit: ValueError
 @example("PN1 .C" + "9" * 5000)
 @example("PN1 .C" + "0" * 5000)
-@example("PN1995\n")  # an empty suffix, not None
+@example("PN1995\n")  # the newline ends the tokens: no suffix
 @example("PN1995 .C655\t")  # separators to the end: no suffix
 @example("PN1995 2015 .\t")
 def test_parse_agrees_with_the_reference_parser(text):
@@ -307,13 +309,53 @@ def test_sort_key_is_built_once():
 def test_value_classes_are_slotted_frozen_and_hashable():
     cn = parse("PN1995 .C655 2015")
     r = parse_range("PN1990", "PN1999")
-    for value, name in ((cn, "year"), (cn.cutters[0], "digits"), (r, "end")):
+    frozen = dataclasses.FrozenInstanceError
+    for value, name, error in ((cn, "year", AttributeError), (cn.cutters[0], "digits", frozen),
+                               (r, "end", frozen)):
         assert not hasattr(value, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(error):
             setattr(value, name, None)
     assert cn == parse("PN1995.C655 2015") and hash(cn) == hash(parse("PN1995.C655 2015"))
     assert r == parse_range("PN1990", "PN1999") and len({r, parse_range("PN1990", "PN1999")}) == 1
     assert "_key" not in repr(cn) and "upper" not in repr(r)
+
+
+def test_a_call_number_holds_only_its_key_and_text(monkeypatch):
+    cutters = (Cutter("C", "655"), Cutter("D", "84"))
+    checked = CallNumber("PN", 1995, "", cutters, 2015)
+    calls = count_calls(monkeypatch, lccn, "Cutter")
+    cn = parse("PN1995 .C655 D84 2015")
+    assert calls[0] == 0
+    assert not hasattr(cn, "__dict__") and CallNumber.__slots__ == ("_key", "_text")
+    assert cn.cutters == cutters == checked.cutters
+    assert repr(cn) == "CallNumber('PN1995 .C655 D84 2015')"
+
+
+def test_equality_follows_the_shelf_key():
+    assert CallNumber("PZ", 7, "50") == CallNumber("PZ", 7, "5")
+    assert hash(CallNumber("PZ", 7, "50")) == hash(CallNumber("PZ", 7, "5"))
+    assert CallNumber("PZ", 7, "", (Cutter("R", "80"),)) == parse("PZ7.R8")
+    assert CallNumber("PZ", 7, suffix="") == CallNumber("PZ", 7, suffix=None) == parse("PZ7\n")
+    assert CallNumber("PZ", 7) != "PZ7"
+
+
+@given(CALL_NUMBERS, CALL_NUMBERS)
+def test_equal_exactly_when_keys_are_equal(a, b):
+    assert (a == b) == (a.sort_key() == b.sort_key())
+    if a == b:
+        assert hash(a) == hash(b)
+    # trailing zeros on the fractions file at the same place, so they compare equal
+    padded = CallNumber(a.class_letters, a.class_int, a.class_frac + "0",
+                        tuple(Cutter(c.letter, c.digits + "00") for c in a.cutters), a.year, a.suffix)
+    assert padded == a and hash(padded) == hash(a) and canonical_format(padded) == canonical_format(a)
+
+
+def test_years_below_1000_keep_four_digits_and_round_trip():
+    for year in range(1000):
+        cn = parse(f"P1 {year:04d}")
+        assert cn.year == year and canonical_format(cn) == f"P1 {year:04d}"
+        assert parse(canonical_format(cn)).sort_key() == cn.sort_key()
+        assert canonical_format(CallNumber("P", 1, year=year)) == canonical_format(cn)
 
 
 def _copy(cn: CallNumber) -> CallNumber:
