@@ -1,8 +1,10 @@
 """Synthetic-world generator and end-to-end report driver.
 
-Builds a desk-scale library (catalog, circulation skew, shelves, beacons),
-simulates patron walks against a live gateway, then runs the whole analytics
-suite over the resulting logs.  Everything is deterministic per seed; walk
+Builds a desk-scale library (catalog, circulation skew, shelves, beacons) and
+patron walks over it.  ``run_report`` reproduces the study in named stages: it
+generates a library, loads it into a gateway and walks it; ``replay`` sends
+the walk's requests to the live gateway, and ``analyze`` runs the analytics
+suite over the gateway's log.  Everything is deterministic per seed; walk
 timestamps come from a simulated clock, so a year-long study window replays
 in seconds.
 """
@@ -15,11 +17,12 @@ import random
 import shutil
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from . import corpus, lccn, locate, stacksmap
 from .config import DATA_FILES, ServiceConfig, quoted
@@ -350,8 +353,9 @@ class ReportConfig:
     out_dir: str = "report"
     seed: int = 7
     records: ClassVar[int] = 500
-    recommend_requests: ClassVar[int] = 400
-    wayfind_requests: ClassVar[int] = 200      # WAYFIND_SHARE of the walk's requests
+    requests: ClassVar[int] = 600
+    wayfind_requests: ClassVar[int] = round(requests * WAYFIND_SHARE)  # as gen_walk splits them
+    recommend_requests: ClassVar[int] = requests - wayfind_requests
     catalog_searches: ClassVar[int] = 600
     journal_searches: ClassVar[int] = 200
 
@@ -416,102 +420,96 @@ def _synthesize_module_log(
             fh.write(entry.to_json() + "\n")
 
 
-def run_report(config: ReportConfig) -> dict:
-    """Generate fixtures, replay a walk against a live gateway, run analytics.
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Run one report stage: an error in it becomes ReportError(name, message).
 
-    Returns a summary dict (also written to summary.json); raises ReportError
-    naming the failing stage.
+    A ReportError raised within, by an inner stage, passes through unchanged.
+    """
+    try:
+        yield
+    except ReportError:
+        raise
+    except Exception as exc:
+        raise ReportError(name, str(exc)) from exc
+
+
+def replay(gateway: Gateway, walk: WalkScript, clock: dict[str, datetime]) -> None:
+    """Send the walk's requests to the gateway over HTTP, one ``urlopen`` each.
+
+    Each step first advances the simulated clock, ``clock["now"]``, by its dwell.
+    """
+    with GatewayServer(gateway) as server:
+        for step in walk.steps:
+            clock["now"] += timedelta(seconds=step.dwell)
+            if step.action == "idle":
+                continue
+            if step.action == "wayfind":
+                path = f"/api/wayfinder/map_data/{COLLECTION}/{step.bib_id}"
+            else:
+                path = f"/api/recommend/popularnear?x={step.x:.6f}&y={step.y:.6f}"
+            with urllib.request.urlopen(server.base_url + path, timeout=10) as resp:
+                resp.read()
+
+
+def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
+    """Run the analytics over the replayed gateway's closed log and write the report.
+
+    Reads the gateway's log once, writes modules.jsonl from the bib ids it
+    names, and returns the summary, also written to summary.json.
     """
     from . import telemetry  # numpy with it, so only the report loads it
 
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        fixtures = gen_corpus(config.seed, config.records, out_dir=out / "fixtures")
-    except Exception as exc:
-        raise ReportError("gen_corpus", str(exc)) from exc
-
-    sim = {"now": STUDY_START}
-    log_path = out / "gateway.jsonl"
-    log_path.unlink(missing_ok=True)
-    try:
-        gw = Gateway.from_config(fixtures, log_path, clock=lambda: sim["now"])
-    except Exception as exc:
-        raise ReportError("load", str(exc)) from exc
-    store, stack, outline, txn_log = gw.corpus, gw.stackmap, gw.outline, gw.txn_log
-
-    n_requests = config.recommend_requests + config.wayfind_requests
-    walk = gen_walk(config.seed + 1, stack, n_requests, corpus_=store)
-    (out / "walk.json").write_text(walk.to_json(), encoding="utf-8")
-
-    try:
-        with GatewayServer(gw) as server:
-            for step in walk.steps:
-                sim["now"] = sim["now"] + timedelta(seconds=step.dwell)
-                if step.action == "idle":
-                    continue
-                if step.action == "wayfind":
-                    path = f"/api/wayfinder/map_data/{COLLECTION}/{step.bib_id}"
-                else:
-                    path = f"/api/recommend/popularnear?x={step.x:.6f}&y={step.y:.6f}"
-                with urllib.request.urlopen(server.base_url + path, timeout=10) as resp:
-                    resp.read()
-    except Exception as exc:
-        raise ReportError("replay", str(exc)) from exc
-    finally:
-        txn_log.close()
-
-    try:
-        parsed = telemetry.parse_logs([log_path])
+    with _stage("parse_logs"):
+        parsed = telemetry.parse_logs([gateway.txn_log.path])
         if parsed.malformed:
-            raise ReportError("parse_logs", f"{len(parsed.malformed)} malformed lines")
+            raise ValueError(f"{len(parsed.malformed)} malformed lines")
         if len(parsed.entries) != walk.request_count:
-            raise ReportError(
-                "parse_logs",
-                f"{len(parsed.entries)} logged entries != {walk.request_count} requests",
+            raise ValueError(
+                f"{len(parsed.entries)} logged entries != {walk.request_count} requests"
             )
 
+    with _stage("telemetry"):
         walked_bibs = sorted({b for e in parsed.entries for b in e.bib_ids})
         modules_log = out / "modules.jsonl"
         _synthesize_module_log(
             random.Random(config.seed + 2), modules_log, walked_bibs,
             config.catalog_searches, config.journal_searches,
         )
-        all_entries = telemetry.parse_logs([log_path, modules_log]).entries
+        # Every use of these is a count, so their order does not matter.
+        all_entries = parsed.entries + telemetry.parse_logs([modules_log]).entries
 
-        annotated = telemetry.annotate(parsed.entries, store, outline, stack)
+        stack = gateway.stackmap
+        annotated = telemetry.annotate(parsed.entries, gateway.corpus, gateway.outline, stack)
         telemetry.write_wayfinder_table(annotated, out / "wayfinder_table.csv")
         telemetry.write_recommend_table(annotated, out / "recommend_table.csv")
-
         rec_annotated = [a for a in annotated if a.entry.module == "recommend"]
-        spec = telemetry.GridSpec.covering(stack.map_extent, CELL_SIZE, margin=CELL_SIZE)
-        grid = telemetry.heatmap(rec_annotated, spec, mode="bin")
-        telemetry.write_grid_csv(grid, out / "heatmap_grid.csv")
-        telemetry.write_grid_pgm(grid, out / "heatmap.pgm")
-        smooth = telemetry.heatmap(rec_annotated, spec, mode="gaussian", sigma=GAUSSIAN_SIGMA)
-        telemetry.write_grid_csv(smooth, out / "heatmap_smooth.csv")
 
-        n_recommend = sum(1 for e in parsed.entries if e.module == "recommend")
-        if grid.out_of_extent != 0:
-            raise ReportError("heatmap", f"{grid.out_of_extent} points fell outside the grid")
-        if abs(grid.total_mass - n_recommend) > 1e-9:
-            raise ReportError(
-                "heatmap", f"grid mass {grid.total_mass} != {n_recommend} recommend requests"
-            )
+        with _stage("heatmap"):
+            spec = telemetry.GridSpec.covering(stack.map_extent, CELL_SIZE, margin=CELL_SIZE)
+            grid = telemetry.heatmap(rec_annotated, spec, mode="bin")
+            telemetry.write_grid_csv(grid, out / "heatmap_grid.csv")
+            telemetry.write_grid_pgm(grid, out / "heatmap.pgm")
+            smooth = telemetry.heatmap(rec_annotated, spec, mode="gaussian", sigma=GAUSSIAN_SIGMA)
+            telemetry.write_grid_csv(smooth, out / "heatmap_smooth.csv")
+            if grid.out_of_extent != 0:
+                raise ValueError(f"{grid.out_of_extent} points fell outside the grid")
+            if abs(grid.total_mass - len(rec_annotated)) > 1e-9:
+                raise ValueError(
+                    f"grid mass {grid.total_mass} != {len(rec_annotated)} recommend requests"
+                )
 
-        dist = telemetry.subject_distribution(rec_annotated)
-        telemetry.write_distribution_csv(dist, out / "subject_distribution.csv")
-        occurrences = sum(len(a.annotations) for a in rec_annotated)
-        if dist.total + dist.unknown != occurrences:
-            raise ReportError("subjects", "distribution counts do not conserve occurrences")
-        fit = telemetry.fit_power_law(dist)
+        with _stage("subjects"):
+            dist = telemetry.subject_distribution(rec_annotated)
+            telemetry.write_distribution_csv(dist, out / "subject_distribution.csv")
+            if dist.total + dist.unknown != sum(len(a.annotations) for a in rec_annotated):
+                raise ValueError("distribution counts do not conserve occurrences")
+            fit = telemetry.fit_power_law(dist)
 
-        traces = {
-            bib: telemetry.trace_identifier(bib, all_entries) for bib in walked_bibs[:20]
-        }
+        traces = {bib: telemetry.trace_identifier(bib, all_entries) for bib in walked_bibs[:20]}
         mining = {
-            module: telemetry.mine_queries(all_entries, module)
+            module: asdict(telemetry.mine_queries(all_entries, module))
             for module in ("catalog", "journal")
         }
         monthly = {
@@ -519,37 +517,51 @@ def run_report(config: ReportConfig) -> dict:
             for module in ("catalog", "journal", "recommend", "wayfinder")
         }
         for module, series in monthly.items():
-            with open(out / f"monthly_{module}.csv", "w", encoding="utf-8") as fh:
-                fh.write("month,count\n")
-                for month, count in series:
-                    fh.write(f"{month},{count}\n")
-    except ReportError:
-        raise
-    except Exception as exc:
-        raise ReportError("telemetry", str(exc)) from exc
+            rows = "".join(f"{month},{count}\n" for month, count in series)
+            (out / f"monthly_{module}.csv").write_text("month,count\n" + rows, encoding="utf-8")
 
     summary = {
         "requests": walk.request_count,
-        "recommend_requests": n_recommend,
-        "wayfind_requests": walk.request_count - n_recommend,
+        "recommend_requests": len(rec_annotated),
+        "wayfind_requests": walk.request_count - len(rec_annotated),
         "heatmap_mass": grid.total_mass,
         "heatmap_out_of_extent": grid.out_of_extent,
         "subject_distribution": dist.items,
         "subject_unknown": dist.unknown,
         "power_law": {"exponent": fit.exponent, "r_squared": fit.r_squared},
         "traces": traces,
-        "text_mining": {
-            module: {
-                "total_words": stats.total_words,
-                "unique_forms": stats.unique_forms,
-                "top": stats.top,
-            }
-            for module, stats in mining.items()
-        },
+        "text_mining": mining,
         "monthly": monthly,
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    (out / "summary.json").write_text(text, encoding="utf-8")
+    return summary
+
+
+def run_report(config: ReportConfig) -> dict:
+    """Generate a library, load it, walk it, replay the walk over HTTP, analyze the log.
+
+    Returns the summary (also written to summary.json); raises ReportError
+    naming the failing stage.
+    """
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _stage("gen_corpus"):
+        fixtures = gen_corpus(config.seed, config.records, out_dir=out / "fixtures")
+
+    clock = {"now": STUDY_START}
+    with _stage("load"):
+        (out / "gateway.jsonl").unlink(missing_ok=True)
+        gw = Gateway.from_config(fixtures, out / "gateway.jsonl", clock=lambda: clock["now"])
+    try:
+        with _stage("walk"):
+            walk = gen_walk(config.seed + 1, gw.stackmap, config.requests, corpus_=gw.corpus)
+            (out / "walk.json").write_text(walk.to_json(), encoding="utf-8")
+        with _stage("replay"):
+            replay(gw, walk, clock)
+    finally:
+        gw.txn_log.close()
+
+    summary = analyze(config, gw, walk)
     log.info("report written to %s", out)
     return summary

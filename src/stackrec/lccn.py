@@ -100,6 +100,8 @@ class CallNumber:
             raise ValueError("class number must be non-negative")
         if class_frac and not _DIGITS.fullmatch(class_frac):
             raise ValueError(f"bad class fraction: {class_frac!r}")
+        if year is not None and not 0 <= year <= 9999:  # canonical text has four year digits
+            raise ValueError(f"year must be in 0-9999: {year!r}")
         self._key = (
             class_letters,
             class_int,

@@ -306,6 +306,15 @@ def test_harness_report_seed_sets_the_study_seed(tmp_path, capsys):
     assert json.loads((out / "walk.json").read_text(encoding="utf-8"))["seed"] == 9
 
 
+def test_harness_report_that_fails_at_a_stage_is_one_stderr_line_and_status_1(tmp_path, capsys):
+    (tmp_path / "fixtures").write_text("a file where the fixtures directory goes")
+    assert cli.main(["harness", "report", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("report failed at stage gen_corpus: ")
+
+
 _SERVE_IMPORTS = """
 import contextlib, io, json, socket, sys
 from stackrec import cli

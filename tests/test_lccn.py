@@ -358,6 +358,32 @@ def test_years_below_1000_keep_four_digits_and_round_trip():
         assert canonical_format(CallNumber("P", 1, year=year)) == canonical_format(cn)
 
 
+@pytest.mark.parametrize("year", [-5, -1, 10000, 12345])
+def test_constructor_refuses_a_year_without_four_digits(year):
+    # P1 12345 would read back with suffix "12345", and P1 -005 with suffix "-005"
+    with pytest.raises(ValueError, match="year"):
+        CallNumber("P", 1, year=year)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    CallNumber,
+    class_letters=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=3),
+    class_int=st.integers(0, 10**6),
+    class_frac=st.text("0123456789", max_size=4),
+    cutters=st.lists(
+        st.builds(Cutter, st.sampled_from(string.ascii_uppercase),
+                  st.from_regex(r"0{0,2}[1-9][0-9]{0,3}", fullmatch=True)),
+        max_size=3,
+    ).map(tuple),
+    year=st.none() | st.integers(0, 9999),
+))
+@example(CallNumber("P", 1, year=0))
+@example(CallNumber("P", 1, year=9999))
+def test_constructed_call_numbers_round_trip_through_their_text(cn):
+    assert parse(canonical_format(cn)) == cn
+
+
 def _copy(cn: CallNumber) -> CallNumber:
     return CallNumber(cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix)
 
