@@ -55,7 +55,7 @@ MODULES = (
 
 @dataclass(frozen=True)
 class ApiLogEntry:
-    timestamp: str                      # ISO 8601
+    timestamp: datetime                 # as stamped: naive or offset-aware
     module: str
     uri: str
     params: dict[str, str] = field(default_factory=dict)
@@ -70,10 +70,17 @@ class ApiLogEntry:
         if not (200 <= self.status < 300) and self.bib_ids:
             raise ValueError("bib_ids must be empty on non-2xx entries")
 
+    @property
+    def instant(self) -> datetime:
+        """The stamp as an instant; a stamp without a UTC offset is read as UTC,
+        so naive (simulated-clock) and offset-aware (live-clock) stamps compare."""
+        stamp = self.timestamp
+        return stamp if stamp.tzinfo is not None else stamp.replace(tzinfo=timezone.utc)
+
     def to_json(self) -> str:
         return json.dumps(
             {
-                "timestamp": self.timestamp,
+                "timestamp": self.timestamp.isoformat(),
                 "module": self.module,
                 "uri": self.uri,
                 "params": self.params,
@@ -84,18 +91,8 @@ class ApiLogEntry:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "ApiLogEntry":
+    def parse(cls, line: str) -> "ApiLogEntry":
         """One log line as an entry; ValueError or KeyError when it is not one."""
-        return cls.parse(line)[0]
-
-    @classmethod
-    def parse(cls, line: str) -> tuple["ApiLogEntry", datetime]:
-        """One log line as an entry and the instant it is stamped with.
-
-        A stamp without a UTC offset is read as UTC, so instants from naive
-        (simulated-clock) and offset-aware (live-clock) stamps compare.
-        ValueError or KeyError when the line is not an entry.
-        """
         raw = json.loads(line)
         if not isinstance(raw, dict):
             raise ValueError(f"log line is a JSON {type(raw).__name__}, not an object")
@@ -109,9 +106,7 @@ class ApiLogEntry:
         ):
             raise ValueError("log line has a field of the wrong type")
         stamped = datetime.fromisoformat(timestamp)  # ValueError unless ISO 8601
-        if stamped.tzinfo is None:
-            stamped = stamped.replace(tzinfo=timezone.utc)
-        return cls(timestamp, raw["module"], raw["uri"], params, status, tuple(bib_ids)), stamped
+        return cls(stamped, raw["module"], raw["uri"], params, status, tuple(bib_ids))
 
 
 class TransactionLog:
@@ -182,14 +177,11 @@ class Gateway:
         return cls(stack, store, outline, TransactionLog(log_path),
                    beacons=beacons, radius=cfg.radius, clock=clock)
 
-    def _timestamp(self) -> str:
-        return self.clock().isoformat()
-
     def _log(self, module: str, uri: str, params: dict[str, str], status: int,
              bib_ids: tuple[str, ...] = ()) -> None:
         self.txn_log.append(
             ApiLogEntry(
-                timestamp=self._timestamp(),
+                timestamp=self.clock(),
                 module=module,
                 uri=uri,
                 params=params,
@@ -405,8 +397,10 @@ class _Handler(socketserver.StreamRequestHandler):
         except BadHead as exc:
             return _refused(*exc.args)
 
-        connection = headers.get("connection", ("",))[0].lower()
-        close = connection == "close" or (version < (1, 1) and connection != "keep-alive")
+        # Connection holds comma-separated options, on any number of lines (RFC 9110 §7.6.1)
+        options = {option.strip(" \t").lower()
+                   for value in headers.get("connection", ()) for option in value.split(",")}
+        close = "close" in options or (version < (1, 1) and "keep-alive" not in options)
         if version >= (1, 1) and headers.get("expect", ("",))[0].lower() == "100-continue":
             # the client waits for this interim answer before it sends the body
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")

@@ -255,17 +255,6 @@ class WalkScript:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "WalkScript":
-        raw = json.loads(text)
-        return cls(
-            raw["seed"],
-            [
-                WalkStep(s["x"], s["y"], s["action"], s["dwell"], s.get("bib_id"))
-                for s in raw["steps"]
-            ],
-        )
-
 
 def gen_walk(
     seed: int,
@@ -363,7 +352,7 @@ class ReportConfig:
 class ReportError(RuntimeError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
-        super().__init__(f"[{stage}] {message}")
+        super().__init__(message)
 
 
 def _synthesize_module_log(
@@ -382,8 +371,8 @@ def _synthesize_module_log(
     zipf_weights = [1.0 / (i + 1) for i in range(len(_QUERY_WORDS))]
     entries: list[ApiLogEntry] = []
 
-    def stamp() -> str:
-        return (STUDY_START + timedelta(minutes=rng.randrange(window_minutes))).isoformat()
+    def stamp() -> datetime:
+        return STUDY_START + timedelta(minutes=rng.randrange(window_minutes))
 
     for module, count in (("catalog", n_catalog), ("journal", n_journal)):
         for _ in range(count):

@@ -190,18 +190,13 @@ class Recommender:
             ),
         )
 
-    def database_suggestions(self, ranges: list[CallNumberRange]) -> list[Recommendation]:
-        """Journal titles that dominate a subject search, plus curated databases.
-
-        A journal is suggested only when it holds a strict majority of the
-        article results for the range's subject query; its score is that
-        share.  Curated database entries whose subject ranges intersect any
-        nearby range are always included.
-        """
-        return self._database_items([self._summary(r) for r in ranges])
-
     def _database_items(self, summaries: list[RangeSummary]) -> list[Recommendation]:
-        """The summaries' journals, then their curated databases, each name once."""
+        """The summaries' journals, then their curated databases, each name once.
+
+        A range's journal is the one that holds a strict majority of the
+        article results for its subject query; a curated database is included
+        whenever its subject ranges overlap the range.
+        """
         out: list[Recommendation] = []
         seen: set[str] = set()
         for s in summaries:

@@ -13,7 +13,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,27 +47,24 @@ def parse_logs(paths: list[str | Path]) -> ParsedLogs:
     A line is malformed when it is not UTF-8, not JSON, not a JSON object, or
     not an entry with fields of the right types (see ``ApiLogEntry.parse``).
 
-    Entries are ordered by (instant, file, line) so multi-file input is a
-    stable merge; a stamp without a UTC offset is read as UTC.
+    Entries are ordered by instant (``ApiLogEntry.instant``), then file, then
+    line: the sort is stable, so multi-file input is a stable merge.
     """
-    keyed: list[tuple[tuple, ApiLogEntry]] = []
+    entries: list[ApiLogEntry] = []
     malformed: list[tuple[str, int, str]] = []
-    for file_idx, path in enumerate(paths):
+    for path in paths:
         with open(path, "rb") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    entry, instant = ApiLogEntry.parse(line.decode("utf-8"))
+                    entries.append(ApiLogEntry.parse(line.decode("utf-8")))
                 except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
                     malformed.append((str(path), line_no, str(exc)))
-                    continue
-                keyed.append(((instant, file_idx, line_no), entry))
-    keyed.sort(key=lambda pair: pair[0])
-    result = ParsedLogs([entry for _, entry in keyed], malformed)
+    entries.sort(key=attrgetter("instant"))
     if malformed:
         log.warning("parse_logs: %d malformed line(s)", len(malformed))
-    return result
+    return ParsedLogs(entries, malformed)
 
 
 def request_point(params: dict[str, str]) -> tuple[float, float] | None:
@@ -371,31 +368,17 @@ def mine_queries(entries: list[ApiLogEntry], module: str) -> TextStats:
     return TextStats(sum(counter.values()), len(counter), top)
 
 
-def _month_of(timestamp: str) -> tuple[int, int]:
-    dt = datetime.fromisoformat(timestamp)
-    return dt.year, dt.month
-
-
-def _next_month(ym: tuple[int, int]) -> tuple[int, int]:
-    year, month = ym
-    return (year + 1, 1) if month == 12 else (year, month + 1)
-
-
 def time_series(entries: list[ApiLogEntry], module: str) -> list[tuple[str, int]]:
-    """Per-calendar-month request counts of one module, zero-filled over its entries' span."""
-    months = [_month_of(e.timestamp) for e in entries if e.module == module]
-    if not months:
+    """Per-calendar-month request counts of one module, zero-filled over its entries' span.
+
+    Each stamp counts in its own calendar month, in the offset it was stamped with.
+    """
+    counter = Counter(e.timestamp.year * 12 + e.timestamp.month - 1
+                      for e in entries if e.module == module)
+    if not counter:
         return []
-    counter = Counter(months)
-    series = []
-    ym = min(months)
-    last = max(months)
-    while True:
-        series.append((f"{ym[0]:04d}-{ym[1]:02d}", counter.get(ym, 0)))
-        if ym == last:
-            break
-        ym = _next_month(ym)
-    return series
+    return [(f"{month // 12:04d}-{month % 12 + 1:02d}", counter[month])
+            for month in range(min(counter), max(counter) + 1)]
 
 
 # --- report output helpers -------------------------------------------------

@@ -11,6 +11,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime
 
 import pytest
 
@@ -203,7 +204,7 @@ def test_6_conservation_suite(
     parsed = telemetry.parse_logs([txn_log.path])
     append_ok = len(parsed.entries) == 100 and not parsed.malformed
     round_trip_ok = all(
-        type(e).from_json(e.to_json()) == e for e in parsed.entries
+        type(e).parse(e.to_json()) == e for e in parsed.entries
     )
 
     annotated = telemetry.annotate(parsed.entries, ref_corpus, ref_outline)
@@ -231,7 +232,7 @@ def test_7_text_mining_semantics():
         oracle.update(q.split())
         entries.append(
             telemetry.ApiLogEntry(
-                timestamp=f"2016-09-{(i % 28) + 1:02d}T10:00:00",
+                timestamp=datetime(2016, 9, (i % 28) + 1, 10),
                 module="catalog",
                 uri=f"/api/catalog/search?q={q.replace(' ', '+')}",
                 params={"q": q},

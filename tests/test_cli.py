@@ -46,7 +46,7 @@ def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
 def _write_point_log(path):
     lines = [
         ApiLogEntry(
-            timestamp="2016-09-01T10:00:00", module="recommend",
+            timestamp=datetime(2016, 9, 1, 10), module="recommend",
             uri=f"/api/recommend/popularnear?x={x}&y={y}", params={"x": x, "y": y},
         ).to_json()
         for x, y in (("nan", "1"), ("1", "inf"), ("15", "5"), ("5", "15"))
@@ -265,7 +265,7 @@ def test_a_service_config_radius_may_be_zero_or_a_whole_number(tmp_path):
 def test_heatmap_without_a_stackmap_sizes_its_grid_from_far_points(tmp_path, capsys, x):
     log = tmp_path / "api.jsonl"
     log.write_text(ApiLogEntry(
-        timestamp="2016-09-01T10:00:00", module="recommend",
+        timestamp=datetime(2016, 9, 1, 10), module="recommend",
         uri=f"/api/recommend/popularnear?x={x}&y=5", params={"x": x, "y": "5"},
     ).to_json() + "\n", encoding="utf-8")
     grid = tmp_path / "grid.csv"
@@ -285,7 +285,7 @@ def test_heatmap_without_a_stackmap_sizes_its_grid_from_far_points(tmp_path, cap
 def test_heatmap_too_big_to_hold_is_one_error_line_and_status_2(tmp_path, capsys, xs, cell_size):
     log = tmp_path / "api.jsonl"
     log.write_text("".join(ApiLogEntry(
-        timestamp="2016-09-01T10:00:00", module="recommend",
+        timestamp=datetime(2016, 9, 1, 10), module="recommend",
         uri=f"/api/recommend/popularnear?x={x}&y=5", params={"x": x, "y": "5"},
     ).to_json() + "\n" for x in xs), encoding="utf-8")
     grid = tmp_path / "grid.csv"
@@ -313,6 +313,7 @@ def test_harness_report_that_fails_at_a_stage_is_one_stderr_line_and_status_1(tm
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("report failed at stage gen_corpus: ")
+    assert "[gen_corpus]" not in lines[0]  # the stage is named once
 
 
 _SERVE_IMPORTS = """
@@ -379,7 +380,7 @@ def small_logs(tmp_path):
         gw.txn_log.close()
     modules_log = tmp_path / "modules.jsonl"
     modules_log.write_text("".join(
-        ApiLogEntry(timestamp="2016-10-03T09:00:00", module="catalog",
+        ApiLogEntry(timestamp=datetime(2016, 10, 3, 9), module="catalog",
                     uri=f"/api/catalog/search?q={q}", params={"q": q}).to_json() + "\n"
         for q in ("film", "film history")
     ), encoding="utf-8")

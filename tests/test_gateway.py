@@ -146,20 +146,20 @@ def test_one_request_one_line(gateway):
 
 def test_log_entry_round_trips():
     entry = ApiLogEntry(
-        timestamp=datetime(2016, 9, 1, 12, 0, tzinfo=timezone.utc).isoformat(),
+        timestamp=datetime(2016, 9, 1, 12, 0, tzinfo=timezone.utc),
         module="recommend",
         uri=POPULAR_URI,
         params={"x": "4362.047852", "y": "3160.110596"},
         status=200,
         bib_ids=("uiu_8378456", "uiu_7072382"),
     )
-    assert ApiLogEntry.from_json(entry.to_json()) == entry
+    assert ApiLogEntry.parse(entry.to_json()) == entry
 
 
 def test_non_2xx_with_bib_ids_rejected():
     with pytest.raises(ValueError):
         ApiLogEntry(
-            timestamp="2016-09-01T00:00:00",
+            timestamp=datetime(2016, 9, 1),
             module="recommend",
             uri="/x",
             status=404,
@@ -206,7 +206,7 @@ def test_concurrent_failing_appends_are_each_counted(tmp_path, caplog):
     txn_log = _YieldingCountLog(tmp_path / "api.jsonl")
     txn_log._fh.close()
     txn_log._fh = _FailingFile()
-    entry = ApiLogEntry("2024-01-01T00:00:00", "recommend", "/x")
+    entry = ApiLogEntry(datetime(2024, 1, 1), "recommend", "/x")
     caplog.set_level(logging.CRITICAL, logger="stackrec.gateway")  # no traceback per failure
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         list(pool.map(lambda _: [txn_log.append(entry) for _ in range(n_appends)],
@@ -540,6 +540,34 @@ def _http10_request(uri: str, connection: str = "") -> bytes:
     return f"GET {uri} HTTP/1.0\r\n{connection}\r\n".encode()
 
 
+@pytest.mark.parametrize("connection", [
+    pytest.param("Connection: TE, close\r\nTE: trailers\r\n", id="option-list"),
+    pytest.param("Connection: keep-alive\r\nConnection: close\r\n", id="second-line"),
+    pytest.param("Connection:keep-alive ,CLOSE \r\n", id="spaced-upper-case"),
+])
+def test_close_among_the_connection_options_closes_after_the_answer(gateway, connection):
+    # RFC 9110 7.6.1: Connection is a list of options, over any number of lines
+    raw = f"GET {MAP_DATA_URI} HTTP/1.1\r\nHost: localhost\r\n{connection}\r\n".encode()
+    with GatewayServer(gateway) as server:
+        with socket.create_connection(server.server_address[:2], timeout=READ_TIMEOUT_S + 10) as sock:
+            sock.sendall(raw)  # the client's side stays open: only the server can end the input
+            started = time.monotonic()
+            answers = _read_responses(sock)
+            waited = time.monotonic() - started
+    assert [(s, headers.get("connection")) for s, headers, _ in answers] == [(200, "close")]
+    assert waited < READ_TIMEOUT_S / 2  # closed after the answer, not at the read timeout
+    assert len(_log_lines(gateway)) == 1
+
+
+def test_http10_keep_alive_among_the_connection_options_keeps_the_connection(gateway):
+    keep = _http10_request(MAP_DATA_URI, "Connection: Keep-Alive, TE\r\nTE: trailers\r\n")
+    with GatewayServer(gateway) as server:
+        answers = _pipeline(server, keep + _http10_request(MAP_DATA_URI) + _get_request(MAP_DATA_URI))
+    assert [(s, headers.get("connection")) for s, headers, _ in answers] == [
+        (200, None), (200, "close"),
+    ]
+
+
 LOCATE_BODY = b'{"observations": [{"beacon_id": "b1", "rssi": -59}]}'
 
 WIRE_CASES = [  # (id, raw requests sent on one connection before the client ends its side)
@@ -743,12 +771,21 @@ def _connection_threads(server, started) -> list[threading.Thread]:
     return [thread for starter, thread in started if starter is server.thread]
 
 
+def _idle_threads(server) -> int:
+    with server._lock:
+        return server._idle
+
+
 def test_sequential_connections_reuse_the_connection_threads(gateway, started):
     with GatewayServer(gateway) as server:
-        for _ in range(30):
+        for n in range(30):
+            if n:  # connect only once the previous connection's thread waits again
+                deadline = time.monotonic() + 5
+                while _idle_threads(server) != 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert _idle_threads(server) == 1
             assert _get(server.base_url + MAP_DATA_URI)[0] == 200  # one connection each
-    # a second thread starts only if a connection comes before the first thread waits again
-    assert 1 <= len(_connection_threads(server, started)) <= 2
+    assert len(_connection_threads(server, started)) == 1
     assert len(_log_lines(gateway)) == 30
 
 

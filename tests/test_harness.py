@@ -12,7 +12,6 @@ from stackrec.harness import (
     FixtureSet,
     ReportConfig,
     ReportError,
-    WalkScript,
     gen_corpus,
     gen_walk,
     run_report,
@@ -139,12 +138,6 @@ def test_gen_walk_request_count_and_bounds(world):
         assert step.dwell > 0
         if step.action == "wayfind":
             assert step.bib_id in store.records
-
-
-def test_walk_script_round_trips(world):
-    store, stack = world
-    walk = gen_walk(4, stack, 50, corpus_=store)
-    assert WalkScript.from_json(walk.to_json()).to_json() == walk.to_json()
 
 
 def test_walk_without_corpus_has_no_wayfinds(world):
@@ -296,8 +289,8 @@ def test_report_walk_failure_names_stage_and_closes_the_log(tmp_path, monkeypatc
 
 def test_report_walk_file_replayable(tmp_path):
     run_report(ReportConfig(out_dir=str(tmp_path)))
-    walk = WalkScript.from_json((tmp_path / "walk.json").read_text())
-    assert walk.request_count == 600
+    steps = json.loads((tmp_path / "walk.json").read_text())["steps"]
+    assert sum(1 for step in steps if step["action"] != "idle") == 600
 
 
 def test_report_monthly_series_spans_study_window(tmp_path):

@@ -66,14 +66,14 @@ def test_majority_journal_share_scores(ref_recommender):
     assert journal.score == pytest.approx(6 / 8)
 
 
-def test_exact_half_share_is_not_a_majority(ref_recommender, ref_outline):
+def test_exact_half_share_is_not_a_majority(ref_corpus, ref_outline):
     # Philosophy articles split 5/10, 3/10, 2/10 across journals
-    ranges = [lccn.parse_range("B100", "B110")]
-    items = ref_recommender.database_suggestions(ranges)
+    rec, centre = _one_shelf(ref_corpus, ref_outline, "B100", "B110")
+    items = [i for i in rec.recommend_near(centre).items if i.kind == "database"]
     assert [i for i in items if i.name not in ("Literature Online", "America: History and Life")] == []
 
 
-def test_unanimous_journal_scores_one(ref_stackmap, ref_outline, tmp_path):
+def test_unanimous_journal_scores_one(ref_outline, tmp_path):
     articles = tmp_path / "articles.csv"
     articles.write_text(
         "journal_title,article_title,subject\n"
@@ -82,9 +82,8 @@ def test_unanimous_journal_scores_one(ref_stackmap, ref_outline, tmp_path):
         encoding="utf-8",
     )
     store = load_corpus(REFERENCE / "catalog.csv", articles_path=articles)
-    rec = Recommender(ref_stackmap, store, ref_outline, radius=25.0)
-    items = rec.database_suggestions([lccn.parse_range("PS3500", "PS3540")])
-    journal = next(i for i in items if i.name == "Only Journal")
+    rec, centre = _one_shelf(store, ref_outline, "PS3500", "PS3540")
+    journal = next(i for i in rec.recommend_near(centre).items if i.name == "Only Journal")
     assert journal.score == 1.0
 
 

@@ -35,7 +35,7 @@ from stackrec.telemetry import (
 def _entry(module="recommend", uri="/api/recommend/popularnear?x=1&y=2", ts="2016-09-01T10:00:00",
            params=None, status=200, bib_ids=()):
     return ApiLogEntry(
-        timestamp=ts, module=module, uri=uri,
+        timestamp=datetime.fromisoformat(ts), module=module, uri=uri,
         params=params if params is not None else {"x": "1", "y": "2"},
         status=status, bib_ids=tuple(bib_ids),
     )
@@ -80,7 +80,7 @@ def test_parse_merges_ordered_by_timestamp(tmp_path):
     a.write_text(_entry(ts="2016-10-01T00:00:00").to_json() + "\n", encoding="utf-8")
     b.write_text(_entry(ts="2016-09-01T00:00:00").to_json() + "\n", encoding="utf-8")
     parsed = parse_logs([a, b])
-    assert [e.timestamp for e in parsed.entries] == [
+    assert [e.timestamp.isoformat() for e in parsed.entries] == [
         "2016-09-01T00:00:00", "2016-10-01T00:00:00",
     ]
 
@@ -94,7 +94,7 @@ def test_parse_orders_naive_and_offset_stamps_by_instant(tmp_path):
             "".join(_entry(ts=ts).to_json() + "\n" for ts in stamps), encoding="utf-8"
         )
     parsed = parse_logs([tmp_path / "sim.jsonl", tmp_path / "live.jsonl"])
-    assert [e.timestamp for e in parsed.entries] == [
+    assert [e.timestamp.isoformat() for e in parsed.entries] == [
         "2016-09-01T11:30:00+02:00",   # 09:30 UTC
         "2016-09-01T10:00:00",
         "2016-09-01T11:00:00+00:00",
@@ -520,6 +520,30 @@ def test_monthly_matches_calendar_oracle():
 
 def test_empty_module_slice_is_empty_series():
     assert time_series([], "catalog") == []
+
+
+_MONTH_STAMPS = st.one_of(
+    st.datetimes(min_value=datetime(2014, 11, 1), max_value=datetime(2018, 2, 28), timezones=_ZONES),
+    # within hours of a month's start, where its UTC instant may fall in another month
+    st.builds(lambda year, month, zone, hours: datetime(year, month, 1, tzinfo=zone) + timedelta(hours=hours),
+              st.integers(2015, 2017), st.integers(1, 12), _ZONES, st.integers(-6, 6)),
+).map(datetime.isoformat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MONTH_STAMPS, max_size=30))
+def test_time_series_counts_each_stamp_in_its_own_calendar_month(stamps):
+    # oracle: the stamp text's YYYY-MM, counted, then zero-filled from first to last month
+    counts = Counter(stamp[:7] for stamp in stamps)
+    expected = []
+    if counts:
+        year, month = map(int, min(counts).split("-"))
+        while (label := f"{year:04d}-{month:02d}") <= max(counts):
+            expected.append((label, counts[label]))
+            year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+    entries = [_entry(module="catalog", uri="/c", params={}, ts=stamp) for stamp in stamps]
+    entries += [_entry(module="journal", uri="/j", params={})]  # another module's entry counts nowhere
+    assert time_series(entries, "catalog") == expected
 
 
 # --- output writers --------------------------------------------------------
