@@ -12,7 +12,6 @@ log is the input to the telemetry module.
 
 from __future__ import annotations
 
-import email.utils
 import json
 import logging
 import math
@@ -29,6 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qsl, quote, urlsplit
+from wsgiref.handlers import format_date_time
 
 from . import corpus, lccn, locate, stacksmap
 from .config import ServiceConfig
@@ -497,8 +497,9 @@ class GatewayServer(socketserver.TCPServer):
         self._threads: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
         # (second, its Date text), replaced whole so that no reader pairs one
-        # second with another second's text
-        self._date = (0, "")
+        # second with another second's text; no second is -1, so that the
+        # epoch's own second gets its text
+        self._date = (-1, "")
         self.thread = threading.Thread(target=self.serve_forever, daemon=True)
 
     @property
@@ -511,7 +512,7 @@ class GatewayServer(socketserver.TCPServer):
         second, text = self._date
         now = int(time.time())
         if now != second:
-            text = email.utils.formatdate(now, usegmt=True)
+            text = format_date_time(now)
             self._date = (now, text)
         return text
 

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from typing import ClassVar, Iterator
 
@@ -288,6 +289,8 @@ def gen_walk(
             if rec.format == "print":
                 wayfind_bibs.append(rec.bib_id)
                 wayfind_weights.append(corpus_.circulation_count(rec.bib_id) + 1)
+    # random.choices would rebuild this from the weights on each draw; the draws are the same
+    wayfind_cum_weights = list(accumulate(wayfind_weights))
 
     def clamp(x: float, y: float) -> tuple[float, float]:
         return (
@@ -330,7 +333,7 @@ def gen_walk(
         dwell = rng.uniform(0.2, 1.8) * mean_dwell
         bib_id = None
         if action == "wayfind":
-            bib_id = rng.choices(wayfind_bibs, weights=wayfind_weights)[0]
+            bib_id = rng.choices(wayfind_bibs, cum_weights=wayfind_cum_weights)[0]
         steps.append(WalkStep(x, y, action, dwell, bib_id))
     return WalkScript(seed, steps)
 

@@ -6,16 +6,21 @@ suffix (volume/copy designators).  Everything else in the package keys off the
 total order defined here.
 
 A CallNumber is its shelf key, plus its canonical text once formatted.  The
-key is a tuple of class letters, class integer, class fraction, the cutters,
-year (absent first), and suffix; ``sort_key()`` returns it, and the class
+key is one flat tuple::
+
+    (letters, class_int, frac, L1, D1, ..., Ln, Dn, "", has_year, year, suffix)
+
+``PN1995 .C655 D84 2015`` is ``("PN", 1995, "", "C", "655", "D", "84", "",
+1, 2015, "")``; with no year, ``has_year`` and ``year`` are both 0, so an
+absent year files first.  ``sort_key()`` returns the key, and the class
 letters, number, fraction, cutters, year and suffix are read-only properties
-that read it back.  The cutters are one flat tuple of alternating letters and
-digits, ``("C", "655", "D", "84")``: letters then only ever meet letters and
-digits meet digits, so it sorts as a tuple of ``(letter, digits)`` pairs
-would, and a prefix cutter list files first.  The class fraction and each
-cutter's digits are kept as digit strings with trailing zeros stripped.
-Compared as strings these order exactly as the decimal fractions they spell
-("79835" < "8", "6" < "62"), at any length.
+that read it back.  The ``""`` after the last cutter sorts before every
+cutter letter, so a prefix cutter list files first.  Until two keys first
+differ, letters meet letters and digits meet digits, so no string is ever
+compared with an integer.  The class fraction and each cutter's digits are
+kept as digit strings with trailing zeros stripped.  Compared as strings
+these order exactly as the decimal fractions they spell ("79835" < "8",
+"6" < "62"), at any length.
 
 Equality follows the key: the checked constructor normalizes what it is
 given, so ``CallNumber("PZ", 7, "50") == CallNumber("PZ", 7, "5")`` and a
@@ -32,11 +37,29 @@ itself and makes the CallNumber from it; public construction checks every
 part and builds the same key.
 
 A loaded collection repeats a few values across thousands of call numbers, so
-``parse`` gives each of them one shared object: the class letters are
-interned strings (at most 26 + 26**2 + 26**3 = 18,278 of them), and each
-year's key part ``(1, year)`` comes from a memo keyed by the four year digits
-(at most 10,000 entries).  Both are bounded by the grammar, not by the number
-of texts parsed.
+``parse`` gives each of them one shared object:
+
+- the class letters are interned strings, at most 26 + 26**2 + 26**3 =
+  18,278 of them;
+- each cutter letter is an interned string, at most 26;
+- each cutter's digit string and each class fraction is interned.  The
+  grammar does not bound their length, so these grow with the distinct
+  digit strings parsed: at most one per cutter and fraction of the call
+  numbers loaded;
+- each year's ``int`` comes from a memo keyed by the four year digits, at
+  most 10,000 entries.
+
+No request parses a call number; loads do, so the interned strings are the
+parts of the call numbers the process loads.  CPython 3.10, 3.11 and 3.13
+free an interned string when the last call number holding it goes.  CPython
+3.12 makes every interned string immortal, so there the set grows with the
+distinct parts of every call number the process ever loads, reloads
+included.  A process that frees one library and loads another interns
+anew, and the interpreter's table of interned strings keeps the size that
+churn left it: about 1 MB more after repeated study reports.
+
+The class number is ``int(number)`` in each parse: a memo keyed by its
+digits raised a served library's peak memory instead of lowering it.
 """
 
 from __future__ import annotations
@@ -106,8 +129,9 @@ class CallNumber:
             class_letters,
             class_int,
             class_frac.rstrip("0"),
-            tuple([part for c in cutters for part in (c.letter, c.digits.rstrip("0"))]),
-            (0, 0) if year is None else (1, year),
+            *[part for c in cutters for part in (c.letter, c.digits.rstrip("0"))],
+            "",
+            *((0, 0) if year is None else (1, year)),
             suffix or "",
         )
         self._text = None
@@ -127,17 +151,16 @@ class CallNumber:
 
     @property
     def cutters(self) -> tuple[Cutter, ...]:
-        flat = self._key[3]
+        flat = self._key[3:-4]  # letter, digits, letter, digits, ...
         return tuple(map(Cutter, flat[::2], flat[1::2]))
 
     @property
     def year(self) -> int | None:
-        has_year, year = self._key[4]
-        return year if has_year else None
+        return self._key[-2] if self._key[-3] else None
 
     @property
     def suffix(self) -> str | None:
-        return self._key[5] or None
+        return self._key[-1] or None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CallNumber):
@@ -160,10 +183,12 @@ class CallNumber:
 # The class letters, then the class number and fraction.
 _HEAD_RE = re.compile(r"\s*([A-Za-z]{1,3})\s*([0-9]+)(?:\.([0-9]+))?")
 _CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
-# After separators (blank, dot, tab): a year, or a cutter (letter and digits).
-_TOKEN_RE = re.compile(r"[ .\t]*(?:([0-9]{4})(?![0-9.])|([A-Za-z])([0-9]+))")
+# Separators: any whitespace (str.isspace) and dots.
+_SEPARATORS_RE = re.compile(r"[\s.]*")
+# After separators: a year, or a cutter (letter and digits).
+_TOKEN_RE = re.compile(r"[\s.]*(?:([0-9]{4})(?![0-9.])|([A-Za-z])([0-9]+))")
 
-_YEARS: dict[str, tuple[int, int]] = {}  # four year digits -> the year's key part (1, year)
+_YEARS: dict[str, int] = {}  # four year digits -> the year's one shared int
 
 
 def parse(text: str) -> CallNumber:
@@ -180,25 +205,24 @@ def parse(text: str) -> CallNumber:
             raise ParseError(text, 0, "no class letters")
         raise ParseError(text, m.end(), "missing class number")
     letters, number, frac = m.groups()
-    class_int = int(number)
+    frac = sys.intern(frac.rstrip("0")) if frac else ""
+    key: list = [sys.intern(letters.upper()), int(number), frac]  # the shelf key, built in order
     pos = m.end()
 
     # Cutters until the year; the first text that is neither ends the tokens.
-    cutters: list[str] = []  # the key's flat cutter part
-    year_key = (0, 0)
+    has_year = year = 0
     while m := _TOKEN_RE.match(text, pos):
         pos = m.end()
         year_digits, letter, digits = m.groups()
         if year_digits:
-            year_key = _YEARS.setdefault(year_digits, (1, int(year_digits)))
+            has_year, year = 1, _YEARS.setdefault(year_digits, int(year_digits))
             break
         if int(digits) == 0:
             raise ParseError(text, m.start(2), "malformed cutter: zero digits")
-        cutters += letter.upper(), digits.rstrip("0")
-    suffix = text[pos:].lstrip(" .\t").strip()
-    frac = frac.rstrip("0") if frac else ""
+        key += sys.intern(letter.upper()), sys.intern(digits.rstrip("0"))
+    key += "", has_year, year, text[_SEPARATORS_RE.match(text, pos).end():].rstrip()
     cn = object.__new__(CallNumber)
-    cn._key = (sys.intern(letters.upper()), class_int, frac, tuple(cutters), year_key, suffix)
+    cn._key = tuple(key)
     cn._text = None
     return cn
 
@@ -212,7 +236,7 @@ def canonical_format(cn: CallNumber) -> str:
     formatted at most once; its text is kept on it for the next call.
     """
     if cn._text is None:
-        letters, number, frac, cutters, (has_year, year), suffix = cn._key
+        letters, number, frac, *cutters, _, has_year, year, suffix = cn._key
         parts = [f"{letters}{number}.{frac}" if frac else f"{letters}{number}"]
         for i in range(0, len(cutters), 2):  # letter, digits, letter, digits, ...
             parts.append(("." if i == 0 else "") + cutters[i] + cutters[i + 1])
@@ -275,10 +299,6 @@ def parse_range(start_text: str, end_text: str) -> CallNumberRange:
     return CallNumberRange(parse(start_text), parse(end_text))
 
 
-# Files after every cutter list, so a class-prefix end covers its whole class.
-_CUTTERS_MAX = ("\uffff", "")
-
-
 def _end_upper_key(end: CallNumber) -> tuple:
     """The largest sort key a range ending at `end` contains.
 
@@ -286,8 +306,8 @@ def _end_upper_key(end: CallNumber) -> tuple:
     end in the sense of CallNumberRange (a class-prefix end covers its class).
     """
     key = end.sort_key()
-    if key[3:] == ((), (0, 0), ""):  # no cutters, year or suffix
-        return key[:3] + (_CUTTERS_MAX, (2, 0), "\uffff")
+    if key[3:] == ("", 0, 0, ""):  # no cutters, year or suffix
+        return key[:3] + ("\uffff",)  # files after every cutter letter and ""
     return key
 
 

@@ -141,8 +141,9 @@ def oracle_classify(rows, cn: lccn.CallNumber) -> str | None:
     return min(candidates, key=lambda row: row[2])[1]
 
 
-# The call-number parser as it stood before its one-regex head and token loop,
-# copied verbatim: the oracle that lccn.parse must agree with on every input.
+# The call-number parser as it stood before its one-regex head and token loop:
+# the oracle that lccn.parse must agree with on every input.  It is copied
+# verbatim but for its separators, a dot or any whitespace (str.isspace).
 _REF_CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
 _REF_NUMBER_RE = re.compile(r"\s*([0-9]+)(?:\.([0-9]+))?")
 _REF_CUTTER_RE = re.compile(r"([A-Za-z])([0-9]+)")
@@ -168,7 +169,7 @@ def reference_parse(text: str) -> lccn.CallNumber:
     year: int | None = None
     suffix: str | None = None
     while pos < len(text):
-        if text[pos] in " .\t":
+        if text[pos] == "." or text[pos].isspace():
             pos += 1
             continue
         if year is None:

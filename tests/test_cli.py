@@ -331,7 +331,7 @@ with GatewayServer(gw) as server, socket.create_connection(server.server_address
         answer += chunk
 gw.txn_log.close()
 serving = {"numpy": "numpy" in sys.modules, "status": int(answer.split()[1]),
-           "http": [m for m in ("http.server", "http.client", "ssl") if m in sys.modules],
+           "stdlib": [m for m in ("http.server", "http.client", "ssl", "email") if m in sys.modules],
            "stackrec": sorted(m for m in sys.modules if m.startswith("stackrec."))}
 with contextlib.redirect_stdout(io.StringIO()):
     generated = cli.main(["harness", "gen", "--seed", "7", "--records", "30", "--out", library])
@@ -343,9 +343,9 @@ print(json.dumps({"serving": serving, "generating": generating, "monthly": code,
 
 
 def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
-    """Serving a request over a socket leaves numpy, http.server, http.client and ssl
-    unloaded, and so does generating a library; the telemetry commands load numpy
-    when run."""
+    """Serving a request over a socket leaves numpy, http.server, http.client, ssl
+    and email unloaded, and generating a library leaves numpy unloaded; the
+    telemetry commands load numpy when run."""
     env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", _SERVE_IMPORTS, str(REFERENCE / "config.json"),
@@ -355,7 +355,7 @@ def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
     *printed, result = done.stdout.splitlines()
     result = json.loads(result)
     assert result["serving"] == {
-        "numpy": False, "status": 200, "http": [],
+        "numpy": False, "status": 200, "stdlib": [],
         "stackrec": [f"stackrec.{name}" for name in (
             "cli", "config", "corpus", "gateway", "lccn", "locate", "recommend", "stacksmap")],
     }

@@ -181,25 +181,28 @@ def test_books_in_range_calls_no_in_range(monkeypatch, ref_corpus):
 
 def _assert_repeated_values_shared(store):
     """Each repeated value of a loaded store is one object: the class letters,
-    the year with its key part, the format, and each charge count's bib_id."""
-    letters, years = {}, {}
+    the class fraction, each cutter's letter and digits, the year, the format,
+    and each charge count's bib_id.  Returns the class letters, the years and
+    the shared strings of the shelf keys."""
+    letters, years, strings = set(), {}, {}
     for record in store.records.values():
         cn = record.call_number
-        key = cn.sort_key()
-        assert letters.setdefault(cn.class_letters, cn.class_letters) is cn.class_letters
-        assert key[0] is cn.class_letters
+        key = cn.sort_key()  # (letters, int, frac, L1, D1, ..., "", has_year, year, suffix)
+        assert key[0] is cn.class_letters and key[2] is cn.class_frac
+        for part in (key[0], key[2], *key[3:-4]):
+            assert strings.setdefault(part, part) is part
+        letters.add(cn.class_letters)
         if cn.year is not None:
-            year, year_key = years.setdefault(cn.year, (cn.year, key[4]))
-            assert cn.year is year and key[4] is year_key
+            assert years.setdefault(cn.year, key[-2]) is key[-2] and cn.year is key[-2]
         assert any(record.format is fmt for fmt in corpus.FORMATS)
     for bib_id in store.charges:
         if bib_id in store.records:
             assert bib_id is store.records[bib_id].bib_id
-    return letters, years
+    return letters, years, strings
 
 
 def test_load_shares_one_object_per_repeated_value(ref_corpus):
-    letters, _ = _assert_repeated_values_shared(ref_corpus)
+    letters, _, _ = _assert_repeated_values_shared(ref_corpus)
     assert Counter(r.call_number.class_letters for r in ref_corpus.records.values())["PS"] == 7
     assert len(ref_corpus.charges) == 13 and set(ref_corpus.charges) <= set(ref_corpus.records)
 
@@ -211,7 +214,9 @@ def test_load_shares_years_and_letters_however_the_text_spells_them(tmp_path):
         "uiu_1,One,ps100 .a1 1999,print\n"
         "uiu_2,Two, PS200 .B2 1999 ,print \n"
         "uiu_3,Three,Ps300.C3 1999,ebook\n"
-        "uiu_4,Four,PS400 2001,\tebook\n",
+        "uiu_4,Four,PS400 2001,\tebook\n"
+        "uiu_5,Five,PS100.50 .A10 b20,print\n"
+        "uiu_6,Six,ps7.5 .C3 B2 2001,print\n",
         encoding="utf-8",
     )
     circulation = tmp_path / "circulation.csv"
@@ -220,8 +225,9 @@ def test_load_shares_years_and_letters_however_the_text_spells_them(tmp_path):
         encoding="utf-8",
     )
     store = load_corpus(catalog, circulation)
-    letters, years = _assert_repeated_values_shared(store)
-    assert set(letters) == {"PS"} and set(years) == {1999, 2001}
+    letters, years, strings = _assert_repeated_values_shared(store)
+    assert letters == {"PS"} and set(years) == {1999, 2001}
+    assert set(strings) == {"PS", "", "5", "A", "1", "B", "2", "C", "3"}
     assert store.charges == Counter({"uiu_1": 2, "uiu_9": 1})
 
 

@@ -273,6 +273,22 @@ def test_http_endpoints_end_to_end(gateway):
     assert len(entries) == 6
 
 
+# The epoch, the first and last second of the leap day 2000-02-29, the last
+# second of 2016 and the first of 2017, a second with a fraction, and 2**31.
+DATE_INSTANTS = [0, 951782400, 951868799, 1483228799, 1483228800, 1700000000.7, 2**31]
+
+
+def test_date_header_text_matches_the_email_package(monkeypatch):
+    server = GatewayServer(None)
+    try:
+        for instant in DATE_INSTANTS:
+            monkeypatch.setattr(time, "time", lambda: instant)
+            assert server.http_date() == email.utils.formatdate(instant, usegmt=True)
+            assert server.http_date() == email.utils.formatdate(instant, usegmt=True)  # kept for the second
+    finally:
+        server.server_close()
+
+
 def test_concurrent_requests_yield_atomic_lines(gateway):
     n = 100
     with GatewayServer(gateway) as server:

@@ -107,11 +107,13 @@ def _parse_outcome(parser, text):
     return "parsed", parts, cn.sort_key()
 
 
-# ASCII letters and digits, the separators, and non-ASCII digits and letters.
-PARSE_ALPHABET = string.ascii_letters + string.digits + " .\t\n-/²٠é"
+# ASCII letters and digits, the separators (a dot and some whitespace), and
+# non-ASCII digits and letters.
+PARSE_ALPHABET = string.ascii_letters + string.digits + " .\t\n\x0b\u3000-/²٠é"
 # Runs of call-number parts, so that most texts get past the class number.
 PARSE_PARTS = ["PN", "b", "QA", "ABCD", "1995", "76.73", "7", "0", "00", ".", " ", "\t", "\n",
-               ".C655", "R79835", "x0", "2015", "1974.", "20155", "v.2", "-", "/", "²", "٠", "é"]
+               "\r\n", "\u3000", ".C655", "R79835", "x0", "2015", "1974.", "20155", "v.2",
+               "-", "/", "²", "٠", "é"]
 PARSE_TEXT = st.text(PARSE_ALPHABET, max_size=30) | st.lists(
     st.sampled_from(PARSE_PARTS), max_size=10).map("".join)
 
@@ -122,7 +124,7 @@ PARSE_TEXT = st.text(PARSE_ALPHABET, max_size=30) | st.lists(
 @example("PN" + "1" * 5000)  # a class number past int()'s digit limit: ValueError
 @example("PN1 .C" + "9" * 5000)
 @example("PN1 .C" + "0" * 5000)
-@example("PN1995\n")  # the newline ends the tokens: no suffix
+@example("PN1995\n")  # the newline separates like a space: no suffix
 @example("PN1995 .C655\t")  # separators to the end: no suffix
 @example("PN1995 2015 .\t")
 def test_parse_agrees_with_the_reference_parser(text):
@@ -149,7 +151,11 @@ def test_canonical_form_of_double_cutter():
     assert canonical_format(cn) == "B105 .E9 G63 1974"
 
 
-@pytest.mark.parametrize("text", KNOWN_SORT_ORDER + ["PZ7 .R79835"])
+@pytest.mark.parametrize("text", KNOWN_SORT_ORDER + [
+    "PZ7 .R79835",
+    # whitespace other than a space separates like one
+    "P1\n1990", "P1 .C5 \n C6", "P1 .A5\x0bB7", "P1 .A5\x0c1990", "PS3545 .I345\r\nZ5 1990",
+])
 def test_round_trip_preserves_value(text):
     cn = parse(text)
     assert parse(canonical_format(cn)) == cn
@@ -224,6 +230,21 @@ def test_canonical_round_trip_property(cn):
     reparsed = parse(canonical_format(cn))
     assert compare(reparsed, cn) == 0
     assert canonical_format(reparsed) == canonical_format(cn)
+
+
+# Whitespace other than a space or a tab: controls, Unicode's line and
+# paragraph separators, a no-break space and an ideographic space.
+OTHER_WHITESPACE = "\n\r\x0b\x0c\x1c\x85\u00a0\u2028\u3000"
+
+
+@settings(max_examples=500, deadline=None)
+@given(call_numbers, st.lists(st.text(OTHER_WHITESPACE + " ", min_size=1, max_size=3),
+                              min_size=7, max_size=7))
+def test_any_whitespace_separates_the_parts(cn, spaces):
+    first, *rest = canonical_format(cn).split(" ")  # at most 6 parts, none with a space
+    text = spaces[0] + first + "".join(space + part for space, part in zip(spaces[1:], rest))
+    assert parse(text) == cn
+    assert parse(canonical_format(parse(text))) == parse(text)
 
 
 @given(call_numbers, call_numbers)
