@@ -1,7 +1,7 @@
 """Command-line front end: serve, telemetry subcommands, harness subcommands.
 
-The telemetry module, which loads numpy, and harness are imported only by the
-commands that use them, so that ``stackrec serve`` loads only what it serves.
+The telemetry and harness modules are imported only by the commands that use
+them, so that ``stackrec serve`` loads only what it serves.
 """
 
 from __future__ import annotations

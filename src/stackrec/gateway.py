@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import re
 import selectors
 import socket
@@ -115,6 +116,7 @@ class TransactionLog:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        _end_torn_line(self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
         self.write_errors = 0
 
@@ -131,6 +133,21 @@ class TransactionLog:
     def close(self) -> None:
         with self._lock:
             self._fh.close()
+
+
+def _end_torn_line(path: Path) -> None:
+    """End a last line cut short, by a crash say, with a newline.
+
+    Otherwise the next appended line would join it and both would be lost as
+    one malformed line; this way the torn line alone is malformed.
+    """
+    with open(path, "a+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+                log.warning("transaction log %s ended inside a line; a newline now ends it", path)
 
 
 def _utc_now() -> datetime:

@@ -25,7 +25,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import ClassVar, Iterator
 
-from . import corpus, lccn, locate, stacksmap
+from . import corpus, lccn, locate, stacksmap, telemetry
 from .config import DATA_FILES, ServiceConfig, quoted
 from .gateway import ApiLogEntry, Gateway, GatewayServer
 
@@ -450,8 +450,6 @@ def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
     Reads the gateway's log once, writes modules.jsonl from the bib ids it
     names, and returns the summary, also written to summary.json.
     """
-    from . import telemetry  # numpy with it, so only the report loads it
-
     out = Path(config.out_dir)
     with _stage("parse_logs"):
         parsed = telemetry.parse_logs([gateway.txn_log.path])

@@ -11,12 +11,12 @@ from __future__ import annotations
 import logging
 import math
 import string
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
 
 from . import lccn, stacksmap
 from .config import csv_field, quoted
@@ -141,7 +141,7 @@ def annotate(
 
 
 # Far above any real map: the 20,000-record map at cell size 20 is about 2,500
-# cells.  A grid of this many float64 cells takes 80 MB.
+# cells.  A grid of this many 8-byte cells takes 80 MB.
 MAX_GRID_CELLS = 10_000_000
 
 
@@ -176,15 +176,26 @@ class GridSpec:
         raise ValueError(f"a grid of {across:.6g} x {down:.6g} cells is more than {MAX_GRID_CELLS:,} cells")
 
 
+class GridRows(list):
+    """A grid's rows, each an ``array("d")`` of floats: 8 bytes a cell, whatever it holds.
+
+    ``tolist`` answers the one caller written for a numpy array,
+    ``perfbench/worker.py``; it goes once ROADMAP item 1 changes that call.
+    """
+
+    def tolist(self) -> list[list[float]]:
+        return [list(row) for row in self]
+
+
 @dataclass
 class DensityGrid:
     spec: GridSpec
-    values: np.ndarray              # shape (height, width), row 0 at origin_y
+    values: GridRows                # height rows of width floats, row 0 at origin_y
     out_of_extent: int = 0
 
     @property
     def total_mass(self) -> float:
-        return float(self.values.sum())
+        return math.fsum(chain.from_iterable(self.values))
 
 
 def _cell_of(spec: GridSpec, x: float, y: float) -> tuple[int, int] | None:
@@ -212,7 +223,7 @@ def heatmap_points(
     spreads a kernel truncated at 3 sigma, renormalized over in-grid cells so
     every in-extent point contributes exactly mass 1.
     """
-    values = np.zeros((spec.height, spec.width))
+    values = GridRows(array("d", [0.0]) * spec.width for _ in range(spec.height))
     out_of_extent = 0
     if mode == "bin":
         for x, y in points:
@@ -220,11 +231,13 @@ def heatmap_points(
             if cell is None:
                 out_of_extent += 1
             else:
-                values[cell] += 1.0
+                row, col = cell
+                values[row][col] += 1.0
     elif mode == "gaussian":
         if sigma is None or sigma <= 0:
             raise ValueError("gaussian mode requires sigma > 0")
         reach = int(math.ceil(3.0 * sigma / spec.cell_size))
+        two_var, cutoff = 2.0 * sigma * sigma, (3.0 * sigma) ** 2
         for x, y in points:
             cell = _cell_of(spec, x, y)
             if cell is None:
@@ -233,18 +246,20 @@ def heatmap_points(
             row, col = cell
             r0, r1 = max(0, row - reach), min(spec.height - 1, row + reach)
             c0, c1 = max(0, col - reach), min(spec.width - 1, col + reach)
-            rows = np.arange(r0, r1 + 1)
-            cols = np.arange(c0, c1 + 1)
-            cy = spec.origin_y + (rows + 0.5) * spec.cell_size
-            cx = spec.origin_x + (cols + 0.5) * spec.cell_size
-            d2 = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2
-            kernel = np.exp(-d2 / (2.0 * sigma * sigma))
-            kernel[d2 > (3.0 * sigma) ** 2] = 0.0
-            total = kernel.sum()
+            # squared offsets of the cell centres from the point, per column and per row
+            dx2 = [(d := spec.origin_x + (c + 0.5) * spec.cell_size - x) * d for c in range(c0, c1 + 1)]
+            dy2 = [(d := spec.origin_y + (r + 0.5) * spec.cell_size - y) * d for r in range(r0, r1 + 1)]
+            # (target row, column, weight) of each cell within 3 sigma; cells
+            # beyond weigh 0 and are left out, whole rows of them first
+            kernel = [(target, c, math.exp(-d2 / two_var))
+                      for target, b in zip(values[r0 : r1 + 1], dy2) if b <= cutoff
+                      for c, a in enumerate(dx2, start=c0) if (d2 := a + b) <= cutoff]
+            total = math.fsum([k for _, _, k in kernel])
             if total <= 0.0:
-                values[row, col] += 1.0
+                values[row][col] += 1.0
             else:
-                values[r0 : r1 + 1, c0 : c1 + 1] += kernel / total
+                for target, c, k in kernel:
+                    target[c] += k / total
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if out_of_extent:
@@ -314,15 +329,23 @@ def fit_power_law(dist: SubjectDistribution | list[int] | list[float]) -> PowerL
     counts = sorted((c for c in counts if c > 0), reverse=True)
     if len(counts) < 3:
         raise TooFewRanks(f"need >= 3 nonzero ranks, got {len(counts)}")
-    ranks = np.arange(1, len(counts) + 1, dtype=float)
-    log_r = np.log(ranks)
-    log_c = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(log_r, log_c, 1)
-    predicted = slope * log_r + intercept
-    ss_res = float(np.sum((log_c - predicted) ** 2))
-    ss_tot = float(np.sum((log_c - log_c.mean()) ** 2))
+    n = len(counts)
+    log_r = [math.log(rank) for rank in range(1, n + 1)]
+    # log counts relative to the largest: the slope and both sums of squares
+    # are the same, but equal counts centre to exact zeros and near-equal
+    # ones keep their digits
+    top = math.log(counts[0])
+    log_c = [math.log(count) - top for count in counts]
+    mean_r, mean_c = math.fsum(log_r) / n, math.fsum(log_c) / n
+    dev_r = [v - mean_r for v in log_r]
+    dev_c = [v - mean_c for v in log_c]
+    slope = math.fsum(a * b for a, b in zip(dev_r, dev_c)) / math.fsum(a * a for a in dev_r)
+    intercept = mean_c - slope * mean_r
+    residuals = [c - (slope * r + intercept) for r, c in zip(log_r, log_c)]
+    ss_res = math.fsum(e * e for e in residuals)
+    ss_tot = math.fsum(d * d for d in dev_c)
     r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(float(slope), r_squared)
+    return PowerLawFit(slope, r_squared)
 
 
 def trace_identifier(bib_id: str, entries: list[ApiLogEntry]) -> dict[str, int]:
@@ -397,14 +420,12 @@ def write_grid_csv(grid: DensityGrid, path: str | Path) -> None:
 
 def write_grid_pgm(grid: DensityGrid, path: str | Path) -> None:
     """8-bit grayscale PGM, brightest cell = highest density."""
-    peak = grid.values.max()
-    scaled = np.zeros_like(grid.values, dtype=int) if peak <= 0 else np.rint(
-        grid.values / peak * 255
-    ).astype(int)
+    peak = max(map(max, grid.values))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"P2\n{grid.spec.width} {grid.spec.height}\n255\n")
-        for row in scaled[::-1]:  # row 0 of the grid is the bottom of the image
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        for row in reversed(grid.values):  # row 0 of the grid is the bottom of the image
+            scaled = (0 for _ in row) if peak <= 0 else (round(v / peak * 255) for v in row)
+            fh.write(" ".join(map(str, scaled)) + "\n")
 
 
 def write_wayfinder_table(annotated: list[AnnotatedEntry], path: str | Path) -> None:

@@ -1,5 +1,7 @@
+import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from stackrec import corpus, lccn, locate, stacksmap
 from stackrec.recommend import Recommender
+from stackrec.telemetry import GridSpec, PowerLawFit, SubjectDistribution, TooFewRanks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REFERENCE = FIXTURES / "reference"
@@ -248,3 +251,117 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+# The heat map, power-law fit and PGM scaling as they stood on numpy: the
+# oracles that telemetry's standard-library versions must agree with.  They are
+# copied verbatim but for three things: numpy is imported where they run, so
+# that only the tests that call them need it; the heat map returns its array
+# and out-of-extent count, not a DensityGrid; and the PGM scaling takes the
+# grid's rows and returns its own, top of the image first, instead of writing
+# them.
+def reference_cell_of(spec: GridSpec, x: float, y: float) -> tuple[int, int] | None:
+    col = math.floor((x - spec.origin_x) / spec.cell_size)
+    row = math.floor((y - spec.origin_y) / spec.cell_size)
+    # points on the far edge fold into the last cell
+    if col == spec.width and x == spec.origin_x + spec.width * spec.cell_size:
+        col -= 1
+    if row == spec.height and y == spec.origin_y + spec.height * spec.cell_size:
+        row -= 1
+    if 0 <= col < spec.width and 0 <= row < spec.height:
+        return row, col
+    return None
+
+
+def reference_heatmap_points(
+    points: list[tuple[float, float]],
+    spec: GridSpec,
+    mode: str = "bin",
+    sigma: float | None = None,
+):
+    import numpy as np
+
+    values = np.zeros((spec.height, spec.width))
+    out_of_extent = 0
+    if mode == "bin":
+        for x, y in points:
+            cell = reference_cell_of(spec, x, y)
+            if cell is None:
+                out_of_extent += 1
+            else:
+                values[cell] += 1.0
+    elif mode == "gaussian":
+        if sigma is None or sigma <= 0:
+            raise ValueError("gaussian mode requires sigma > 0")
+        reach = int(math.ceil(3.0 * sigma / spec.cell_size))
+        for x, y in points:
+            cell = reference_cell_of(spec, x, y)
+            if cell is None:
+                out_of_extent += 1
+                continue
+            row, col = cell
+            r0, r1 = max(0, row - reach), min(spec.height - 1, row + reach)
+            c0, c1 = max(0, col - reach), min(spec.width - 1, col + reach)
+            rows = np.arange(r0, r1 + 1)
+            cols = np.arange(c0, c1 + 1)
+            cy = spec.origin_y + (rows + 0.5) * spec.cell_size
+            cx = spec.origin_x + (cols + 0.5) * spec.cell_size
+            d2 = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2
+            kernel = np.exp(-d2 / (2.0 * sigma * sigma))
+            kernel[d2 > (3.0 * sigma) ** 2] = 0.0
+            total = kernel.sum()
+            if total <= 0.0:
+                values[row, col] += 1.0
+            else:
+                values[r0 : r1 + 1, c0 : c1 + 1] += kernel / total
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return values, out_of_extent
+
+
+def reference_fit_power_law(dist: SubjectDistribution | list[int] | list[float]) -> PowerLawFit:
+    import numpy as np
+
+    counts = dist.counts() if isinstance(dist, SubjectDistribution) else list(dist)
+    counts = sorted((c for c in counts if c > 0), reverse=True)
+    if len(counts) < 3:
+        raise TooFewRanks(f"need >= 3 nonzero ranks, got {len(counts)}")
+    ranks = np.arange(1, len(counts) + 1, dtype=float)
+    log_r = np.log(ranks)
+    log_c = np.log(np.asarray(counts, dtype=float))
+    slope, intercept = np.polyfit(log_r, log_c, 1)
+    predicted = slope * log_r + intercept
+    ss_res = float(np.sum((log_c - predicted) ** 2))
+    ss_tot = float(np.sum((log_c - log_c.mean()) ** 2))
+    r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
+    return PowerLawFit(float(slope), r_squared)
+
+
+def reference_pgm_rows(values: list[list[float]]) -> list[list[int]]:
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    peak = values.max()
+    scaled = np.zeros_like(values, dtype=int) if peak <= 0 else np.rint(
+        values / peak * 255
+    ).astype(int)
+    return scaled[::-1].tolist()  # row 0 of the grid is the bottom of the image
+
+
+def exact_fit_power_law(counts: list[int]) -> PowerLawFit:
+    """The least-squares line on (log rank, log count), in exact rationals.
+
+    The logs are the floats math.log gives; everything after them is exact, so
+    this is the fit that a float implementation can only round.
+    """
+    counts = sorted((c for c in counts if c > 0), reverse=True)
+    n = len(counts)
+    log_r = [Fraction(math.log(rank)) for rank in range(1, n + 1)]
+    log_c = [Fraction(math.log(count)) for count in counts]
+    mean_r, mean_c = sum(log_r) / n, sum(log_c) / n
+    slope = (sum((r - mean_r) * (c - mean_c) for r, c in zip(log_r, log_c))
+             / sum((r - mean_r) ** 2 for r in log_r))
+    intercept = mean_c - slope * mean_r
+    ss_res = sum((c - (slope * r + intercept)) ** 2 for r, c in zip(log_r, log_c))
+    ss_tot = sum((c - mean_c) ** 2 for c in log_c)
+    return PowerLawFit(float(slope), 1.0 if ss_tot < 1e-30 else float(1 - ss_res / ss_tot))

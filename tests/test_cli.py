@@ -342,10 +342,10 @@ print(json.dumps({"serving": serving, "generating": generating, "monthly": code,
 """
 
 
-def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
+def test_serving_and_telemetry_import_no_numpy(tmp_path):
     """Serving a request over a socket leaves numpy, http.server, http.client, ssl
-    and email unloaded, and generating a library leaves numpy unloaded; the
-    telemetry commands load numpy when run."""
+    and email unloaded, and neither generating a library nor a telemetry
+    command loads numpy."""
     env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", _SERVE_IMPORTS, str(REFERENCE / "config.json"),
@@ -363,7 +363,7 @@ def test_serving_imports_no_numpy_and_telemetry_still_runs(tmp_path):
     assert result["monthly"] == 0
     (month,) = printed  # the one logged popularnear request, in the month it was made
     assert month.endswith("\t1")
-    assert result["numpy_after"]
+    assert not result["numpy_after"]
 
 
 @pytest.fixture

@@ -178,6 +178,32 @@ def test_log_concatenation_is_valid_log(gateway, tmp_path):
     assert not parsed.malformed
 
 
+def test_appends_after_a_torn_last_line_are_whole_lines(tmp_path, caplog):
+    path = tmp_path / "api.jsonl"
+    torn = ApiLogEntry(datetime(2024, 1, 1), "recommend", "/torn").to_json()[:30]
+    path.write_text(torn, encoding="utf-8")  # a crash cut the last line short
+    txn_log = TransactionLog(path)
+    appended = [ApiLogEntry(datetime(2024, 1, 1, 0, minute), "recommend", f"/after/{minute}")
+                for minute in (1, 2)]
+    for entry in appended:
+        txn_log.append(entry)
+    txn_log.close()
+    parsed = telemetry.parse_logs([path])
+    assert parsed.entries == appended
+    assert [line_no for _, line_no, _ in parsed.malformed] == [1]  # the torn line alone
+    assert any(str(path) in r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
+
+
+def test_reopening_a_whole_log_adds_nothing(tmp_path):
+    path = tmp_path / "api.jsonl"
+    for _ in range(2):
+        txn_log = TransactionLog(path)
+        txn_log.append(ApiLogEntry(datetime(2024, 1, 1), "recommend", "/x"))
+        txn_log.close()
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+    assert len(telemetry.parse_logs([path]).entries) == 2
+
+
 class _FailingFile:
     def write(self, line):
         raise OSError("disk full")

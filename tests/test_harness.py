@@ -196,10 +196,10 @@ def test_run_report_rerun_is_identical(tmp_path):
 # the program faster leaves them as they are; one that changes an answer on
 # purpose records them anew.
 GOLDEN_SUMMARY = Path(__file__).parent / "fixtures" / "golden" / "seed7_summary.json"
-# The digest of each file whose bytes come from neither numpy's exp nor the
-# fit: every file but two.  heatmap_smooth.csv is left out because its values
-# go through np.exp, which may differ in the last bit between numpy builds.
-# summary.json holds the fit and is compared to GOLDEN_SUMMARY to a relative 1e-9.
+# The digest of every file but summary.json.  heatmap_smooth.csv goes through
+# math.exp and is written to nine significant digits, so the same Python on
+# any numpy, or none, writes the same bytes.  summary.json holds the fit to
+# every bit and is compared to GOLDEN_SUMMARY to a relative 1e-9.
 GOLDEN_SHA256 = {
     "fixtures/articles.csv": "24054092f3810a95995513d6ab985dc362a9a340a49b25d3a44ee83e0db32770",
     "fixtures/beacons.csv": "6425d43cc9f6fe3f7a56c19200c57a198a55e55b445561645189695cb059c425",
@@ -212,6 +212,7 @@ GOLDEN_SHA256 = {
     "gateway.jsonl": "1b8d775afc55ba25ef5406cabe3a260d0df702a9d4c57d9fd199bd91f0e4a90d",
     "heatmap.pgm": "5400b464afe4d4aef82adf30c234fd670d076c7c757def36bf80d26a20ca8635",
     "heatmap_grid.csv": "16f3b4f996fb6fd8d72d6d925b85d4059aadbaf00aa945f83ad6e4a66f181325",
+    "heatmap_smooth.csv": "f79e898855059b1c3acb107aec3cb59def0ae946eece7b2e920123190cb78975",
     "modules.jsonl": "1f0423147b5b4c866d22be8a3e7a647035a3005c5f62e52581413e201088adbd",
     "monthly_catalog.csv": "d25793b5decba7884899f5e41e4b5916ecaa99112b6e41aeb66c17f559672f16",
     "monthly_journal.csv": "1d530e2f772b3ea8b6201c6dd3eb1bd9722eb8199f40d27c52ba6021be7747c6",
@@ -243,7 +244,7 @@ def _assert_json_close(got, want, where="summary"):
 def test_seed7_report_matches_golden_outputs(tmp_path):
     run_report(ReportConfig(out_dir=str(tmp_path), seed=7))
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
-    assert written == set(GOLDEN_SHA256) | {"heatmap_smooth.csv", "summary.json"}
+    assert written == set(GOLDEN_SHA256) | {"summary.json"}
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }

@@ -8,7 +8,6 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,13 @@ from stackrec.telemetry import (
     time_series,
     tokenize,
     trace_identifier,
+)
+
+from conftest import (
+    exact_fit_power_law,
+    reference_fit_power_law,
+    reference_heatmap_points,
+    reference_pgm_rows,
 )
 
 
@@ -260,7 +266,7 @@ def test_annotate_xy_from_shelf_target(ref_corpus, ref_outline, ref_stackmap):
 def test_bin_mode_identical_points():
     spec = GridSpec(0, 0, 10, 5, 5)
     grid = heatmap_points([(12, 12)] * 3, spec, "bin")
-    assert grid.values[1, 1] == 3
+    assert grid.values[1][1] == 3
     assert grid.total_mass == 3
 
 
@@ -278,15 +284,15 @@ def test_bin_mode_matches_counting_oracle():
     points = [(rng.uniform(-10, 110), rng.uniform(-10, 110)) for _ in range(200)]
     spec = GridSpec(0, 0, 10, 10, 10)
     grid = heatmap_points(points, spec, "bin")
-    expected = np.zeros((10, 10))
+    expected = [[0] * 10 for _ in range(10)]
     outside = 0
     for x, y in points:
         col, row = int(math.floor(x / 10)), int(math.floor(y / 10))
         if 0 <= col < 10 and 0 <= row < 10:
-            expected[row, col] += 1
+            expected[row][col] += 1
         else:
             outside += 1
-    assert np.array_equal(grid.values, expected)
+    assert grid.values.tolist() == expected
     assert grid.out_of_extent == outside
     assert grid.total_mass + outside == 200
 
@@ -299,7 +305,7 @@ def test_translation_equivariance():
     b = heatmap_points(
         [(x + dx, y + dy) for x, y in points], GridSpec(dx, dy, 5, 10, 10), "bin"
     )
-    assert np.array_equal(a.values, b.values)
+    assert a.values == b.values
 
 
 def test_gaussian_requires_sigma():
@@ -654,3 +660,84 @@ def test_bin_mass_equals_point_count(points):
     grid = heatmap_points(points, spec, "bin")
     assert grid.total_mass == len(points)
     assert grid.out_of_extent == 0
+
+
+# --- numpy oracles -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def numpy_oracle():
+    return pytest.importorskip("numpy")
+
+
+@st.composite
+def grid_cases(draw):
+    """A small grid and points in and around it, some on cell edges."""
+    cell = draw(st.sampled_from([0.5, 1, 2.5, 7.0, 10, 33.3]))
+    spec = GridSpec(draw(st.integers(-500, 500)), draw(st.floats(-500, 500)), cell,
+                    draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+
+    def coord(origin, cells):
+        return st.one_of(st.floats(origin - cell, origin + (cells + 1) * cell),
+                         st.integers(-1, cells + 1).map(lambda i: origin + i * cell))
+
+    points = draw(st.lists(st.tuples(coord(spec.origin_x, spec.width), coord(spec.origin_y, spec.height)),
+                           max_size=25))
+    return spec, points
+
+
+def _pgm_rows(grid) -> list[list[int]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.pgm"
+        telemetry.write_grid_pgm(grid, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == ["P2", f"{grid.spec.width} {grid.spec.height}", "255"]
+    return [[int(v) for v in line.split()] for line in lines[3:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_bin_grid_and_pgm_rows_equal_numpys(numpy_oracle, case):
+    spec, points = case
+    grid = heatmap_points(points, spec, "bin")
+    want, outside = reference_heatmap_points(points, spec, "bin")
+    assert grid.values.tolist() == want.tolist()
+    assert grid.out_of_extent == outside
+    assert _pgm_rows(grid) == reference_pgm_rows(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases(), st.floats(0.2, 60))
+def test_gaussian_cells_and_pgm_rows_agree_with_numpys(numpy_oracle, case, sigma):
+    spec, points = case
+    grid = heatmap_points(points, spec, "gaussian", sigma=sigma)
+    want, outside = reference_heatmap_points(points, spec, "gaussian", sigma=sigma)
+    assert grid.out_of_extent == outside
+    for got_row, want_row in zip(grid.values, want.tolist(), strict=True):
+        for got, wanted in zip(got_row, want_row, strict=True):
+            assert math.isclose(got, wanted, rel_tol=1e-12, abs_tol=0.0), (got, wanted)
+    assert _pgm_rows(grid) == reference_pgm_rows(grid.values)
+
+
+rank_counts = st.lists(st.integers(1, 100_000), min_size=3, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_counts)
+def test_fit_is_exact_least_squares_rounded(counts):
+    got, exact = fit_power_law(counts), exact_fit_power_law(counts)
+    assert math.isclose(got.exponent, exact.exponent, rel_tol=1e-12), (got, exact)
+    assert math.isclose(got.r_squared, exact.r_squared, rel_tol=1e-12), (got, exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_counts)
+def test_fit_agrees_with_numpys(numpy_oracle, counts):
+    """Where they differ beyond a relative 1e-12, numpy is the one further from
+    exact least squares: np.polyfit loses digits on counts that are nearly equal,
+    and gives R^2 below 1 for some equal counts."""
+    got, want = fit_power_law(counts), reference_fit_power_law(counts)
+    exact = exact_fit_power_law(counts)
+    for name in ("exponent", "r_squared"):
+        ours, numpys, truth = getattr(got, name), getattr(want, name), getattr(exact, name)
+        assert math.isclose(ours, numpys, rel_tol=1e-12) or abs(ours - truth) <= abs(numpys - truth), (
+            name, got, want, exact)
