@@ -1,7 +1,9 @@
 """Command-line front end: serve, telemetry subcommands, harness subcommands.
 
 The telemetry and harness modules are imported only by the commands that use
-them, so that ``stackrec serve`` loads only what it serves.
+them, so that ``stackrec serve`` loads only what it serves.  Likewise only
+``harness report``'s replay imports the HTTP client, so no other command
+loads ``urllib.request``, ``http.client``, ``ssl`` or ``email``.
 """
 
 from __future__ import annotations

@@ -52,9 +52,11 @@ MODULES = (
     "account",
     "citation",
 )
+# A parsed entry's module is the MODULES string itself, not a copy per line.
+_MODULE_NAMES = {m: m for m in MODULES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApiLogEntry:
     timestamp: datetime                 # as stamped: naive or offset-aware
     module: str
@@ -93,8 +95,18 @@ class ApiLogEntry:
 
     @classmethod
     def parse(cls, line: str) -> "ApiLogEntry":
-        """One log line as an entry; ValueError or KeyError when it is not one."""
-        raw = json.loads(line)
+        """One log line as an entry; ValueError or KeyError when it is not one.
+
+        A line nested too deep for the decoder, or with a lone UTF-16
+        surrogate escape (``\\ud800``) in any string, is not an entry: no
+        writer could encode it as UTF-8.
+        """
+        try:
+            raw = json.loads(line)
+            if "\\ud" in line or "\\uD" in line:  # only an escape decodes to a surrogate
+                json.dumps(raw, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError is a ValueError
+        except RecursionError:
+            raise ValueError("log line is nested too deep") from None
         if not isinstance(raw, dict):
             raise ValueError(f"log line is a JSON {type(raw).__name__}, not an object")
         timestamp, status = raw["timestamp"], raw["status"]
@@ -107,7 +119,8 @@ class ApiLogEntry:
         ):
             raise ValueError("log line has a field of the wrong type")
         stamped = datetime.fromisoformat(timestamp)  # ValueError unless ISO 8601
-        return cls(stamped, raw["module"], raw["uri"], params, status, tuple(bib_ids))
+        module = _MODULE_NAMES.get(raw["module"], raw["module"])
+        return cls(stamped, module, raw["uri"], params, status, tuple(bib_ids))
 
 
 class TransactionLog:

@@ -16,7 +16,6 @@ import logging
 import random
 import shutil
 import urllib.parse
-import urllib.request
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
@@ -430,7 +429,11 @@ def replay(gateway: Gateway, walk: WalkScript, clock: dict[str, datetime]) -> No
     """Send the walk's requests to the gateway over HTTP, one ``urlopen`` each.
 
     Each step first advances the simulated clock, ``clock["now"]``, by its dwell.
+    The HTTP client is imported here: it loads ``http.client``, ``ssl`` and
+    ``email``, which no other stage needs.
     """
+    import urllib.request
+
     with GatewayServer(gateway) as server:
         for step in walk.steps:
             clock["now"] += timedelta(seconds=step.dwell)

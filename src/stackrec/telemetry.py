@@ -46,6 +46,8 @@ def parse_logs(paths: list[str | Path]) -> ParsedLogs:
 
     A line is malformed when it is not UTF-8, not JSON, not a JSON object, or
     not an entry with fields of the right types (see ``ApiLogEntry.parse``).
+    So is a line nested too deep for the JSON decoder, and a line with a lone
+    surrogate escape in any string, which could not be written back as UTF-8.
 
     Entries are ordered by instant (``ApiLogEntry.instant``), then file, then
     line: the sort is stable, so multi-file input is a stable merge.
@@ -76,14 +78,14 @@ def request_point(params: dict[str, str]) -> tuple[float, float] | None:
     return (x, y) if math.isfinite(x) and math.isfinite(y) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BibAnnotation:
     bib_id: str
     call_number: str | None     # canonical text, None when the bib is unknown
     subject: str                # UNKNOWN when unresolvable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedEntry:
     entry: ApiLogEntry
     annotations: tuple[BibAnnotation, ...]

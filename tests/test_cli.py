@@ -330,22 +330,27 @@ with GatewayServer(gw) as server, socket.create_connection(server.server_address
     while chunk := sock.recv(65536):
         answer += chunk
 gw.txn_log.close()
+def loaded(*names):
+    return [m for m in names if m in sys.modules]
 serving = {"numpy": "numpy" in sys.modules, "status": int(answer.split()[1]),
-           "stdlib": [m for m in ("http.server", "http.client", "ssl", "email") if m in sys.modules],
+           "stdlib": loaded("http.server", "http.client", "ssl", "email"),
            "stackrec": sorted(m for m in sys.modules if m.startswith("stackrec."))}
 with contextlib.redirect_stdout(io.StringIO()):
     generated = cli.main(["harness", "gen", "--seed", "7", "--records", "30", "--out", library])
-generating = {"status": generated, "numpy": "numpy" in sys.modules}
+generating = {"status": generated, "numpy": "numpy" in sys.modules,
+              "client": loaded("urllib.request", "http.client", "ssl", "email")}
 code = cli.main(["telemetry", "monthly", "--logs", log, "--module", "recommend"])
 print(json.dumps({"serving": serving, "generating": generating, "monthly": code,
-                  "numpy_after": "numpy" in sys.modules}))
+                  "numpy_after": "numpy" in sys.modules,
+                  "client_after": loaded("urllib.request", "http.client", "ssl", "email")}))
 """
 
 
 def test_serving_and_telemetry_import_no_numpy(tmp_path):
     """Serving a request over a socket leaves numpy, http.server, http.client, ssl
     and email unloaded, and neither generating a library nor a telemetry
-    command loads numpy."""
+    command loads numpy or an HTTP client (urllib.request, http.client, ssl,
+    email): only the report's replay sends requests."""
     env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", _SERVE_IMPORTS, str(REFERENCE / "config.json"),
@@ -359,11 +364,12 @@ def test_serving_and_telemetry_import_no_numpy(tmp_path):
         "stackrec": [f"stackrec.{name}" for name in (
             "cli", "config", "corpus", "gateway", "lccn", "locate", "recommend", "stacksmap")],
     }
-    assert result["generating"] == {"status": 0, "numpy": False}
+    assert result["generating"] == {"status": 0, "numpy": False, "client": []}
     assert result["monthly"] == 0
     (month,) = printed  # the one logged popularnear request, in the month it was made
     assert month.endswith("\t1")
     assert not result["numpy_after"]
+    assert result["client_after"] == []
 
 
 @pytest.fixture

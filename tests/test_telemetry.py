@@ -77,7 +77,7 @@ def test_parse_round_trips_gateway_log(ref_stackmap, ref_corpus, ref_outline, tm
     parsed = parse_logs([txn_log.path])
     assert len(parsed.entries) == 2
     assert not parsed.malformed
-    assert parsed.entries[0].module == "wayfinder"
+    assert parsed.entries[0].module is MODULES[0]  # the constant, not a copy per line
 
 
 def test_parse_merges_ordered_by_timestamp(tmp_path):
@@ -146,7 +146,15 @@ def test_parse_merge_is_ordered_by_instant_then_file_then_line(files):
      '{"timestamp": "2016-09-01T10:00:00", "module": "recommend", "uri": "/x", "status": "200"}',
      '{"timestamp": "last tuesday", "module": "recommend", "uri": "/x", "status": 200}',
      '{"timestamp": "2016-09-01T10:00:00", "module": "display", "uri": "/x", "status": 200, '
-     '"bib_ids": "uiu_1"}'],
+     '"bib_ids": "uiu_1"}',
+     pytest.param("[" * 50_000, id="nested-past-the-recursion-limit"),
+     # a lone surrogate, which no writer can encode as UTF-8, in a uri, a param and a bib id
+     r'{"timestamp": "2016-09-01T10:00:00", "module": "wayfinder", '
+     r'"uri": "/api/wayfinder/map_data/uiu_undergrad/\ud800", "status": 404}',
+     r'{"timestamp": "2016-09-01T10:00:00", "module": "catalog", "uri": "/x", "status": 200, '
+     r'"params": {"q": "\udc00x"}}',
+     r'{"timestamp": "2016-09-01T10:00:00", "module": "wayfinder", "uri": "/x", "status": 200, '
+     r'"bib_ids": ["uiu_\uDBFF"]}'],
 )
 def test_parse_counts_non_entry_json_as_malformed(tmp_path, line):
     path = tmp_path / "log.jsonl"
@@ -154,6 +162,16 @@ def test_parse_counts_non_entry_json_as_malformed(tmp_path, line):
     parsed = parse_logs([path])
     assert len(parsed.entries) == 1
     assert [line_no for _, line_no, _ in parsed.malformed] == [2]
+
+
+def test_parse_keeps_an_escaped_surrogate_pair(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(
+        r'{"timestamp": "2016-09-01T10:00:00", "module": "catalog", "uri": "/x", "status": 200, '
+        r'"params": {"q": "\ud83d\ude00"}}' + "\n", encoding="utf-8")
+    parsed = parse_logs([path])
+    assert not parsed.malformed
+    assert parsed.entries[0].params == {"q": "\U0001f600"}
 
 
 def test_parse_counts_undecodable_line_as_malformed(tmp_path):
@@ -169,13 +187,19 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )
+# text that may hold lone surrogates, which json.dumps writes as \ud800-style escapes
+_TEXT = st.text(
+    st.characters(blacklist_categories=())
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist_categories=()),
+    max_size=6,
+)
 _FIELDS = st.fixed_dictionaries({
     "timestamp": st.datetimes().map(lambda d: d.isoformat()),
     "module": st.sampled_from(["recommend", "wayfinder", "catalog"]),
     "uri": st.just("/api/x"),
-    "params": st.dictionaries(st.sampled_from(["x", "y", "q"]), st.text(max_size=6), max_size=3),
+    "params": st.dictionaries(st.sampled_from(["x", "y", "q"]), _TEXT, max_size=3),
     "status": st.just(200),
-    "bib_ids": st.lists(st.sampled_from(["uiu_8127460", "uiu_0"]), max_size=3),
+    "bib_ids": st.lists(st.sampled_from(["uiu_8127460", "uiu_0"]) | _TEXT, max_size=3),
 })
 # a well-formed entry with one field replaced by any JSON value, or dropped
 _MUTATED = st.builds(
@@ -204,6 +228,8 @@ def test_fuzz_parse_logs_never_raises_and_accounts_for_every_line(lines):
         path.write_bytes(b"".join(line + b"\n" for line in lines))
         parsed = parse_logs([path])
     assert len(parsed.entries) + len(parsed.malformed) == sum(1 for line in lines if line.strip())
+    for e in parsed.entries:  # every string an entry holds can be written as UTF-8
+        "".join([e.module, e.uri, *e.params, *e.params.values(), *e.bib_ids]).encode("utf-8")
     # what parsed cleanly flows through the batch analyses
     for module in MODULES:
         time_series(parsed.entries, module)
@@ -223,6 +249,12 @@ def test_annotate_joins_call_numbers_and_subjects(ref_corpus, ref_outline):
     a = annotated[0].annotations
     assert a[0].call_number == "PN1995 .C655 2015"
     assert a[1].subject == "Computer games. Video games. Fantasy games"
+
+
+def test_entries_and_annotations_have_no_dict(ref_corpus, ref_outline):
+    annotated = annotate([_entry(bib_ids=["uiu_8127460"])], ref_corpus, ref_outline)[0]
+    for value in (annotated, annotated.entry, annotated.annotations[0]):
+        assert not hasattr(value, "__dict__")
 
 
 def test_annotate_unknown_bib(ref_corpus, ref_outline):
