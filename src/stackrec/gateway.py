@@ -163,6 +163,11 @@ def _end_torn_line(path: Path) -> None:
                 log.warning("transaction log %s ended inside a line; a newline now ends it", path)
 
 
+def _loggable(text: str) -> str:
+    """text with each lone surrogate written as its backslash escape, so a log line can hold it."""
+    return text if text.isascii() else text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
@@ -227,8 +232,8 @@ class Gateway:
         return status, {"error": message}
 
     def handle_map_data(self, collection: str, bib_id: str) -> tuple[int, dict]:
-        uri = f"/api/wayfinder/map_data/{collection}/{bib_id}"
-        params = {"collection": collection, "bib_id": bib_id}
+        params = {"collection": _loggable(collection), "bib_id": _loggable(bib_id)}
+        uri = f"/api/wayfinder/map_data/{params['collection']}/{params['bib_id']}"
         record = self.corpus.records.get(bib_id)
         if record is None:
             return self.refuse("wayfinder", uri, params, 404, f"unknown bib_id {bib_id!r}")
@@ -247,7 +252,7 @@ class Gateway:
         }
 
     def handle_popular_near(self, x_raw: str | None, y_raw: str | None) -> tuple[int, dict]:
-        params = {k: v for k, v in (("x", x_raw), ("y", y_raw)) if v is not None}
+        params = {k: _loggable(v) for k, v in (("x", x_raw), ("y", y_raw)) if v is not None}
         query = "&".join(f"{k}={quote(v, safe='')}" for k, v in params.items())
         uri = "/api/recommend/popularnear" + (f"?{query}" if query else "")
         try:

@@ -22,10 +22,9 @@ kept as digit strings with trailing zeros stripped.  Compared as strings
 these order exactly as the decimal fractions they spell ("79835" < "8",
 "6" < "62"), at any length.
 
-Equality follows the key: the checked constructor normalizes what it is
-given, so ``CallNumber("PZ", 7, "50") == CallNumber("PZ", 7, "5")`` and a
-suffix of "" equals no suffix.  Two call numbers that file at one shelf
-position are equal, hash alike, and format to one canonical text.  A
+Equality follows the key, so ``parse("PZ7.50") == parse("PZ7.5")`` and
+``parse("PZ7 .R80") == parse("PZ7.R8")``.  Two call numbers that file at one
+shelf position are equal, hash alike, and format to one canonical text.  A
 CallNumberRange hashes its start key and upper key.
 
 ``parse`` reads the class letters, number and fraction with one compiled
@@ -33,8 +32,8 @@ regex, then cutters up to an optional year with one token regex; whatever
 follows is the suffix.  Text that fails the first regex is matched again for
 its class letters alone, which give its ParseError's offset and reason.
 What the regexes matched needs no second check, so ``parse`` builds the key
-itself and makes the CallNumber from it; public construction checks every
-part and builds the same key.
+itself and makes the CallNumber from it.  ``parse`` is the only constructor:
+code that makes a call number from its parts writes its text and parses it.
 
 A loaded collection repeats a few values across thousands of call numbers, so
 ``parse`` gives each of them one shared object:
@@ -87,54 +86,14 @@ class Unclassified(LookupError):
     """Raised when no outline range contains a call number."""
 
 
-_LETTER = re.compile(r"[A-Z]")
-_CLASS_LETTERS = re.compile(r"[A-Z]{1,3}")
-_DIGITS = re.compile(r"[0-9]+")
-
-
-@dataclass(frozen=True, slots=True)
-class Cutter:
-    letter: str
-    digits: str
-
-    def __post_init__(self):
-        if not _LETTER.fullmatch(self.letter):
-            raise ValueError(f"cutter letter must be one uppercase letter: {self.letter!r}")
-        if not _DIGITS.fullmatch(self.digits) or int(self.digits) == 0:
-            raise ValueError(f"cutter digits must be nonzero decimals: {self.digits!r}")
-
-
 class CallNumber:
     """A call number, held as its shelf key and its canonical text once formatted.
 
-    ``CallNumber(class_letters, class_int, class_frac, cutters, year, suffix)``
-    checks each part and builds the key that ``parse`` builds; the parts are
-    read-only properties that read the key back.
+    ``parse`` makes every CallNumber; the class letters, number, fraction,
+    cutters, year and suffix are read-only properties that read the key back.
     """
 
     __slots__ = ("_key", "_text")  # _text: see canonical_format
-
-    def __init__(self, class_letters: str, class_int: int, class_frac: str = "",
-                 cutters: tuple[Cutter, ...] = (), year: int | None = None,
-                 suffix: str | None = None):
-        if not _CLASS_LETTERS.fullmatch(class_letters):
-            raise ValueError(f"class letters must match [A-Z]{{1,3}}: {class_letters!r}")
-        if class_int < 0:
-            raise ValueError("class number must be non-negative")
-        if class_frac and not _DIGITS.fullmatch(class_frac):
-            raise ValueError(f"bad class fraction: {class_frac!r}")
-        if year is not None and not 0 <= year <= 9999:  # canonical text has four year digits
-            raise ValueError(f"year must be in 0-9999: {year!r}")
-        self._key = (
-            class_letters,
-            class_int,
-            class_frac.rstrip("0"),
-            *[part for c in cutters for part in (c.letter, c.digits.rstrip("0"))],
-            "",
-            *((0, 0) if year is None else (1, year)),
-            suffix or "",
-        )
-        self._text = None
 
     @property
     def class_letters(self) -> str:
@@ -150,9 +109,10 @@ class CallNumber:
         return self._key[2]
 
     @property
-    def cutters(self) -> tuple[Cutter, ...]:
+    def cutters(self) -> tuple[tuple[str, str], ...]:
+        """``(letter, digits)`` pairs, each cutter's digits with trailing zeros stripped."""
         flat = self._key[3:-4]  # letter, digits, letter, digits, ...
-        return tuple(map(Cutter, flat[::2], flat[1::2]))
+        return tuple(zip(flat[::2], flat[1::2]))
 
     @property
     def year(self) -> int | None:

@@ -42,12 +42,14 @@ class ParsedLogs:
 
 
 def parse_logs(paths: list[str | Path]) -> ParsedLogs:
-    """Parse one or more log files; malformed lines are counted, not dropped silently.
+    """Parse one or more log files; malformed lines are listed, not dropped silently.
 
     A line is malformed when it is not UTF-8, not JSON, not a JSON object, or
     not an entry with fields of the right types (see ``ApiLogEntry.parse``).
     So is a line nested too deep for the JSON decoder, and a line with a lone
     surrogate escape in any string, which could not be written back as UTF-8.
+    Each is listed in ``malformed`` as (path, line number, reason) and not
+    logged: the caller reports it or refuses the logs.
 
     Entries are ordered by instant (``ApiLogEntry.instant``), then file, then
     line: the sort is stable, so multi-file input is a stable merge.
@@ -64,8 +66,6 @@ def parse_logs(paths: list[str | Path]) -> ParsedLogs:
                 except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
                     malformed.append((str(path), line_no, str(exc)))
     entries.sort(key=attrgetter("instant"))
-    if malformed:
-        log.warning("parse_logs: %d malformed line(s)", len(malformed))
     return ParsedLogs(entries, malformed)
 
 

@@ -98,7 +98,7 @@ def oracle_call_number_key(cn: lccn.CallNumber):
         cn.class_letters,
         cn.class_int,
         pad(cn.class_frac),
-        [(c.letter, pad(c.digits)) for c in cn.cutters],
+        [(letter, pad(digits)) for letter, digits in cn.cutters],
         (0, 0) if cn.year is None else (1, cn.year),
         cn.suffix or "",
     )
@@ -146,14 +146,16 @@ def oracle_classify(rows, cn: lccn.CallNumber) -> str | None:
 
 # The call-number parser as it stood before its one-regex head and token loop:
 # the oracle that lccn.parse must agree with on every input.  It is copied
-# verbatim but for its separators, a dot or any whitespace (str.isspace).
+# verbatim but for its separators, a dot or any whitespace (str.isspace), and
+# for returning its parts where it made a CallNumber.
 _REF_CLASS_RE = re.compile(r"\s*([A-Za-z]{1,3})")
 _REF_NUMBER_RE = re.compile(r"\s*([0-9]+)(?:\.([0-9]+))?")
 _REF_CUTTER_RE = re.compile(r"([A-Za-z])([0-9]+)")
 _REF_YEAR_RE = re.compile(r"([0-9]{4})(?![0-9.])")
 
 
-def reference_parse(text: str) -> lccn.CallNumber:
+def reference_parse(text: str) -> tuple:
+    """text's parts: (letters, class_int, class_frac, cutters, year, suffix)."""
     if not text or not text.strip():
         raise lccn.ParseError(text, 0, "no class letters")
     m = _REF_CLASS_RE.match(text)
@@ -168,7 +170,7 @@ def reference_parse(text: str) -> lccn.CallNumber:
     class_frac = (m.group(2) or "").rstrip("0")
     pos = m.end()
 
-    cutters: list[lccn.Cutter] = []
+    cutters: list[tuple[str, str]] = []
     year: int | None = None
     suffix: str | None = None
     while pos < len(text):
@@ -186,13 +188,48 @@ def reference_parse(text: str) -> lccn.CallNumber:
                 digits = m.group(2)
                 if int(digits) == 0:
                     raise lccn.ParseError(text, pos, "malformed cutter: zero digits")
-                cutters.append(lccn.Cutter(m.group(1).upper(), digits.rstrip("0") or digits[:1]))
+                cutters.append((m.group(1).upper(), digits.rstrip("0") or digits[:1]))
                 pos = m.end()
                 continue
         suffix = text[pos:].strip()
         break
 
-    return lccn.CallNumber(letters, class_int, class_frac, tuple(cutters), year, suffix)
+    return letters, class_int, class_frac, tuple(cutters), year, suffix
+
+
+# The shelf key as CallNumber's checked constructor built it from its parts,
+# before parse became the only way to make a call number: the oracle for the
+# key that parse builds.  cutters are (letter, digits) pairs.
+def reference_key(letters: str, class_int: int, frac: str, cutters, year: int | None,
+                  suffix: str | None) -> tuple:
+    return (
+        letters,
+        class_int,
+        frac.rstrip("0"),
+        *[part for letter, digits in cutters for part in (letter, digits.rstrip("0"))],
+        "",
+        *((0, 0) if year is None else (1, year)),
+        suffix or "",
+    )
+
+
+def call_number(letters: str, class_int: int, frac: str = "", cutters=(),
+                year: int | None = None, suffix: str | None = None) -> lccn.CallNumber:
+    """The call number with these parts, parsed from its text and checked against reference_key.
+
+    The parts are written as canonical text but for the fraction's and the
+    cutters' digits, which keep any trailing zeros they are given.
+    """
+    text = f"{letters}{class_int}" + (f".{frac}" if frac else "")
+    for i, (letter, digits) in enumerate(cutters):
+        text += (" ." if i == 0 else " ") + letter + digits
+    if year is not None:
+        text += f" {year:04d}"
+    if suffix:
+        text += f" {suffix}"
+    cn = lccn.parse(text)
+    assert cn.sort_key() == reference_key(letters, class_int, frac, cutters, year, suffix), text
+    return cn
 
 
 def random_call_number(rng: random.Random) -> lccn.CallNumber:
@@ -205,23 +242,21 @@ def random_call_number(rng: random.Random) -> lccn.CallNumber:
     cutters = []
     for _ in range(rng.randint(0, 3)):
         digits = str(rng.randint(1, 99999)).rstrip("0") or "5"
-        cutters.append(lccn.Cutter(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), digits))
+        cutters.append((rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), digits))
     year = rng.randint(1500, 2025) if rng.random() < 0.5 else None
     suffix = rng.choice([None, None, None, "v.2", "c.3", "suppl"])
-    return lccn.CallNumber(
-        letters, rng.randint(0, 9999), frac, tuple(cutters), year, suffix
-    )
+    return call_number(letters, rng.randint(0, 9999), frac, tuple(cutters), year, suffix)
 
 
 # Call numbers from a few neighbouring classes, so that random ranges, shelves
 # and records share classes and class-prefix range ends cut between them.
 CALL_NUMBERS = st.builds(
-    lccn.CallNumber,
-    class_letters=st.sampled_from(["B", "BF", "P", "PS"]),
+    call_number,
+    letters=st.sampled_from(["B", "BF", "P", "PS"]),
     class_int=st.integers(1, 40),
-    class_frac=st.sampled_from(["", "5", "25"]),
+    frac=st.sampled_from(["", "5", "25"]),
     cutters=st.lists(
-        st.builds(lccn.Cutter, st.sampled_from("ACX"), st.sampled_from(["1", "15", "2", "9"])),
+        st.tuples(st.sampled_from("ACX"), st.sampled_from(["1", "15", "2", "9"])),
         max_size=2,
     ).map(tuple),
     year=st.none() | st.integers(1990, 1992),
@@ -236,7 +271,7 @@ def call_number_ranges(draw):
     if oracle_call_number_key(a) > oracle_call_number_key(b):
         a, b = b, a
     if draw(st.booleans()):
-        b = lccn.CallNumber(b.class_letters, b.class_int, b.class_frac)
+        b = call_number(b.class_letters, b.class_int, b.class_frac)
     return lccn.CallNumberRange(a, b)
 
 

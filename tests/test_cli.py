@@ -443,3 +443,29 @@ def test_serve_stops_on_sigterm_with_status_0_and_a_closed_log(tmp_path):
             proc.kill()
             proc.wait()
     assert len(log.read_text(encoding="utf-8").splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["annotate", "--catalog", str(REFERENCE / "catalog.csv"), "--outline",
+     str(REFERENCE / "outline.tsv"), "--out", "{out}/wayfinder.csv"],
+    ["mine", "--module", "catalog"],
+], ids=["annotate", "mine"])
+def test_telemetry_warns_of_bad_log_lines_once(tmp_path, argv):
+    # Run as the installed command is: under pytest, records logged through
+    # logging would go to pytest's handlers instead of stderr.
+    logs = tmp_path / "bad.jsonl"
+    logs.write_text(
+        '{"timestamp": "2016-09-01T10:00:00", "module": "catalog", "uri": "/api/catalog/search?q=film",'
+        ' "params": {"q": "film"}, "status": 200, "bib_ids": []}\nnot json\n[1]\n',
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "stackrec.cli", "telemetry",
+         *(arg.format(out=tmp_path) for arg in argv), "--logs", str(logs)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stderr.splitlines() if "malformed" in line] == [
+        "warning: 2 malformed log line(s)"
+    ]

@@ -118,6 +118,27 @@ def test_popular_near_unparseable_400(gateway):
     assert status == 400
 
 
+@pytest.mark.parametrize("handler, args, status, uri, params", [
+    ("handle_popular_near", ("1\ud800", "2"), 400,
+     "/api/recommend/popularnear?x=1%5Cud800&y=2", {"x": "1\\ud800", "y": "2"}),
+    ("handle_popular_near", (None, "\u00e9\udfff"), 400,
+     "/api/recommend/popularnear?y=%C3%A9%5Cudfff", {"y": "\u00e9\\udfff"}),
+    ("handle_map_data", ("uiu_undergrad", "uiu_\ud800"), 404,
+     "/api/wayfinder/map_data/uiu_undergrad/uiu_\\ud800",
+     {"collection": "uiu_undergrad", "bib_id": "uiu_\\ud800"}),
+    ("handle_map_data", ("uiu_\udcff", "uiu_8127460"), 200,
+     "/api/wayfinder/map_data/uiu_\\udcff/uiu_8127460",
+     {"collection": "uiu_\\udcff", "bib_id": "uiu_8127460"}),
+], ids=["popularnear-x", "popularnear-y-only", "map-data-bib-id", "map-data-collection"])
+def test_a_lone_surrogate_is_answered_and_logged_as_its_escape(gateway, handler, args, status,
+                                                               uri, params):
+    assert getattr(gateway, handler)(*args)[0] == status
+    parsed = telemetry.parse_logs([gateway.txn_log.path])
+    assert parsed.malformed == []
+    (entry,) = parsed.entries
+    assert (entry.status, entry.uri, entry.params) == (status, uri, params)
+
+
 def test_popular_near_far_point_is_200_empty(gateway):
     status, body = gateway.handle_popular_near("2000", "2000")
     assert status == 200

@@ -2,9 +2,12 @@ import csv
 import gc
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackrec import corpus, harness, lccn, locate, stacksmap, telemetry
 from stackrec.harness import (
@@ -17,7 +20,7 @@ from stackrec.harness import (
     run_report,
 )
 
-from conftest import count_calls
+from conftest import count_calls, reference_key
 
 
 def _digest(fixtures: FixtureSet) -> dict:
@@ -50,6 +53,20 @@ def test_small_corpus_loads_cleanly(tmp_path):
     assert 1 <= len(stack.shelves) <= 4
     assert len(locate.load_beacons(fixtures.beacons)) == 12
     lccn.load_outline(fixtures.outline)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), spec=st.sampled_from(harness.CLASS_SPECS))
+def test_random_call_number_is_in_its_class_and_reads_back_from_its_text(seed, spec):
+    letters, lo, hi, _ = spec
+    cn = harness._random_call_number(random.Random(seed), letters, lo, hi)
+    assert lccn.parse(lccn.canonical_format(cn)) == cn
+    assert cn.class_letters == letters and lo <= cn.class_int <= hi
+    assert len(cn.cutters) in (1, 2)
+    assert cn.year is None or 1950 <= cn.year <= 2017
+    assert cn.suffix is None
+    parts = (cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix)
+    assert cn.sort_key() == reference_key(*parts)
 
 
 def test_generated_shelves_cover_catalog(tmp_path):

@@ -14,7 +14,6 @@ from stackrec import lccn
 from stackrec.lccn import (
     CallNumber,
     CallNumberRange,
-    Cutter,
     ParseError,
     Unclassified,
     canonical_format,
@@ -30,14 +29,15 @@ from conftest import (
     KNOWN_SORT_ORDER,
     KNOWN_SUBJECTS,
     REFERENCE,
+    call_number,
     call_number_ranges,
-    count_calls,
     oracle_call_number_key,
     oracle_classify,
     oracle_in_range,
     oracle_ranges_overlap,
     oracle_upper_key,
     random_call_number,
+    reference_key,
     reference_parse,
 )
 
@@ -49,7 +49,7 @@ def test_parse_shelving_exemplar():
     assert cn.class_letters == "PN"
     assert cn.class_int == 1995
     assert cn.class_frac == ""
-    assert cn.cutters == (Cutter("C", "655"),)
+    assert cn.cutters == (("C", "655"),)
     assert cn.year == 2015
     assert cn.suffix is None
 
@@ -57,7 +57,7 @@ def test_parse_shelving_exemplar():
 def test_parse_double_cutter():
     cn = parse("B105.E9 G63 1974")
     assert (cn.class_letters, cn.class_int) == ("B", 105)
-    assert cn.cutters == (Cutter("E", "9"), Cutter("G", "63"))
+    assert cn.cutters == (("E", "9"), ("G", "63"))
     assert cn.year == 1974
 
 
@@ -65,7 +65,7 @@ def test_parse_fractional_class_number():
     cn = parse("GV1469.62.D84")
     assert cn.class_int == 1469
     assert cn.class_frac == "62"
-    assert cn.cutters == (Cutter("D", "84"),)
+    assert cn.cutters == (("D", "84"),)
     assert cn.year is None
 
 
@@ -95,25 +95,38 @@ def test_suffix_captures_volume_designators():
     assert cn.suffix == "v.2"
 
 
+def _parts(cn: CallNumber) -> tuple:
+    return cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix
+
+
+def _parsed(text):
+    cn = parse(text)
+    return _parts(cn), cn.sort_key()
+
+
+def _reference_parsed(text):
+    parts = reference_parse(text)
+    return parts, reference_key(*parts)
+
+
 def _parse_outcome(parser, text):
     """What parser makes of text: its call number's parts and key, or the error it raises."""
     try:
-        cn = parser(text)
+        parts, key = parser(text)
     except ParseError as exc:
         return "ParseError", exc.text, exc.offset, exc.reason
     except ValueError as exc:
         return "ValueError", str(exc)
-    parts = (cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix)
-    return "parsed", parts, cn.sort_key()
+    return "parsed", parts, key
 
 
 # ASCII letters and digits, the separators (a dot and some whitespace), and
 # non-ASCII digits and letters.
 PARSE_ALPHABET = string.ascii_letters + string.digits + " .\t\n\x0b\u3000-/²٠é"
 # Runs of call-number parts, so that most texts get past the class number.
-PARSE_PARTS = ["PN", "b", "QA", "ABCD", "1995", "76.73", "7", "0", "00", ".", " ", "\t", "\n",
-               "\r\n", "\u3000", ".C655", "R79835", "x0", "2015", "1974.", "20155", "v.2",
-               "-", "/", "²", "٠", "é"]
+PARSE_PARTS = ["PN", "b", "QA", "ABCD", "1995", "76.73", "76.730", "7", "0", "00", ".", " ", "\t",
+               "\n", "\r\n", "\u3000", ".C655", "R79835", "R798350", "x0", "2015", "1974.", "20155",
+               "v.2", "-", "/", "²", "٠", "é"]
 PARSE_TEXT = st.text(PARSE_ALPHABET, max_size=30) | st.lists(
     st.sampled_from(PARSE_PARTS), max_size=10).map("".join)
 
@@ -128,7 +141,7 @@ PARSE_TEXT = st.text(PARSE_ALPHABET, max_size=30) | st.lists(
 @example("PN1995 .C655\t")  # separators to the end: no suffix
 @example("PN1995 2015 .\t")
 def test_parse_agrees_with_the_reference_parser(text):
-    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+    assert _parse_outcome(_parsed, text) == _parse_outcome(_reference_parsed, text)
 
 
 def test_parse_agrees_with_the_reference_parser_on_every_fixture_cell():
@@ -141,13 +154,13 @@ def test_parse_agrees_with_the_reference_parser_on_every_fixture_cell():
     cells.update(cell.strip() for cell in list(cells))
     assert {"PN1995 .C655 2015", "PR80", "B5802"} <= cells
     for text in sorted(cells):
-        assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text), text
+        assert _parse_outcome(_parsed, text) == _parse_outcome(_reference_parsed, text), text
 
 
 # --- canonical form --------------------------------------------------------
 
 def test_canonical_form_of_double_cutter():
-    cn = CallNumber("B", 105, "", (Cutter("E", "9"), Cutter("G", "63")), 1974)
+    cn = parse("b105.E90  g63\t1974")
     assert canonical_format(cn) == "B105 .E9 G63 1974"
 
 
@@ -268,35 +281,20 @@ PARSEABLE_TEXT = (
 @given(PARSEABLE_TEXT)
 @example("PN1995 .C655 2015")
 @example("pz7.r798350 1950 v.2")
+@example("GV1469.620 .D840")
 @example("B105.E9 G63")
-def test_parse_equals_checked_construction(text):
+def test_parse_builds_the_reference_key_of_its_parts(text):
     try:
         cn = parse(text)
     except ValueError:
         return
-    cutters = tuple(Cutter(c.letter, c.digits) for c in cn.cutters)
-    checked = CallNumber(cn.class_letters, cn.class_int, cn.class_frac, cutters, cn.year, cn.suffix)
-    assert cn == checked and cn.sort_key() == checked.sort_key()
-    assert hash(cn) == hash(checked)
-    assert canonical_format(cn) == canonical_format(checked)
-    for parsed, built in zip(cn.cutters, cutters):
-        assert parsed == built and hash(parsed) == hash(built)
-    assert cn == reference_parse(text) and cn.sort_key() == reference_parse(text).sort_key()
-
-
-@pytest.mark.parametrize("build", [
-    lambda: CallNumber("hd", 1),
-    lambda: CallNumber("HDXY", 1),
-    lambda: CallNumber("HD", -1),
-    lambda: CallNumber("HD", 1, "5a"),
-    lambda: Cutter("V", "0"),
-    lambda: Cutter("v", "2"),
-    lambda: Cutter("V", ""),
-], ids=["lower-letters", "four-letters", "negative", "bad-fraction", "zero-cutter",
-        "lower-cutter", "empty-cutter"])
-def test_public_construction_keeps_every_check(build):
-    with pytest.raises(ValueError):
-        build()
+    # the properties read back the parts the key was built from
+    assert cn.sort_key() == reference_key(*_parts(cn))
+    assert _parts(cn) == reference_parse(text)
+    # the parts written out as text parse to the same call number
+    rebuilt = call_number(*_parts(cn))
+    assert rebuilt == cn and rebuilt.sort_key() == cn.sort_key() and hash(rebuilt) == hash(cn)
+    assert canonical_format(rebuilt) == canonical_format(cn)
 
 
 def _sign(a, b) -> int:
@@ -310,16 +308,16 @@ DIGITS = st.text("0123456789", min_size=1, max_size=40)
 def test_digit_strings_order_as_decimal_fractions(a, b):
     # The strings run past the oracle's 30-place pad; exact fractions decide.
     expected = _sign(Fraction(int(a), 10 ** len(a)), Fraction(int(b), 10 ** len(b)))
-    assert _sign(CallNumber("P", 1, a).sort_key(), CallNumber("P", 1, b).sort_key()) == expected
+    assert _sign(call_number("P", 1, a).sort_key(), call_number("P", 1, b).sort_key()) == expected
     if int(a) and int(b):
-        ka = CallNumber("P", 1, "", (Cutter("R", a),)).sort_key()
-        kb = CallNumber("P", 1, "", (Cutter("R", b),)).sort_key()
+        ka = call_number("P", 1, "", (("R", a),)).sort_key()
+        kb = call_number("P", 1, "", (("R", b),)).sort_key()
         assert _sign(ka, kb) == expected
 
 
 def test_trailing_zeros_tie_with_stripped_forms():
-    assert compare(CallNumber("PZ", 7, "", (Cutter("R", "80"),)), parse("PZ7.R8")) == 0
-    assert compare(CallNumber("PZ", 7, "50"), CallNumber("PZ", 7, "5")) == 0
+    assert compare(parse("PZ7 .R80"), parse("PZ7.R8")) == 0
+    assert compare(parse("PZ7.50"), parse("PZ7.5")) == 0
 
 
 def test_sort_key_is_built_once():
@@ -331,8 +329,7 @@ def test_value_classes_are_slotted_frozen_and_hashable():
     cn = parse("PN1995 .C655 2015")
     r = parse_range("PN1990", "PN1999")
     frozen = dataclasses.FrozenInstanceError
-    for value, name, error in ((cn, "year", AttributeError), (cn.cutters[0], "digits", frozen),
-                               (r, "end", frozen)):
+    for value, name, error in ((cn, "year", AttributeError), (r, "end", frozen)):
         assert not hasattr(value, "__dict__")
         with pytest.raises(error):
             setattr(value, name, None)
@@ -341,23 +338,19 @@ def test_value_classes_are_slotted_frozen_and_hashable():
     assert "_key" not in repr(cn) and "upper" not in repr(r)
 
 
-def test_a_call_number_holds_only_its_key_and_text(monkeypatch):
-    cutters = (Cutter("C", "655"), Cutter("D", "84"))
-    checked = CallNumber("PN", 1995, "", cutters, 2015)
-    calls = count_calls(monkeypatch, lccn, "Cutter")
+def test_a_call_number_holds_only_its_key_and_text():
     cn = parse("PN1995 .C655 D84 2015")
-    assert calls[0] == 0
     assert not hasattr(cn, "__dict__") and CallNumber.__slots__ == ("_key", "_text")
-    assert cn.cutters == cutters == checked.cutters
+    assert cn.cutters == (("C", "655"), ("D", "84"))
     assert repr(cn) == "CallNumber('PN1995 .C655 D84 2015')"
 
 
 def test_equality_follows_the_shelf_key():
-    assert CallNumber("PZ", 7, "50") == CallNumber("PZ", 7, "5")
-    assert hash(CallNumber("PZ", 7, "50")) == hash(CallNumber("PZ", 7, "5"))
-    assert CallNumber("PZ", 7, "", (Cutter("R", "80"),)) == parse("PZ7.R8")
-    assert CallNumber("PZ", 7, suffix="") == CallNumber("PZ", 7, suffix=None) == parse("PZ7\n")
-    assert CallNumber("PZ", 7) != "PZ7"
+    assert parse("PZ7.50") == parse("PZ7.5")
+    assert hash(parse("PZ7.50")) == hash(parse("PZ7.5"))
+    assert parse("PZ7 .R80") == parse("PZ7.R8")
+    assert parse("PZ7 ") == parse("PZ7") == parse("PZ7\n")
+    assert parse("PZ7") != "PZ7"
 
 
 @given(CALL_NUMBERS, CALL_NUMBERS)
@@ -366,8 +359,8 @@ def test_equal_exactly_when_keys_are_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
     # trailing zeros on the fractions file at the same place, so they compare equal
-    padded = CallNumber(a.class_letters, a.class_int, a.class_frac + "0",
-                        tuple(Cutter(c.letter, c.digits + "00") for c in a.cutters), a.year, a.suffix)
+    padded = call_number(a.class_letters, a.class_int, a.class_frac + "0",
+                         tuple((letter, digits + "00") for letter, digits in a.cutters), a.year, a.suffix)
     assert padded == a and hash(padded) == hash(a) and canonical_format(padded) == canonical_format(a)
 
 
@@ -376,37 +369,35 @@ def test_years_below_1000_keep_four_digits_and_round_trip():
         cn = parse(f"P1 {year:04d}")
         assert cn.year == year and canonical_format(cn) == f"P1 {year:04d}"
         assert parse(canonical_format(cn)).sort_key() == cn.sort_key()
-        assert canonical_format(CallNumber("P", 1, year=year)) == canonical_format(cn)
-
-
-@pytest.mark.parametrize("year", [-5, -1, 10000, 12345])
-def test_constructor_refuses_a_year_without_four_digits(year):
-    # P1 12345 would read back with suffix "12345", and P1 -005 with suffix "-005"
-    with pytest.raises(ValueError, match="year"):
-        CallNumber("P", 1, year=year)
+        assert cn.sort_key() == reference_key("P", 1, "", (), year, None)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.builds(
-    CallNumber,
-    class_letters=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=3),
+@given(
+    letters=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=3),
     class_int=st.integers(0, 10**6),
-    class_frac=st.text("0123456789", max_size=4),
+    frac=st.text("0123456789", max_size=4),
     cutters=st.lists(
-        st.builds(Cutter, st.sampled_from(string.ascii_uppercase),
+        st.tuples(st.sampled_from(string.ascii_uppercase),
                   st.from_regex(r"0{0,2}[1-9][0-9]{0,3}", fullmatch=True)),
         max_size=3,
     ).map(tuple),
     year=st.none() | st.integers(0, 9999),
-))
-@example(CallNumber("P", 1, year=0))
-@example(CallNumber("P", 1, year=9999))
-def test_constructed_call_numbers_round_trip_through_their_text(cn):
+    suffix=st.sampled_from([None, "v.2", "c.3", "suppl"]),
+)
+@example(letters="P", class_int=1, frac="", cutters=(), year=0, suffix=None)
+@example(letters="P", class_int=1, frac="", cutters=(), year=9999, suffix=None)
+def test_drawn_parts_parse_to_the_reference_key_and_round_trip(letters, class_int, frac, cutters,
+                                                                year, suffix):
+    cn = call_number(letters, class_int, frac, cutters, year, suffix)
+    assert cn.sort_key() == reference_key(letters, class_int, frac, cutters, year, suffix)
+    stripped = tuple((letter, digits.rstrip("0")) for letter, digits in cutters)
+    assert _parts(cn) == (letters, class_int, frac.rstrip("0"), stripped, year, suffix)
     assert parse(canonical_format(cn)) == cn
 
 
 def _copy(cn: CallNumber) -> CallNumber:
-    return CallNumber(cn.class_letters, cn.class_int, cn.class_frac, cn.cutters, cn.year, cn.suffix)
+    return call_number(*_parts(cn))
 
 
 @settings(max_examples=300, deadline=None)
@@ -552,7 +543,7 @@ def test_load_outline_duplicate_range_first_wins(tmp_path):
 
 
 def _class_prefix(cn: CallNumber) -> CallNumber:
-    return CallNumber(cn.class_letters, cn.class_int, cn.class_frac)
+    return call_number(cn.class_letters, cn.class_int, cn.class_frac)
 
 
 @st.composite
@@ -580,7 +571,7 @@ def test_classify_matches_oracle(ranges, points):
         outline = lccn.load_outline(path)
     # the range ends are points too; points outside every range stay Unclassified
     points += [cn for r in ranges for cn in (r.start, r.end)]
-    points.append(CallNumber("Z", 1))
+    points.append(parse("Z1"))
     for cn in points:
         try:
             got = outline.classify(cn)

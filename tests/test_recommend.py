@@ -14,7 +14,7 @@ from stackrec.recommend import (
 )
 from stackrec.stacksmap import Rect, Shelf, StackMap
 
-from conftest import REFERENCE, count_calls
+from conftest import REFERENCE, call_number, count_calls
 
 HOTSPOT = (4362.047852, 3160.110596)
 HOTSPOT_BIBS = ["uiu_8378456", "uiu_7072382", "hat_817483", "uiu_7277188", "uiu_8375583"]
@@ -271,10 +271,10 @@ def test_recommend_near_matches_brute_force_pipeline(tmp_path, ref_outline):
 _TIED_RECORDS = st.lists(
     st.tuples(
         st.builds(
-            lccn.CallNumber,
-            class_letters=st.just("B"),
+            call_number,
+            letters=st.just("B"),
             class_int=st.integers(1, 4),
-            cutters=st.sampled_from([(), (lccn.Cutter("A", "1"),), (lccn.Cutter("C", "2"),)]),
+            cutters=st.sampled_from([(), (("A", "1"),), (("C", "2"),)]),
             year=st.integers(1990, 1991),
         ),
         st.sampled_from(["print", "ebook"]),
