@@ -30,8 +30,9 @@ from .gateway import ApiLogEntry, Gateway, GatewayServer
 
 log = logging.getLogger(__name__)
 
-STUDY_START = datetime(2016, 9, 1)
+STUDY_START = datetime(2016, 9, 1)  # a midnight: see _stamp_tables
 STUDY_END = datetime(2017, 8, 31, 23, 59)
+_WINDOW_MINUTES = int((STUDY_END - STUDY_START).total_seconds() // 60)
 
 # (class letters, low class number, high class number, draw weight)
 CLASS_SPECS = [
@@ -109,6 +110,19 @@ def _random_call_number(rng: random.Random, letters: str, lo: int, hi: int) -> l
     return lccn.parse(text)
 
 
+def _stamp_tables() -> tuple[list[str], list[str]]:
+    """The study window's day prefixes ("2016-09-01T", ...) and the times of day ("HH:MM:00").
+
+    Minute m of the window is stamped ``days[m // 1440] + times[m % 1440]``, the
+    text of ``(STUDY_START + timedelta(minutes=m)).isoformat()``. That holds only
+    while STUDY_START is a midnight with no seconds.
+    """
+    days = [f"{(STUDY_START + timedelta(minutes=m)).date().isoformat()}T"
+            for m in range(0, _WINDOW_MINUTES, 1440)]
+    times = [f"{h:02d}:{m:02d}:00" for h in range(24) for m in range(60)]
+    return days, times
+
+
 def gen_corpus(
     seed: int,
     n_records: int,
@@ -119,23 +133,28 @@ def gen_corpus(
 
     The catalog spreads over the configured classes; circulation follows a
     Zipf(ZIPF_EXPONENT) rank-frequency law with the head ranks concentrated in
-    HEAD_CLASSES.
+    HEAD_CLASSES.  Each charge is one uniform minute of the study window, written
+    from the day and minute-of-day tables of ``_stamp_tables``, which need
+    STUDY_START to be a midnight.
     """
     if n_records < 10:
         raise ValueError("n_records must be >= 10")
+    if n_shelves < 1:
+        raise ValueError("n_shelves must be >= 1")
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fixtures = FixtureSet(root=out, **{name: out / file for name, file in DATA_FILES.items()})
 
     letters_pool = [spec[0] for spec in CLASS_SPECS]
-    weights = [spec[3] for spec in CLASS_SPECS]
+    # random.choices would accumulate these weights on each draw; the draws are the same
+    cum_weights = list(accumulate(spec[3] for spec in CLASS_SPECS))
     spans = {spec[0]: (spec[1], spec[2]) for spec in CLASS_SPECS}
 
     seen: set[str] = set()
     records = []  # (bib_id, title, call_number, format, class_letters)
     while len(records) < n_records:
-        letters = rng.choices(letters_pool, weights=weights)[0]
+        letters = rng.choices(letters_pool, cum_weights=cum_weights)[0]
         lo, hi = spans[letters]
         cn = _random_call_number(rng, letters, lo, hi)
         canonical = lccn.canonical_format(cn)
@@ -160,14 +179,14 @@ def gen_corpus(
     rng.shuffle(head)
     rng.shuffle(tail)
     ranked = head + tail
-    window_minutes = int((STUDY_END - STUDY_START).total_seconds() // 60)
+    days, times = _stamp_tables()
     with open(fixtures.circulation, "w", encoding="utf-8", newline="") as fh:
         fh.write("bib_id,charge_date\n")
         for rank, (bib_id, *_rest) in enumerate(ranked, start=1):
             count = max(1, round(CHARGE_SCALE / rank ** ZIPF_EXPONENT))
             for _ in range(count):
-                at = STUDY_START + timedelta(minutes=rng.randrange(window_minutes))
-                fh.write(f"{bib_id},{at.isoformat()}\n")
+                m = rng.randrange(_WINDOW_MINUTES)
+                fh.write(f"{bib_id},{days[m // 1440]}{times[m % 1440]}\n")
 
     # One dominant journal per class subject plus minor noise journals.
     outline = lccn.load_outline(packaged_outline_path())
@@ -277,7 +296,9 @@ def gen_walk(
     for shelf in stackmap_.shelves:
         by_class.setdefault(shelf.range.start.class_letters, []).append(shelf)
     class_pool = [spec[0] for spec in CLASS_SPECS if spec[0] in by_class]
-    class_weights = [spec[3] for spec in CLASS_SPECS if spec[0] in by_class]
+    # random.choices would accumulate these weights on each draw; the draws are the same
+    class_cum_weights = list(accumulate(spec[3] for spec in CLASS_SPECS if spec[0] in by_class))
+    zone_cum_weights = list(accumulate(ZONE_WEIGHTS))
 
     wayfind_bibs: list[str] = []
     wayfind_weights: list[int] = []
@@ -296,9 +317,9 @@ def gen_walk(
         )
 
     def sample_point() -> tuple[float, float]:
-        zone = rng.choices(("near_shelf", "aisle", "entrance"), weights=ZONE_WEIGHTS)[0]
+        zone = rng.choices(("near_shelf", "aisle", "entrance"), cum_weights=zone_cum_weights)[0]
         if zone == "near_shelf" and class_pool:
-            letters = rng.choices(class_pool, weights=class_weights)[0]
+            letters = rng.choices(class_pool, cum_weights=class_cum_weights)[0]
             shelf = rng.choice(by_class[letters])
             b = shelf.bounds
             return clamp(
@@ -367,17 +388,18 @@ def _synthesize_module_log(
     These exercise identifier tracing, query mining, and monthly series; only
     the wayfinder/recommend modules are actually served.
     """
-    window_minutes = int((STUDY_END - STUDY_START).total_seconds() // 60)
-    zipf_weights = [1.0 / (i + 1) for i in range(len(_QUERY_WORDS))]
+    # random.choices would accumulate these weights on each draw; the draws are the same
+    n_words_cum_weights = list(accumulate((5, 3, 1)))
+    zipf_cum_weights = list(accumulate(1.0 / (i + 1) for i in range(len(_QUERY_WORDS))))
     entries: list[ApiLogEntry] = []
 
     def stamp() -> datetime:
-        return STUDY_START + timedelta(minutes=rng.randrange(window_minutes))
+        return STUDY_START + timedelta(minutes=rng.randrange(_WINDOW_MINUTES))
 
     for module, count in (("catalog", n_catalog), ("journal", n_journal)):
         for _ in range(count):
-            n_words = rng.choices((1, 2, 3), weights=(5, 3, 1))[0]
-            q = " ".join(rng.choices(_QUERY_WORDS, weights=zipf_weights, k=n_words))
+            n_words = rng.choices((1, 2, 3), cum_weights=n_words_cum_weights)[0]
+            q = " ".join(rng.choices(_QUERY_WORDS, cum_weights=zipf_cum_weights, k=n_words))
             entries.append(
                 ApiLogEntry(
                     timestamp=stamp(),

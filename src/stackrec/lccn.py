@@ -95,6 +95,10 @@ class CallNumber:
 
     __slots__ = ("_key", "_text")  # _text: see canonical_format
 
+    def __init__(self, *args, **kwargs):
+        # parse makes call numbers through object.__new__, as copy and pickle do.
+        raise TypeError("a CallNumber is made by lccn.parse(text)")
+
     @property
     def class_letters(self) -> str:
         return self._key[0]

@@ -1,13 +1,14 @@
 import math
 import random
 import re
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from stackrec import corpus, lccn, locate, stacksmap
+from stackrec import corpus, harness, lccn, locate, stacksmap
 from stackrec.recommend import Recommender
 from stackrec.telemetry import GridSpec, PowerLawFit, SubjectDistribution, TooFewRanks
 
@@ -211,6 +212,12 @@ def reference_key(letters: str, class_int: int, frac: str, cutters, year: int | 
         *((0, 0) if year is None else (1, year)),
         suffix or "",
     )
+
+
+# A charge's stamp as gen_corpus wrote it before it read stamps from tables:
+# the oracle for harness._stamp_tables.
+def reference_stamp(minute: int) -> str:
+    return (harness.STUDY_START + timedelta(minutes=minute)).isoformat()
 
 
 def call_number(letters: str, class_int: int, frac: str = "", cutters=(),

@@ -20,7 +20,7 @@ from stackrec.harness import (
     run_report,
 )
 
-from conftest import count_calls, reference_key
+from conftest import count_calls, reference_key, reference_stamp
 
 
 def _digest(fixtures: FixtureSet) -> dict:
@@ -123,8 +123,18 @@ def test_head_circulation_lands_in_head_classes(tmp_path):
 
 
 def test_gen_corpus_rejects_tiny_n(tmp_path):
-    with pytest.raises(ValueError):
-        gen_corpus(1, 5, out_dir=tmp_path)
+    for n_records, n_shelves in ((5, 40), (10, 0), (10, -3)):
+        out = tmp_path / f"r{n_records}s{n_shelves}"
+        with pytest.raises(ValueError):
+            gen_corpus(1, n_records, out_dir=out, n_shelves=n_shelves)
+        assert not out.exists()
+
+
+def test_stamp_tables_write_the_datetime_stamp_of_every_window_minute():
+    days, times = harness._stamp_tables()
+    assert len(times) == 1440
+    for m in range(harness._WINDOW_MINUTES):
+        assert days[m // 1440] + times[m % 1440] == reference_stamp(m), m
 
 
 # --- walks ------------------------------------------------------------------

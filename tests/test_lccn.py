@@ -1,5 +1,7 @@
+import copy
 import csv
 import dataclasses
+import pickle
 import random
 import string
 import tempfile
@@ -343,6 +345,16 @@ def test_a_call_number_holds_only_its_key_and_text():
     assert not hasattr(cn, "__dict__") and CallNumber.__slots__ == ("_key", "_text")
     assert cn.cutters == (("C", "655"), ("D", "84"))
     assert repr(cn) == "CallNumber('PN1995 .C655 D84 2015')"
+
+
+def test_only_parse_makes_a_call_number():
+    for args in ((), ("PZ", 7)):
+        with pytest.raises(TypeError, match=r"lccn\.parse"):
+            CallNumber(*args)
+    cn = parse("PN1995 .C655 D84 2015")
+    for copied in (copy.copy(cn), copy.deepcopy(cn),
+                   *(pickle.loads(pickle.dumps(cn, protocol)) for protocol in range(2, 6))):
+        assert copied == cn and copied.sort_key() == cn.sort_key() and repr(copied) == repr(cn)
 
 
 def test_equality_follows_the_shelf_key():
