@@ -25,8 +25,10 @@ def cmd_serve(args) -> int:
     """Serve until SIGINT or SIGTERM; in-flight requests finish and the log closes.
 
     The port is bound before the log opens, so that a busy port, like a failed
-    load, leaves no log behind.
+    load, leaves no log behind.  A port outside 0-65535 is refused before either.
     """
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"port must be 0-65535: {args.port}")
     cfg = ServiceConfig.from_json(args.config)
     server = GatewayServer(None, host=args.host, port=args.port)
     try:
@@ -123,7 +125,7 @@ def cmd_heatmap(args) -> int:
 def cmd_subjects(args) -> int:
     from . import telemetry
     annotated = _annotated(args)
-    dist = telemetry.subject_distribution(annotated, per_request=args.per_request)
+    dist = telemetry.subject_distribution(annotated)
     telemetry.write_distribution_csv(dist, args.out)
     print(f"wrote {args.out}: {len(dist.items)} subjects, {dist.total} items, {dist.unknown} unknown")
     if args.fit:
@@ -243,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outline", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fit", action="store_true")
-    p.add_argument("--per-request", action="store_true")
     p.set_defaults(func=cmd_subjects)
 
     p = tele.add_parser("trace", help="per-module occurrence counts for one bib id")

@@ -3,10 +3,10 @@
 Builds a desk-scale library (catalog, circulation skew, shelves, beacons) and
 patron walks over it.  ``run_report`` reproduces the study in named stages: it
 generates a library, loads it into a gateway and walks it; ``replay`` sends
-the walk's requests to the live gateway, and ``analyze`` runs the analytics
-suite over the gateway's log.  Everything is deterministic per seed; walk
-timestamps come from a simulated clock, so a year-long study window replays
-in seconds.
+the walk's requests to the live gateway, and ``analyze`` writes the report of
+``telemetry.study`` over the gateway's log.  Everything is deterministic per
+seed; walk timestamps come from a simulated clock, so a year-long study
+window replays in seconds.
 """
 
 from __future__ import annotations
@@ -72,11 +72,8 @@ ZONE_WEIGHTS = (0.62, 0.18, 0.20)
 IDLE_SHARE = 0.10
 WAYFIND_SHARE = 1 / 3
 
-# The replay's wayfinding collection, and the report's heat-map cell and
-# Gaussian smoothing width, in map units.
+# The replay's wayfinding collection.
 COLLECTION = "uiu_undergrad"
-CELL_SIZE = 20.0
-GAUSSIAN_SIGMA = 30.0
 
 _QUERY_WORDS = [
     "fish", "google", "math", "test", "hiv", "history", "poetry", "novel",
@@ -382,11 +379,12 @@ def _synthesize_module_log(
     walked_bibs: list[str],
     n_catalog: int,
     n_journal: int,
-) -> None:
+) -> list[ApiLogEntry]:
     """Fixture logs for the surrounding app modules (search, display, reserves...).
 
     These exercise identifier tracing, query mining, and monthly series; only
-    the wayfinder/recommend modules are actually served.
+    the wayfinder/recommend modules are actually served.  Returns the entries
+    written to path, in time order.
     """
     # random.choices would accumulate these weights on each draw; the draws are the same
     n_words_cum_weights = list(accumulate((5, 3, 1)))
@@ -429,6 +427,7 @@ def _synthesize_module_log(
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
             fh.write(entry.to_json() + "\n")
+    return entries
 
 
 @contextmanager
@@ -468,10 +467,11 @@ def replay(gateway: Gateway, walk: WalkScript, clock: dict[str, datetime]) -> No
 
 
 def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
-    """Run the analytics over the replayed gateway's closed log and write the report.
+    """Analyze the replayed gateway's closed log and write the report.
 
     Reads the gateway's log once, writes modules.jsonl from the bib ids it
-    names, and returns the summary, also written to summary.json.
+    names, runs ``telemetry.study`` over both, and returns the summary, also
+    written to summary.json.
     """
     out = Path(config.out_dir)
     with _stage("parse_logs"):
@@ -485,66 +485,49 @@ def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
 
     with _stage("telemetry"):
         walked_bibs = sorted({b for e in parsed.entries for b in e.bib_ids})
-        modules_log = out / "modules.jsonl"
-        _synthesize_module_log(
-            random.Random(config.seed + 2), modules_log, walked_bibs,
+        module_entries = _synthesize_module_log(
+            random.Random(config.seed + 2), out / "modules.jsonl", walked_bibs,
             config.catalog_searches, config.journal_searches,
         )
-        # Every use of these is a count, so their order does not matter.
-        all_entries = parsed.entries + telemetry.parse_logs([modules_log]).entries
-
-        stack = gateway.stackmap
-        annotated = telemetry.annotate(parsed.entries, gateway.corpus, gateway.outline, stack)
-        telemetry.write_wayfinder_table(annotated, out / "wayfinder_table.csv")
-        telemetry.write_recommend_table(annotated, out / "recommend_table.csv")
-        rec_annotated = [a for a in annotated if a.entry.module == "recommend"]
+        result = telemetry.study(
+            parsed.entries, module_entries, gateway.corpus, gateway.outline, gateway.stackmap
+        )
+        recommend, grid, dist = result.recommend, result.grid, result.subjects
+        telemetry.write_wayfinder_table(result.annotated, out / "wayfinder_table.csv")
+        telemetry.write_recommend_table(result.annotated, out / "recommend_table.csv")
 
         with _stage("heatmap"):
-            spec = telemetry.GridSpec.covering(stack.map_extent, CELL_SIZE, margin=CELL_SIZE)
-            grid = telemetry.heatmap(rec_annotated, spec, mode="bin")
             telemetry.write_grid_csv(grid, out / "heatmap_grid.csv")
             telemetry.write_grid_pgm(grid, out / "heatmap.pgm")
-            smooth = telemetry.heatmap(rec_annotated, spec, mode="gaussian", sigma=GAUSSIAN_SIGMA)
-            telemetry.write_grid_csv(smooth, out / "heatmap_smooth.csv")
+            telemetry.write_grid_csv(result.smooth, out / "heatmap_smooth.csv")
             if grid.out_of_extent != 0:
                 raise ValueError(f"{grid.out_of_extent} points fell outside the grid")
-            if abs(grid.total_mass - len(rec_annotated)) > 1e-9:
+            if abs(grid.total_mass - len(recommend)) > 1e-9:
                 raise ValueError(
-                    f"grid mass {grid.total_mass} != {len(rec_annotated)} recommend requests"
+                    f"grid mass {grid.total_mass} != {len(recommend)} recommend requests"
                 )
 
         with _stage("subjects"):
-            dist = telemetry.subject_distribution(rec_annotated)
             telemetry.write_distribution_csv(dist, out / "subject_distribution.csv")
-            if dist.total + dist.unknown != sum(len(a.annotations) for a in rec_annotated):
+            if dist.total + dist.unknown != sum(len(a.annotations) for a in recommend):
                 raise ValueError("distribution counts do not conserve occurrences")
-            fit = telemetry.fit_power_law(dist)
 
-        traces = {bib: telemetry.trace_identifier(bib, all_entries) for bib in walked_bibs[:20]}
-        mining = {
-            module: asdict(telemetry.mine_queries(all_entries, module))
-            for module in ("catalog", "journal")
-        }
-        monthly = {
-            module: telemetry.time_series(all_entries, module)
-            for module in ("catalog", "journal", "recommend", "wayfinder")
-        }
-        for module, series in monthly.items():
+        for module, series in result.monthly.items():
             rows = "".join(f"{month},{count}\n" for month, count in series)
             (out / f"monthly_{module}.csv").write_text("month,count\n" + rows, encoding="utf-8")
 
     summary = {
         "requests": walk.request_count,
-        "recommend_requests": len(rec_annotated),
-        "wayfind_requests": walk.request_count - len(rec_annotated),
+        "recommend_requests": len(recommend),
+        "wayfind_requests": walk.request_count - len(recommend),
         "heatmap_mass": grid.total_mass,
         "heatmap_out_of_extent": grid.out_of_extent,
         "subject_distribution": dist.items,
         "subject_unknown": dist.unknown,
-        "power_law": {"exponent": fit.exponent, "r_squared": fit.r_squared},
-        "traces": traces,
-        "text_mining": mining,
-        "monthly": monthly,
+        "power_law": {"exponent": result.fit.exponent, "r_squared": result.fit.r_squared},
+        "traces": result.traces,
+        "text_mining": {module: asdict(stats) for module, stats in result.mining.items()},
+        "monthly": result.monthly,
     }
     text = json.dumps(summary, indent=2, sort_keys=True)
     (out / "summary.json").write_text(text, encoding="utf-8")

@@ -3,7 +3,10 @@
 A call number like ``PN1995 .C655 2015`` breaks into class letters, a decimal
 class number, zero or more cutters, an optional year, and an optional trailing
 suffix (volume/copy designators).  Everything else in the package keys off the
-total order defined here.
+total order defined here: compare two call numbers' ``sort_key()``s.  Class
+letters order lexicographically and class numbers numerically, then cutter by
+cutter (letter, then digits as a decimal fraction; a prefix cutter list files
+first), then year (absent first), then suffix.
 
 A CallNumber is its shelf key, plus its canonical text once formatted.  The
 key is one flat tuple::
@@ -212,17 +215,6 @@ def canonical_format(cn: CallNumber) -> str:
     return cn._text
 
 
-def compare(a: CallNumber, b: CallNumber) -> int:
-    """Total shelf order; returns negative, zero, or positive.
-
-    Class letters lexicographic, class number numeric, then cutter by cutter
-    (letter, then digits as a decimal fraction; a prefix cutter list files
-    first), then year (absent first), then suffix.
-    """
-    ka, kb = a.sort_key(), b.sort_key()
-    return -1 if ka < kb else (1 if ka > kb else 0)
-
-
 @dataclass(frozen=True, slots=True)
 class CallNumberRange:
     """Closed interval of call numbers.
@@ -293,9 +285,6 @@ class ClassificationOutline:
 
     entries: list[OutlineEntry] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def classify(self, cn: CallNumber) -> str:
         for e in self.entries:

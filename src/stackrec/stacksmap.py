@@ -49,9 +49,6 @@ class Rect:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    def contains(self, p: Point) -> bool:
-        return self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
-
     def distance_to(self, p: Point) -> float:
         # 0 iff p is inside or on the boundary
         dx = max(self.x_min - p[0], 0.0, p[0] - self.x_max)
@@ -125,9 +122,6 @@ class StackMap:
         xs_max = max(s.bounds.x_max for s in self.shelves)
         ys_max = max(s.bounds.y_max for s in self.shelves)
         return Rect(xs_min, ys_min, xs_max, ys_max)
-
-    def __len__(self) -> int:
-        return len(self.shelves)
 
 
 def _edges(lo: float, hi: float, cell: float) -> list[float]:

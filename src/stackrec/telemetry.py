@@ -3,7 +3,8 @@
 Parse the JSON-lines logs, join recommended/wayfound bib ids to call numbers
 and subjects, then aggregate: floor heat maps, subject rank-frequency
 distributions with a power-law fit, per-module identifier traces, query text
-mining, and monthly request series.
+mining, and monthly request series.  ``study`` is the study report's analysis:
+all of these over the logs it is given, with the choices fixed below.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ log = logging.getLogger(__name__)
 
 UNKNOWN = "unknown"
 TOP_WORDS = 5  # length of mine_queries' top list
+
+# The study's analysis: the heat-map cell and Gaussian smoothing width, in map
+# units; how many walked bib ids it traces; the modules whose queries it mines
+# and those it counts by month.
+CELL_SIZE = 20.0
+GAUSSIAN_SIGMA = 30.0
+TRACED_BIBS = 20
+MINED_MODULES = ("catalog", "journal")
+COUNTED_MODULES = ("catalog", "journal", "recommend", "wayfinder")
 
 
 class TooFewRanks(ValueError):
@@ -236,8 +246,9 @@ def heatmap_points(
                 row, col = cell
                 values[row][col] += 1.0
     elif mode == "gaussian":
-        if sigma is None or sigma <= 0:
-            raise ValueError("gaussian mode requires sigma > 0")
+        # 3 * sigma * 3 * sigma is inf where (3.0 * sigma) ** 2 would raise OverflowError
+        if sigma is None or not (sigma > 0 and math.isfinite(3.0 * sigma * 3.0 * sigma)):
+            raise ValueError(f"gaussian mode requires sigma > 0 with (3 sigma)^2 finite: sigma={sigma}")
         reach = int(math.ceil(3.0 * sigma / spec.cell_size))
         two_var, cutoff = 2.0 * sigma * sigma, (3.0 * sigma) ** 2
         for x, y in points:
@@ -288,29 +299,11 @@ class SubjectDistribution:
     def total(self) -> int:
         return sum(count for _, count in self.items)
 
-    def counts(self) -> list[int]:
-        return [count for _, count in self.items]
 
-
-def subject_distribution(
-    annotated: list[AnnotatedEntry], per_request: bool = False
-) -> SubjectDistribution:
-    """Counts per subject over all annotated bib id occurrences.
-
-    per_request counts each subject at most once per log entry instead of
-    once per recommended item.
-    """
-    counter: Counter = Counter()
-    unknown = 0
-    for e in annotated:
-        subjects = [a.subject for a in e.annotations]
-        if per_request:
-            subjects = sorted(set(subjects))
-        for subject in subjects:
-            if subject == UNKNOWN:
-                unknown += 1
-            else:
-                counter[subject] += 1
+def subject_distribution(annotated: list[AnnotatedEntry]) -> SubjectDistribution:
+    """Counts per subject over all annotated bib id occurrences."""
+    counter = Counter(a.subject for e in annotated for a in e.annotations)
+    unknown = counter.pop(UNKNOWN, 0)
     items = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
     return SubjectDistribution(items, unknown)
 
@@ -321,14 +314,13 @@ class PowerLawFit:
     r_squared: float
 
 
-def fit_power_law(dist: SubjectDistribution | list[int] | list[float]) -> PowerLawFit:
+def fit_power_law(dist: SubjectDistribution) -> PowerLawFit:
     """Least-squares line on (log rank, log count); slope is the exponent.
 
     Counts are taken in rank order (largest first); zero counts are dropped.
     Needs at least 3 nonzero ranks.
     """
-    counts = dist.counts() if isinstance(dist, SubjectDistribution) else list(dist)
-    counts = sorted((c for c in counts if c > 0), reverse=True)
+    counts = sorted((c for _, c in dist.items if c > 0), reverse=True)
     if len(counts) < 3:
         raise TooFewRanks(f"need >= 3 nonzero ranks, got {len(counts)}")
     n = len(counts)
@@ -404,6 +396,47 @@ def time_series(entries: list[ApiLogEntry], module: str) -> list[tuple[str, int]
         return []
     return [(f"{month // 12:04d}-{month % 12 + 1:02d}", counter[month])
             for month in range(min(counter), max(counter) + 1)]
+
+
+@dataclass
+class Study:
+    annotated: list[AnnotatedEntry]     # the gateway entries
+    recommend: list[AnnotatedEntry]     # those of the recommend module
+    grid: DensityGrid                   # recommend points, binned
+    smooth: DensityGrid                 # recommend points, Gaussian-smoothed
+    subjects: SubjectDistribution       # of the recommended items
+    fit: PowerLawFit
+    traces: dict[str, dict[str, int]]   # first TRACED_BIBS walked bib ids
+    mining: dict[str, TextStats]        # by MINED_MODULES
+    monthly: dict[str, list[tuple[str, int]]]  # by COUNTED_MODULES
+
+
+def study(gateway_entries: list[ApiLogEntry], module_entries: list[ApiLogEntry],
+          corpus_: CorpusStore, outline: ClassificationOutline, stackmap_: StackMap) -> Study:
+    """The study's analysis of the gateway's entries and the other modules' entries.
+
+    The heat maps and subjects cover the recommend entries, annotated against
+    the library; the traces follow the bib ids the gateway returned, over all
+    entries, as do the query mining and the monthly series.  Writes no file.
+    """
+    annotated = annotate(gateway_entries, corpus_, outline, stackmap_)
+    recommend = [a for a in annotated if a.entry.module == "recommend"]
+    spec = GridSpec.covering(stackmap_.map_extent, CELL_SIZE, margin=CELL_SIZE)
+    subjects = subject_distribution(recommend)
+    # Every use of these is a count, so their order does not matter.
+    entries = gateway_entries + module_entries
+    walked = sorted({b for e in gateway_entries for b in e.bib_ids})
+    return Study(
+        annotated=annotated,
+        recommend=recommend,
+        grid=heatmap(recommend, spec, mode="bin"),
+        smooth=heatmap(recommend, spec, mode="gaussian", sigma=GAUSSIAN_SIGMA),
+        subjects=subjects,
+        fit=fit_power_law(subjects),
+        traces={bib: trace_identifier(bib, entries) for bib in walked[:TRACED_BIBS]},
+        mining={module: mine_queries(entries, module) for module in MINED_MODULES},
+        monthly={module: time_series(entries, module) for module in COUNTED_MODULES},
+    )
 
 
 # --- report output helpers -------------------------------------------------

@@ -282,6 +282,11 @@ def call_number_ranges(draw):
     return lccn.CallNumberRange(a, b)
 
 
+def distribution_of(counts: list[int] | list[float]) -> SubjectDistribution:
+    """A subject distribution with these counts, in this order, under made-up labels."""
+    return SubjectDistribution([(f"subject {i}", count) for i, count in enumerate(counts)])
+
+
 def count_calls(monkeypatch, owner, name: str) -> list[int]:
     """Wrap owner.name for the test; the returned one-item list counts its calls."""
     calls = [0]
@@ -361,10 +366,9 @@ def reference_heatmap_points(
     return values, out_of_extent
 
 
-def reference_fit_power_law(dist: SubjectDistribution | list[int] | list[float]) -> PowerLawFit:
+def reference_fit_power_law(counts: list[int]) -> PowerLawFit:
     import numpy as np
 
-    counts = dist.counts() if isinstance(dist, SubjectDistribution) else list(dist)
     counts = sorted((c for c in counts if c > 0), reverse=True)
     if len(counts) < 3:
         raise TooFewRanks(f"need >= 3 nonzero ranks, got {len(counts)}")

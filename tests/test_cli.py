@@ -38,7 +38,7 @@ def test_harness_gen_writes_a_service_config_that_serves(tmp_path, capsys):
         bib_id = next(r.bib_id for r in gw.corpus.records.values() if r.format == "print")
         status, body = gw.handle_map_data("uiu_undergrad", bib_id)
         assert status == 200
-        assert gw.stackmap.map_extent.contains((body["x"], body["y"]))
+        assert gw.stackmap.map_extent.distance_to((body["x"], body["y"])) == 0.0
     finally:
         gw.txn_log.close()
 
@@ -70,6 +70,13 @@ def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
      "gaussian mode requires sigma > 0"),
     (["harness", "gen", "--seed", "1", "--records", "5"], "n_records must be >= 10"),
     (["telemetry", "heatmap", "--cell-size", "0", "--logs", "{log}"], "cell size must be > 0"),
+    # (3 sigma)^2 is inf, or NaN: refused before any cell is sized from it
+    (["telemetry", "heatmap", "--cell-size", "10", "--mode", "gaussian:inf", "--logs", "{log}"],
+     "gaussian mode requires sigma > 0 with (3 sigma)^2 finite: sigma=inf"),
+    (["telemetry", "heatmap", "--cell-size", "10", "--mode", "gaussian:1e200", "--logs", "{log}"],
+     "gaussian mode requires sigma > 0 with (3 sigma)^2 finite: sigma=1e+200"),
+    (["telemetry", "heatmap", "--cell-size", "10", "--mode", "gaussian:nan", "--logs", "{log}"],
+     "gaussian mode requires sigma > 0 with (3 sigma)^2 finite: sigma=nan"),
 ])
 def test_bad_numeric_argument_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, message):
     log = tmp_path / "api.jsonl"
@@ -186,6 +193,18 @@ def test_serve_on_a_busy_port_is_one_error_line_and_leaves_no_log(tmp_path, caps
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("port", ["-1", "65536", "99999"])
+def test_serve_on_a_port_outside_the_range_is_one_error_line_and_leaves_no_log(tmp_path, capsys, port):
+    log = tmp_path / "new.jsonl"
+    argv = ["serve", "--config", str(REFERENCE / "config.json"), "--port", port, "--log", str(log)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: port must be 0-65535: {port}"
     assert not log.exists()
 
 

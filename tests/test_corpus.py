@@ -135,7 +135,7 @@ def test_books_in_range_matches_linear_scan(tmp_path):
 
     for _ in range(40):
         a, b = random_call_number(rng), random_call_number(rng)
-        if lccn.compare(a, b) > 0:
+        if a.sort_key() > b.sort_key():
             a, b = b, a
         r = lccn.CallNumberRange(a, b)
         expected = sorted(

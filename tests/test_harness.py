@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from stackrec.harness import (
     run_report,
 )
 
-from conftest import count_calls, reference_key, reference_stamp
+from conftest import count_calls, distribution_of, reference_key, reference_stamp
 
 
 def _digest(fixtures: FixtureSet) -> dict:
@@ -88,7 +89,7 @@ def test_circulation_follows_configured_skew(tmp_path):
         (store.circulation_count(b) for b in store.records), reverse=True
     )
     counts = [c for c in counts if c > 0]
-    fit = telemetry.fit_power_law(counts)
+    fit = telemetry.fit_power_law(distribution_of(counts))
     assert fit.exponent == pytest.approx(-ZIPF_EXPONENT, abs=0.1)
     assert fit.r_squared > 0.95
 
@@ -110,9 +111,9 @@ def test_loaders_parse_each_call_number_once(tmp_path, monkeypatch):
     assert calls[0] == 2 * rows(fixtures.stackmap)
     calls[0] = 0
     outline = lccn.load_outline(fixtures.outline)
-    assert calls[0] == 2 * len(outline)
+    assert calls[0] == 2 * len(outline.entries)
     assert rows(fixtures.catalog) + 2 * (
-        rows(fixtures.databases) + rows(fixtures.stackmap) + len(outline)) == 624
+        rows(fixtures.databases) + rows(fixtures.stackmap) + len(outline.entries)) == 624
 
 
 def test_head_circulation_lands_in_head_classes(tmp_path):
@@ -280,6 +281,55 @@ def test_seed7_report_matches_golden_outputs(tmp_path):
         json.loads((tmp_path / "summary.json").read_text(encoding="utf-8")),
         json.loads(GOLDEN_SUMMARY.read_text(encoding="utf-8")),
     )
+
+
+def test_study_of_the_seed7_logs_writes_no_file_and_gives_the_golden_figures(tmp_path, monkeypatch):
+    report = tmp_path / "report"
+    run_report(ReportConfig(out_dir=str(report), seed=7))
+    gateway_entries = telemetry.parse_logs([report / "gateway.jsonl"]).entries
+    module_entries = telemetry.parse_logs([report / "modules.jsonl"]).entries
+    fixtures = report / "fixtures"
+    store = corpus.load_corpus(fixtures / "catalog.csv")
+    outline = lccn.load_outline(fixtures / "outline.tsv")
+    stack = stacksmap.load_stackmap(fixtures / "stackmap.csv")
+    before = sorted(tmp_path.rglob("*"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+
+    result = telemetry.study(gateway_entries, module_entries, store, outline, stack)
+
+    assert list(empty.iterdir()) == []
+    assert sorted(p for p in tmp_path.rglob("*") if p != empty) == before
+    got = json.loads(json.dumps({
+        "recommend_requests": len(result.recommend),
+        "heatmap_mass": result.grid.total_mass,
+        "heatmap_out_of_extent": result.grid.out_of_extent,
+        "subject_distribution": result.subjects.items,
+        "subject_unknown": result.subjects.unknown,
+        "power_law": {"exponent": result.fit.exponent, "r_squared": result.fit.r_squared},
+        "traces": result.traces,
+        "text_mining": {module: asdict(stats) for module, stats in result.mining.items()},
+        "monthly": result.monthly,
+    }, sort_keys=True))
+    golden = json.loads(GOLDEN_SUMMARY.read_text(encoding="utf-8"))
+    _assert_json_close(got, {key: golden[key] for key in got})
+    # the smoothed grid spreads each recommend point's unit mass
+    assert result.smooth.total_mass == pytest.approx(len(result.recommend), rel=1e-12)
+
+
+def test_report_parses_a_log_once(tmp_path, monkeypatch):
+    """The gateway's log is parsed once; the module entries are kept from the writing."""
+    calls = count_calls(monkeypatch, telemetry, "parse_logs")
+    run_report(ReportConfig(out_dir=str(tmp_path)))
+    assert calls[0] == 1
+
+
+def test_synthesized_module_log_returns_the_entries_it_writes(tmp_path):
+    path = tmp_path / "modules.jsonl"
+    entries = harness._synthesize_module_log(random.Random(9), path, ["uiu_1", "hat_2"], 50, 20)
+    assert len(entries) == 50 + 20 + 210  # searches, then item views of walked bibs
+    assert entries == telemetry.parse_logs([path]).entries
 
 
 def test_report_error_names_stage(tmp_path):

@@ -19,7 +19,6 @@ from stackrec.lccn import (
     ParseError,
     Unclassified,
     canonical_format,
-    compare,
     in_range,
     parse,
     parse_range,
@@ -182,24 +181,24 @@ def test_round_trip_preserves_value(text):
 
 def test_compare_reflexive():
     cn = parse("PN1995 .C655 2015")
-    assert compare(cn, cn) == 0
+    assert cn.sort_key() == cn.sort_key()
 
 
 def test_fractional_class_number_orders_numerically():
-    assert compare(parse("PN1991.75 A24"), parse("PN1995 .C655 2015")) < 0
+    assert parse("PN1991.75 A24").sort_key() < parse("PN1995 .C655 2015").sort_key()
 
 
 def test_cutter_digits_compare_as_decimal_fraction():
     # 0.79835 < 0.8
-    assert compare(parse("PZ7.R79835"), parse("PZ7.R8")) < 0
+    assert parse("PZ7.R79835").sort_key() < parse("PZ7.R8").sort_key()
 
 
 def test_prefix_cutter_list_sorts_first():
-    assert compare(parse("PR85"), parse("PR85.C45")) < 0
+    assert parse("PR85").sort_key() < parse("PR85.C45").sort_key()
 
 
 def test_missing_year_sorts_before_year():
-    assert compare(parse("PZ7.R79835"), parse("PZ7.R79835 1950")) < 0
+    assert parse("PZ7.R79835").sort_key() < parse("PZ7.R79835 1950").sort_key()
 
 
 def test_known_call_numbers_sort_order():
@@ -219,7 +218,7 @@ def test_compare_agrees_with_component_oracle_bulk():
         expected = (oracle_call_number_key(a) > oracle_call_number_key(b)) - (
             oracle_call_number_key(a) < oracle_call_number_key(b)
         )
-        assert compare(a, b) == expected, f"{canonical_format(a)} vs {canonical_format(b)}"
+        assert _sign(a.sort_key(), b.sort_key()) == expected, f"{canonical_format(a)} vs {canonical_format(b)}"
 
 
 call_numbers = st.builds(
@@ -229,21 +228,21 @@ call_numbers = st.builds(
 
 @given(call_numbers, call_numbers)
 def test_order_antisymmetry(a, b):
-    assert compare(a, b) == -compare(b, a)
+    assert _sign(a.sort_key(), b.sort_key()) == -_sign(b.sort_key(), a.sort_key())
 
 
 @given(call_numbers, call_numbers, call_numbers)
 def test_order_transitivity(a, b, c):
     xs = sorted([a, b, c], key=lambda cn: cn.sort_key())
-    assert compare(xs[0], xs[1]) <= 0 <= compare(xs[2], xs[1])
-    assert compare(xs[0], xs[2]) <= 0
+    assert xs[0].sort_key() <= xs[1].sort_key() <= xs[2].sort_key()
+    assert xs[0].sort_key() <= xs[2].sort_key()
 
 
 @settings(max_examples=200)
 @given(call_numbers)
 def test_canonical_round_trip_property(cn):
     reparsed = parse(canonical_format(cn))
-    assert compare(reparsed, cn) == 0
+    assert reparsed.sort_key() == cn.sort_key()
     assert canonical_format(reparsed) == canonical_format(cn)
 
 
@@ -267,7 +266,7 @@ def test_compare_matches_oracle_property(a, b):
     expected = (oracle_call_number_key(a) > oracle_call_number_key(b)) - (
         oracle_call_number_key(a) < oracle_call_number_key(b)
     )
-    assert compare(a, b) == expected
+    assert _sign(a.sort_key(), b.sort_key()) == expected
 
 
 # Mostly texts that parse: canonical forms, spelled in lower case with the
@@ -318,8 +317,8 @@ def test_digit_strings_order_as_decimal_fractions(a, b):
 
 
 def test_trailing_zeros_tie_with_stripped_forms():
-    assert compare(parse("PZ7 .R80"), parse("PZ7.R8")) == 0
-    assert compare(parse("PZ7.50"), parse("PZ7.5")) == 0
+    assert parse("PZ7 .R80").sort_key() == parse("PZ7.R8").sort_key()
+    assert parse("PZ7.50").sort_key() == parse("PZ7.5").sort_key()
 
 
 def test_sort_key_is_built_once():
@@ -523,7 +522,7 @@ def test_load_outline_single_entry(tmp_path):
     path = tmp_path / "mini.tsv"
     path.write_text("B1\tB5802\tPhilosophy (General)\n", encoding="utf-8")
     outline = lccn.load_outline(path)
-    assert len(outline) == 1
+    assert len(outline.entries) == 1
     assert outline.classify(parse("B105.E9 G63 1974")) == "Philosophy (General)"
 
 
@@ -540,7 +539,7 @@ def test_load_outline_reports_bad_lines(tmp_path):
         "# comment\nB1\tB5802\tPhilosophy (General)\nnot-a-range\n", encoding="utf-8"
     )
     outline = lccn.load_outline(path)
-    assert len(outline) == 1
+    assert len(outline.entries) == 1
     assert len(outline.diagnostics) == 1
 
 

@@ -31,6 +31,7 @@ from stackrec.telemetry import (
 )
 
 from conftest import (
+    distribution_of,
     exact_fit_power_law,
     reference_fit_power_law,
     reference_heatmap_points,
@@ -345,6 +346,11 @@ def test_gaussian_requires_sigma():
         heatmap_points([(1, 1)], GridSpec(0, 0, 1, 5, 5), "gaussian")
 
 
+def test_gaussian_sigma_of_1e150_spreads_one_point_over_the_whole_grid():
+    grid = heatmap_points([(1, 1)], GridSpec(0, 0, 1, 3, 2), "gaussian", sigma=1e150)
+    assert [list(row) for row in grid.values] == [[1 / 6] * 3, [1 / 6] * 3]
+
+
 @pytest.mark.parametrize("cell_size", [0, -1.0, float("nan")])
 def test_covering_rejects_a_cell_size_not_positive(cell_size):
     with pytest.raises(ValueError, match="cell size must be > 0"):
@@ -408,39 +414,30 @@ def test_subject_distribution_conservation(ref_corpus, ref_outline):
     assert dist.unknown == 2
 
 
-def test_subject_distribution_per_request(ref_corpus, ref_outline):
-    entries = [_entry(bib_ids=["uiu_8378456", "uiu_7072382"])]
-    annotated = annotate(entries, ref_corpus, ref_outline)
-    assert subject_distribution(annotated).items == [("American literature", 2)]
-    assert subject_distribution(annotated, per_request=True).items == [
-        ("American literature", 1)
-    ]
-
-
 # --- power-law fit ---------------------------------------------------------
 
 def test_fit_analytic_power_law():
     counts = [100.0 * r ** -1.0 for r in range(1, 11)]
-    fit = fit_power_law(counts)
+    fit = fit_power_law(distribution_of(counts))
     assert fit.exponent == pytest.approx(-1.0, abs=1e-6)
     assert fit.r_squared >= 0.999999
 
 
 def test_fit_uniform_counts():
-    fit = fit_power_law([7, 7, 7, 7])
+    fit = fit_power_law(distribution_of([7, 7, 7, 7]))
     assert fit.exponent == pytest.approx(0.0, abs=1e-9)
     assert fit.r_squared == 1.0
 
 
 def test_fit_too_few_ranks():
     with pytest.raises(TooFewRanks):
-        fit_power_law([5, 3])
+        fit_power_law(distribution_of([5, 3]))
 
 
 def test_fit_scale_invariance():
     counts = [90, 44, 31, 22, 18, 11, 9, 6, 4, 2]
-    a = fit_power_law(counts)
-    b = fit_power_law([c * 17 for c in counts])
+    a = fit_power_law(distribution_of(counts))
+    b = fit_power_law(distribution_of([c * 17 for c in counts]))
     assert a.exponent == pytest.approx(b.exponent)
     assert a.r_squared == pytest.approx(b.r_squared)
 
@@ -756,7 +753,7 @@ rank_counts = st.lists(st.integers(1, 100_000), min_size=3, max_size=60)
 @settings(max_examples=200, deadline=None)
 @given(rank_counts)
 def test_fit_is_exact_least_squares_rounded(counts):
-    got, exact = fit_power_law(counts), exact_fit_power_law(counts)
+    got, exact = fit_power_law(distribution_of(counts)), exact_fit_power_law(counts)
     assert math.isclose(got.exponent, exact.exponent, rel_tol=1e-12), (got, exact)
     assert math.isclose(got.r_squared, exact.r_squared, rel_tol=1e-12), (got, exact)
 
@@ -767,7 +764,7 @@ def test_fit_agrees_with_numpys(numpy_oracle, counts):
     """Where they differ beyond a relative 1e-12, numpy is the one further from
     exact least squares: np.polyfit loses digits on counts that are nearly equal,
     and gives R^2 below 1 for some equal counts."""
-    got, want = fit_power_law(counts), reference_fit_power_law(counts)
+    got, want = fit_power_law(distribution_of(counts)), reference_fit_power_law(counts)
     exact = exact_fit_power_law(counts)
     for name in ("exponent", "r_squared"):
         ours, numpys, truth = getattr(got, name), getattr(want, name), getattr(exact, name)
