@@ -1,5 +1,11 @@
 """Command-line front end: serve, telemetry subcommands, harness subcommands.
 
+``telemetry study`` writes the study report's analysis of any served logs, as
+``harness report`` writes it of its own replay: the same files from the same
+``telemetry.study`` and ``telemetry.write_study``.  ``heatmap``, ``trace`` and
+``monthly`` each take what the study fixes: a cell size and a smoothing
+width, any bib id, any module.
+
 The telemetry and harness modules are imported only by the commands that use
 them, so that ``stackrec serve`` loads only what it serves.  Likewise only
 ``harness report``'s replay imports the HTTP client, so no other command
@@ -64,26 +70,6 @@ def _parsed_entries(args):
     return parsed.entries
 
 
-def _annotated(args):
-    from . import telemetry
-    entries = _parsed_entries(args)
-    store = corpus.load_corpus(args.catalog)
-    outline = lccn.load_outline(args.outline)
-    stack = stacksmap.load_stackmap(args.stackmap) if getattr(args, "stackmap", None) else None
-    return telemetry.annotate(entries, store, outline, stack)
-
-
-def cmd_annotate(args) -> int:
-    from . import telemetry
-    annotated = _annotated(args)
-    out = Path(args.out)
-    telemetry.write_wayfinder_table(annotated, out)
-    recommend_out = out.with_name(out.stem + "_recommend" + out.suffix)
-    telemetry.write_recommend_table(annotated, recommend_out)
-    print(f"wrote {out} and {recommend_out} ({len(annotated)} entries)")
-    return 0
-
-
 def _parse_mode(text: str):
     if text == "bin":
         return "bin", None
@@ -122,19 +108,16 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-def cmd_subjects(args) -> int:
+def cmd_study(args) -> int:
     from . import telemetry
-    annotated = _annotated(args)
-    dist = telemetry.subject_distribution(annotated)
-    telemetry.write_distribution_csv(dist, args.out)
-    print(f"wrote {args.out}: {len(dist.items)} subjects, {dist.total} items, {dist.unknown} unknown")
-    if args.fit:
-        try:
-            fit = telemetry.fit_power_law(dist)
-        except telemetry.TooFewRanks as exc:
-            print(f"fit skipped: {exc}", file=sys.stderr)
-            return 1
-        print(f"power-law fit: exponent {fit.exponent:.4f}, R^2 {fit.r_squared:.4f}")
+    entries = _parsed_entries(args)
+    served = ("wayfinder", "recommend")  # the gateway's modules; the app logs the others
+    result = telemetry.study(
+        [e for e in entries if e.module in served], [e for e in entries if e.module not in served],
+        corpus.load_corpus(args.catalog), lccn.load_outline(args.outline),
+        stacksmap.load_stackmap(args.stackmap),
+    )
+    print(_summary_line(f"study in {args.out}", telemetry.write_study(result, args.out)))
     return 0
 
 
@@ -144,17 +127,6 @@ def cmd_trace(args) -> int:
     counts = telemetry.trace_identifier(args.bib_id, entries)
     for module, count in counts.items():
         print(f"{module}\t{count}")
-    return 0
-
-
-def cmd_mine(args) -> int:
-    from . import telemetry
-    entries = _parsed_entries(args)
-    stats = telemetry.mine_queries(entries, args.module)
-    print(f"total words\t{stats.total_words}")
-    print(f"unique forms\t{stats.unique_forms}")
-    for word, count in stats.top:
-        print(f"{word}\t{count}")
     return 0
 
 
@@ -195,13 +167,16 @@ def cmd_report(args) -> int:
     except harness.ReportError as exc:
         print(f"report failed at stage {exc.stage}: {exc}", file=sys.stderr)
         return 1
+    print(_summary_line(f"report in {config.out_dir}", summary))
+    return 0
+
+
+def _summary_line(what: str, summary: dict) -> str:
     fit = summary["power_law"]
-    print(
-        f"report in {config.out_dir}: {summary['requests']} requests, "
-        f"{len(summary['subject_distribution'])} subjects, "
+    return (
+        f"{what}: {summary['requests']} requests, {len(summary['subject_distribution'])} subjects, "
         f"exponent {fit['exponent']:.3f} (R^2 {fit['r_squared']:.3f})"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,14 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
 
-    p = tele.add_parser("annotate", help="join log bib ids to call numbers and subjects")
-    p.add_argument("--logs", nargs="+", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--outline", required=True)
-    p.add_argument("--stackmap")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_annotate)
-
     p = tele.add_parser("heatmap", help="density grid from logged x/y points")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--cell-size", type=float, required=True)
@@ -239,23 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="grid.csv or grid.csv,image.pgm")
     p.set_defaults(func=cmd_heatmap)
 
-    p = tele.add_parser("subjects", help="subject rank-frequency distribution")
+    p = tele.add_parser("study", help="the study report's analysis of served logs, as files under --out")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--outline", required=True)
+    p.add_argument("--stackmap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fit", action="store_true")
-    p.set_defaults(func=cmd_subjects)
+    p.set_defaults(func=cmd_study)
 
     p = tele.add_parser("trace", help="per-module occurrence counts for one bib id")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--bib-id", required=True)
     p.set_defaults(func=cmd_trace)
-
-    p = tele.add_parser("mine", help="query word statistics for one module")
-    p.add_argument("--logs", nargs="+", required=True)
-    p.add_argument("--module", required=True, choices=["catalog", "journal"])
-    p.set_defaults(func=cmd_mine)
 
     p = tele.add_parser("monthly", help="per-month request counts for one module")
     p.add_argument("--logs", nargs="+", required=True)

@@ -3,10 +3,11 @@
 Builds a desk-scale library (catalog, circulation skew, shelves, beacons) and
 patron walks over it.  ``run_report`` reproduces the study in named stages: it
 generates a library, loads it into a gateway and walks it; ``replay`` sends
-the walk's requests to the live gateway, and ``analyze`` writes the report of
-``telemetry.study`` over the gateway's log.  Everything is deterministic per
-seed; walk timestamps come from a simulated clock, so a year-long study
-window replays in seconds.
+the walk's requests to the live gateway, and ``analyze`` checks the
+``telemetry.study`` of the gateway's log and writes it with
+``telemetry.write_study``.  Everything is deterministic per seed; walk
+timestamps come from a simulated clock, so a year-long study window replays
+in seconds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import shutil
 import urllib.parse
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
 from itertools import accumulate
@@ -470,8 +471,9 @@ def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
     """Analyze the replayed gateway's closed log and write the report.
 
     Reads the gateway's log once, writes modules.jsonl from the bib ids it
-    names, runs ``telemetry.study`` over both, and returns the summary, also
-    written to summary.json.
+    names, runs ``telemetry.study`` over both, checks the grid and the subject
+    counts against the walk, and writes the study with ``telemetry.write_study``.
+    Returns the summary, also written to summary.json.
     """
     out = Path(config.out_dir)
     with _stage("parse_logs"):
@@ -493,13 +495,10 @@ def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
             parsed.entries, module_entries, gateway.corpus, gateway.outline, gateway.stackmap
         )
         recommend, grid, dist = result.recommend, result.grid, result.subjects
-        telemetry.write_wayfinder_table(result.annotated, out / "wayfinder_table.csv")
-        telemetry.write_recommend_table(result.annotated, out / "recommend_table.csv")
 
+        # These hold for a replayed walk, whose every request is answered at a
+        # point on the map, and not for served traffic: write_study checks neither.
         with _stage("heatmap"):
-            telemetry.write_grid_csv(grid, out / "heatmap_grid.csv")
-            telemetry.write_grid_pgm(grid, out / "heatmap.pgm")
-            telemetry.write_grid_csv(result.smooth, out / "heatmap_smooth.csv")
             if grid.out_of_extent != 0:
                 raise ValueError(f"{grid.out_of_extent} points fell outside the grid")
             if abs(grid.total_mass - len(recommend)) > 1e-9:
@@ -508,30 +507,10 @@ def analyze(config: ReportConfig, gateway: Gateway, walk: WalkScript) -> dict:
                 )
 
         with _stage("subjects"):
-            telemetry.write_distribution_csv(dist, out / "subject_distribution.csv")
             if dist.total + dist.unknown != sum(len(a.annotations) for a in recommend):
                 raise ValueError("distribution counts do not conserve occurrences")
 
-        for module, series in result.monthly.items():
-            rows = "".join(f"{month},{count}\n" for month, count in series)
-            (out / f"monthly_{module}.csv").write_text("month,count\n" + rows, encoding="utf-8")
-
-    summary = {
-        "requests": walk.request_count,
-        "recommend_requests": len(recommend),
-        "wayfind_requests": walk.request_count - len(recommend),
-        "heatmap_mass": grid.total_mass,
-        "heatmap_out_of_extent": grid.out_of_extent,
-        "subject_distribution": dist.items,
-        "subject_unknown": dist.unknown,
-        "power_law": {"exponent": result.fit.exponent, "r_squared": result.fit.r_squared},
-        "traces": result.traces,
-        "text_mining": {module: asdict(stats) for module, stats in result.mining.items()},
-        "monthly": result.monthly,
-    }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    (out / "summary.json").write_text(text, encoding="utf-8")
-    return summary
+        return telemetry.write_study(result, out)
 
 
 def run_report(config: ReportConfig) -> dict:

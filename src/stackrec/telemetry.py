@@ -4,17 +4,19 @@ Parse the JSON-lines logs, join recommended/wayfound bib ids to call numbers
 and subjects, then aggregate: floor heat maps, subject rank-frequency
 distributions with a power-law fit, per-module identifier traces, query text
 mining, and monthly request series.  ``study`` is the study report's analysis:
-all of these over the logs it is given, with the choices fixed below.
+all of these over the logs it is given, with the choices fixed below, and
+``write_study`` writes it as the report's files.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import string
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -173,14 +175,20 @@ class GridSpec:
     def covering(cls, extent: stacksmap.Rect, cell_size: float, margin: float = 0.0) -> "GridSpec":
         """The grid of cell_size cells over extent widened by margin on each side.
 
-        Raises ValueError when the grid would have more than MAX_GRID_CELLS
-        cells, or a side too long to count.
+        Raises ValueError when the cell size is not finite, when the margin
+        widens a side of the extent past the largest float, or when the grid
+        would have more than MAX_GRID_CELLS cells or a side too long to count.
         """
-        if not cell_size > 0:
-            raise ValueError(f"cell size must be > 0: {cell_size}")
+        if not (cell_size > 0 and math.isfinite(cell_size)):
+            raise ValueError(f"cell size must be > 0 and finite: {cell_size}")
         x0, y0 = extent.x_min - margin, extent.y_min - margin
-        across = (extent.x_max + margin - x0) / cell_size
-        down = (extent.y_max + margin - y0) / cell_size
+        wide, high = extent.x_max + margin - x0, extent.y_max + margin - y0
+        sides = (extent.x_max - extent.x_min, extent.y_max - extent.y_min)
+        if all(map(math.isfinite, sides)) and not all(map(math.isfinite, (wide, high))):
+            raise ValueError(
+                f"cell size {cell_size:g} with margin {margin:g} widens the extent past the largest float"
+            )
+        across, down = wide / cell_size, high / cell_size
         if math.isfinite(across) and math.isfinite(down):
             width, height = max(1, math.ceil(across)), max(1, math.ceil(down))
             if width * height <= MAX_GRID_CELLS:
@@ -502,3 +510,39 @@ def write_distribution_csv(dist: SubjectDistribution, path: str | Path) -> None:
             fh.write(f"{quoted(subject)},{count}\n")
         if dist.unknown:
             fh.write(f"{quoted(UNKNOWN)},{dist.unknown}\n")
+
+
+def write_study(result: Study, out_dir: str | Path) -> dict:
+    """Write a study as the report's files under out_dir; return its summary.
+
+    The files are the wayfinder and recommend tables, the bin grid as CSV and
+    PGM, the smoothed grid, the subject distribution, one monthly series per
+    COUNTED_MODULES, and the summary as summary.json.  The request counts are
+    those of the gateway entries the study was given.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_wayfinder_table(result.annotated, out / "wayfinder_table.csv")
+    write_recommend_table(result.annotated, out / "recommend_table.csv")
+    write_grid_csv(result.grid, out / "heatmap_grid.csv")
+    write_grid_pgm(result.grid, out / "heatmap.pgm")
+    write_grid_csv(result.smooth, out / "heatmap_smooth.csv")
+    write_distribution_csv(result.subjects, out / "subject_distribution.csv")
+    for module, series in result.monthly.items():
+        rows = "".join(f"{month},{count}\n" for month, count in series)
+        (out / f"monthly_{module}.csv").write_text("month,count\n" + rows, encoding="utf-8")
+    summary = {
+        "requests": len(result.annotated),
+        "recommend_requests": len(result.recommend),
+        "wayfind_requests": len(result.annotated) - len(result.recommend),
+        "heatmap_mass": result.grid.total_mass,
+        "heatmap_out_of_extent": result.grid.out_of_extent,
+        "subject_distribution": result.subjects.items,
+        "subject_unknown": result.subjects.unknown,
+        "power_law": {"exponent": result.fit.exponent, "r_squared": result.fit.r_squared},
+        "traces": result.traces,
+        "text_mining": {module: asdict(stats) for module, stats in result.mining.items()},
+        "monthly": result.monthly,
+    }
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
+    return summary

@@ -16,6 +16,7 @@ import stackrec
 from stackrec import cli
 from stackrec.config import ServiceConfig
 from stackrec.gateway import ApiLogEntry, Gateway
+from stackrec.harness import ReportConfig
 
 from conftest import REFERENCE
 
@@ -77,6 +78,11 @@ def test_heatmap_skips_points_that_are_not_finite(tmp_path, capsys):
      "gaussian mode requires sigma > 0 with (3 sigma)^2 finite: sigma=1e+200"),
     (["telemetry", "heatmap", "--cell-size", "10", "--mode", "gaussian:nan", "--logs", "{log}"],
      "gaussian mode requires sigma > 0 with (3 sigma)^2 finite: sigma=nan"),
+    # the cell size, and not the points, makes the widened extent too wide to hold
+    (["telemetry", "heatmap", "--cell-size", "1e308", "--logs", "{log}"],
+     "cell size 1e+308 with margin 1e+308 widens the extent past the largest float"),
+    (["telemetry", "heatmap", "--cell-size", "inf", "--logs", "{log}"],
+     "cell size must be > 0 and finite: inf"),
 ])
 def test_bad_numeric_argument_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, message):
     log = tmp_path / "api.jsonl"
@@ -106,23 +112,31 @@ def test_walk_with_negative_request_count_is_one_stderr_line_and_status_2(tmp_pa
 _REF_ARGS = {
     "catalog": ["--catalog", str(REFERENCE / "catalog.csv")],
     "outline": ["--outline", str(REFERENCE / "outline.tsv")],
+    "stackmap": ["--stackmap", str(REFERENCE / "stackmap.csv")],
 }
 
 
 @pytest.mark.parametrize("argv", [
-    ["telemetry", "annotate", *_REF_ARGS["catalog"], *_REF_ARGS["outline"], "--out", "{out}"],
+    pytest.param(["telemetry", "study", *_REF_ARGS["catalog"], *_REF_ARGS["outline"],
+                  *_REF_ARGS["stackmap"], "--out", "{out}"], id="telemetry-study-logs"),
     ["telemetry", "heatmap", "--cell-size", "10", "--out", "{out}"],
-    ["telemetry", "subjects", *_REF_ARGS["catalog"], *_REF_ARGS["outline"], "--out", "{out}"],
+    pytest.param(["telemetry", "study", "--logs", "{log}", "--catalog", "{missing}", *_REF_ARGS["outline"],
+                  *_REF_ARGS["stackmap"], "--out", "{out}"], id="telemetry-study-catalog"),
     ["telemetry", "trace", "--bib-id", "uiu_8127460"],
-    ["telemetry", "mine", "--module", "catalog"],
+    pytest.param(["telemetry", "study", "--logs", "{log}", *_REF_ARGS["catalog"], *_REF_ARGS["outline"],
+                  "--stackmap", "{missing}", "--out", "{out}"], id="telemetry-study-stackmap"),
     ["telemetry", "monthly", "--module", "wayfinder"],
     ["serve", "--port", "0", "--log", "{out}"],
 ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "telemetry" else argv[0])
 def test_missing_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, argv):
+    """The missing file is the logs, or the config, unless the case names another."""
     missing = tmp_path / "missing.jsonl"
+    log = tmp_path / "api.jsonl"
+    _write_point_log(log)
     out = tmp_path / "out"
-    argv = [arg.format(out=out) for arg in argv]
-    argv += ["--config", str(missing)] if argv[0] == "serve" else ["--logs", str(missing)]
+    if "{missing}" not in argv:
+        argv = argv + (["--config", "{missing}"] if argv[0] == "serve" else ["--logs", "{missing}"])
+    argv = [arg.format(out=out, log=log, missing=missing) for arg in argv]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -140,8 +154,8 @@ _SERVICE_WITH_BAD_BEACONS = json.dumps({
 
 
 @pytest.mark.parametrize("argv, files, message", [
-    (["telemetry", "subjects", "--logs", "{log}", "--catalog", "{dir}/catalog.csv",
-      *_REF_ARGS["outline"], "--out", "{out}"],
+    (["telemetry", "study", "--logs", "{log}", "--catalog", "{dir}/catalog.csv",
+      *_REF_ARGS["outline"], *_REF_ARGS["stackmap"], "--out", "{out}"],
      {"catalog.csv": "id,name\n1,x\n"}, "expected columns"),
     (["telemetry", "heatmap", "--logs", "{log}", "--stackmap", "{dir}/stackmap.csv",
       "--cell-size", "10", "--out", "{out}"],
@@ -155,7 +169,7 @@ _SERVICE_WITH_BAD_BEACONS = json.dumps({
     (["serve", "--config", "{dir}/service.json", "--port", "0", "--log", "{log}"],
      {"service.json": _SERVICE_WITH_BAD_BEACONS, "beacons.csv": "beacon_id,x,y\nb1,0,0\nb2,zero,0\n"},
      "beacons.csv row 3: could not convert string to float: 'zero'"),
-], ids=["telemetry-subjects", "telemetry-heatmap", "serve", "serve-short-row",
+], ids=["telemetry-study", "telemetry-heatmap", "serve", "serve-short-row",
         "serve-bad-number"])
 def test_malformed_input_file_is_one_stderr_line_and_status_2(tmp_path, capsys, argv, files, message):
     for name, text in files.items():
@@ -415,19 +429,32 @@ def small_logs(tmp_path):
 _TABLES = [*_REF_ARGS["catalog"], *_REF_ARGS["outline"]]
 
 
-@pytest.mark.parametrize("argv, written, printed", [
-    (["annotate", *_TABLES, "--stackmap", str(REFERENCE / "stackmap.csv"), "--out", "{out}/wayfinder.csv"],
-     ["wayfinder.csv", "wayfinder_recommend.csv"], "(7 entries)"),
-    (["subjects", *_TABLES, "--fit", "--out", "{out}/subjects.csv"],
-     ["subjects.csv"], "power-law fit: exponent"),
+# What `telemetry study` and `harness report` write of a study.
+STUDY_FILES = [
+    "wayfinder_table.csv", "recommend_table.csv", "heatmap_grid.csv", "heatmap.pgm",
+    "heatmap_smooth.csv", "subject_distribution.csv", "monthly_catalog.csv", "monthly_journal.csv",
+    "monthly_recommend.csv", "monthly_wayfinder.csv", "summary.json",
+]
+
+
+_STUDY_ARGV = ["study", *_TABLES, *_REF_ARGS["stackmap"], "--out", "{out}"]
+
+
+# The three study cases each check one part of the study: the annotated
+# tables, the subject distribution and its fit, and the text mining.
+@pytest.mark.parametrize("argv, written, printed, holds", [
+    (_STUDY_ARGV, STUDY_FILES, ": 5 requests, ",
+     {"wayfinder_table.csv": '"PN1995 .C655 2015"', "recommend_table.csv": "uiu_8127460,uiu_7878848"}),
+    (_STUDY_ARGV, STUDY_FILES, "5 subjects, exponent",
+     {"subject_distribution.csv": '"History of the Americas. United States",2'}),
+    (_STUDY_ARGV, STUDY_FILES, "study in ", {"summary.json": '"total_words": 3'}),
     (["heatmap", "--cell-size", "10", "--stackmap", str(REFERENCE / "stackmap.csv"),
-      "--out", "{out}/grid.csv,{out}/grid.pgm"], ["grid.csv", "grid.pgm"], "4 points, mass 4"),
-    (["trace", "--bib-id", "uiu_8127460"], [], "wayfinder\t1"),
-    (["mine", "--module", "catalog"], [], "total words\t3"),
-    (["monthly", "--module", "catalog"], [], "2016-10\t2"),
-], ids=["annotate", "subjects", "heatmap", "trace", "mine", "monthly"])
+      "--out", "{out}/grid.csv,{out}/grid.pgm"], ["grid.csv", "grid.pgm"], "4 points, mass 4", {}),
+    (["trace", "--bib-id", "uiu_8127460"], [], "wayfinder\t1", {}),
+    (["monthly", "--module", "catalog"], [], "2016-10\t2", {}),
+], ids=["study-tables", "study-subjects", "study-mining", "heatmap", "trace", "monthly"])
 def test_each_telemetry_command_runs_on_reference_tables(tmp_path, capsys, small_logs,
-                                                         argv, written, printed):
+                                                         argv, written, printed, holds):
     out = tmp_path / "out"
     out.mkdir()
     argv = ["telemetry", *(arg.format(out=out) for arg in argv), "--logs", *small_logs]
@@ -437,6 +464,84 @@ def test_each_telemetry_command_runs_on_reference_tables(tmp_path, capsys, small
     assert sorted(p.name for p in out.iterdir()) == sorted(written)
     for name in written:
         assert (out / name).stat().st_size > 0
+    for name, text in holds.items():
+        assert text in (out / name).read_text(encoding="utf-8"), name
+
+
+@pytest.fixture(scope="module")
+def seed7_report(tmp_path_factory):
+    """A seed-7 study report, made once for the tests that read its logs."""
+    out = tmp_path_factory.mktemp("seed7") / "report"
+    assert cli.main(["harness", "report", "--seed", "7", "--out", str(out)]) == 0
+    return out
+
+
+def _study_argv(report, logs, out):
+    fixtures = report / "fixtures"
+    return ["telemetry", "study", "--logs", *map(str, logs), "--catalog", str(fixtures / "catalog.csv"),
+            "--outline", str(fixtures / "outline.tsv"), "--stackmap", str(fixtures / "stackmap.csv"),
+            "--out", str(out)]
+
+
+def test_study_of_the_report_logs_writes_the_report_files_byte_for_byte(tmp_path, capsys, seed7_report):
+    out = tmp_path / "study"
+    logs = [seed7_report / "gateway.jsonl", seed7_report / "modules.jsonl"]
+    assert cli.main(_study_argv(seed7_report, logs, out)) == 0
+    assert capsys.readouterr().out == (
+        f"study in {out}: 600 requests, 15 subjects, exponent -1.142 (R^2 0.935)\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(STUDY_FILES)
+    for name in STUDY_FILES:
+        assert (out / name).read_bytes() == (seed7_report / name).read_bytes(), name
+
+
+def test_study_of_served_logs_is_not_aborted_by_any_one_line(tmp_path, seed7_report):
+    """A refused point, a point off the map and two malformed lines: the study is
+    written, and the malformed lines are warned of once."""
+    served = tmp_path / "served.jsonl"
+    gw = Gateway.from_config(ServiceConfig.from_json(seed7_report / "fixtures" / "service.json"), served,
+                             clock=lambda: datetime(2017, 3, 1, 12))
+    try:
+        assert gw.handle_popular_near("nan", "200")[0] == 400
+        assert gw.handle_popular_near("99999", "200")[0] == 200
+    finally:
+        gw.txn_log.close()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n[1]\n", encoding="utf-8")
+    out = tmp_path / "study"
+    logs = [seed7_report / "gateway.jsonl", seed7_report / "modules.jsonl", served, bad]
+    # Run as the installed command is: under pytest, records logged through
+    # logging would go to pytest's handlers instead of stderr.
+    env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "stackrec.cli", *_study_argv(seed7_report, logs, out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stderr.splitlines() if "malformed" in line] == [
+        "warning: 2 malformed log line(s)"
+    ]
+    assert sorted(p.name for p in out.iterdir()) == sorted(STUDY_FILES)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["requests"] == 602
+    assert summary["recommend_requests"] == ReportConfig.recommend_requests + 2
+    assert summary["heatmap_out_of_extent"] == 1
+    # the refused point has no place on the grid, and the one off the map falls outside it
+    assert summary["heatmap_mass"] == ReportConfig.recommend_requests
+
+
+def test_study_of_a_log_with_fewer_than_3_subjects_is_one_error_line_and_status_2(tmp_path, capsys):
+    log = tmp_path / "api.jsonl"
+    gw = Gateway.from_config(ServiceConfig.from_json(REFERENCE / "config.json"), log)
+    try:
+        assert gw.handle_map_data("uiu_undergrad", "uiu_8127460")[0] == 200
+    finally:
+        gw.txn_log.close()
+    out = tmp_path / "study"
+    argv = ["telemetry", "study", "--logs", str(log), *_TABLES, *_REF_ARGS["stackmap"], "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: need >= 3 nonzero ranks, got 0"
+    assert not out.exists()
 
 
 def test_serve_stops_on_sigterm_with_status_0_and_a_closed_log(tmp_path):
@@ -465,10 +570,9 @@ def test_serve_stops_on_sigterm_with_status_0_and_a_closed_log(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["annotate", "--catalog", str(REFERENCE / "catalog.csv"), "--outline",
-     str(REFERENCE / "outline.tsv"), "--out", "{out}/wayfinder.csv"],
-    ["mine", "--module", "catalog"],
-], ids=["annotate", "mine"])
+    ["trace", "--bib-id", "uiu_8127460"],
+    ["monthly", "--module", "catalog"],
+], ids=["trace", "monthly"])
 def test_telemetry_warns_of_bad_log_lines_once(tmp_path, argv):
     # Run as the installed command is: under pytest, records logged through
     # logging would go to pytest's handlers instead of stderr.
