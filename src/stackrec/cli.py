@@ -117,6 +117,8 @@ def cmd_study(args) -> int:
         corpus.load_corpus(args.catalog), lccn.load_outline(args.outline),
         stacksmap.load_stackmap(args.stackmap),
     )
+    if result.grid.out_of_extent:
+        print(f"warning: {result.grid.out_of_extent} point(s) outside the grid", file=sys.stderr)
     print(_summary_line(f"study in {args.out}", telemetry.write_study(result, args.out)))
     return 0
 

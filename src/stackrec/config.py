@@ -6,7 +6,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections import Counter
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -73,6 +75,33 @@ def csv_field(value: str) -> str:
     return quoted(value) if any(c in value for c in ',"\r\n') else value
 
 
+@contextmanager
+def _table(
+    path: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> Iterator[tuple[Iterator[list[str]], list[int], int]]:
+    """Open a CSV table for reading its rows: give its reader, past the header,
+    the index of each of columns and then of optional, and the header's width.
+
+    A leading byte-order mark and blanks around a header name are ignored, a
+    repeated name indexes its last column, and an optional column that the
+    header lacks indexes the field just past the header's.  Raises ValueError
+    naming the file when the header lacks one of columns, or when the file,
+    read here or in the with block, is not UTF-8 or not CSV.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader, ())]
+            if not set(columns) <= set(header):
+                raise ValueError(f"{path}: expected columns {','.join(columns)}")
+            index = {name: i for i, name in enumerate(header)}
+            yield reader, [index.get(name, len(header)) for name in columns + optional], len(header)
+    except UnicodeDecodeError as exc:  # the decoder reads ahead of the rows, so no row is named
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_table(
     path: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -82,35 +111,35 @@ def read_table(
     optional, even for a single column.  The line number counts from 1 at the
     header, blank lines (which are skipped) included; for a row with a quoted
     field that spans lines, it is the row's last line.  Columns may come in
-    any order, and blanks around a header name are ignored.  A short row reads
-    as blanks, and so does an optional column that the header lacks.  Raises
-    ValueError when the header lacks one of columns, or when the file is not
-    UTF-8 or not CSV.
+    any order, and a leading byte-order mark and blanks around a header name
+    are ignored.  A short row reads as blanks, and so does an optional column
+    that the header lacks.  Raises ValueError when the header lacks one of
+    columns, or when the file is not UTF-8 or not CSV.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = [name.strip() for name in next(reader, ())]
-            if not set(columns) <= set(header):
-                raise ValueError(f"{path}: expected columns {','.join(columns)}")
-            # A repeated name reads its last column.  An absent optional column
-            # reads the field just past the header's, which every row has blank.
-            index = {name: i for i, name in enumerate(header)}
-            spare = len(header)
-            picks = [index.get(name, spare) for name in columns + optional]
-            pick = itemgetter(*picks)
-            if len(picks) == 1:  # itemgetter of one index returns the bare value
-                pick = lambda row, get=pick: (get(row),)
-            width = max(picks) + 1
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                if width > spare:  # an absent optional column reads row[spare]
-                    row[spare] = ""
-                yield reader.line_num, pick(row)
-    except UnicodeDecodeError as exc:  # the decoder reads ahead of the rows, so no row is named
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:  # a field over the csv module's size limit, say
-        raise ValueError(f"{path}: {exc}") from None
+    with _table(path, columns, optional) as (reader, picks, spare):
+        pick = itemgetter(*picks)
+        if len(picks) == 1:  # itemgetter of one index returns the bare value
+            pick = lambda row, get=pick: (get(row),)
+        width = max(picks) + 1
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            if width > spare:  # an absent optional column reads row[spare]
+                row[spare] = ""
+            yield reader.line_num, pick(row)
+
+
+def count_column(path: str | Path, columns: tuple[str, ...]) -> Counter:
+    """Count the values of columns[0] over the non-blank rows of a CSV table.
+
+    The header must name each of columns, and is read as read_table reads it;
+    a short row counts as a blank value, as read_table reads it too.  Raises
+    ValueError as read_table does.
+    """
+    with _table(path, columns) as (reader, picks, _):
+        i, rows = picks[0], filter(None, reader)  # a blank line reads as []
+        if i == 0:  # no Python runs per row
+            return Counter(map(itemgetter(0), rows))
+        return Counter(row[i] if i < len(row) else "" for row in rows)

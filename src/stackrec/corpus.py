@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import lccn
-from .config import read_table
+from .config import count_column, read_table
 from .lccn import CallNumber, CallNumberRange
 
 log = logging.getLogger(__name__)
@@ -134,8 +134,7 @@ def load_corpus(
 
     charges: Counter = Counter()
     if circulation_path is not None:
-        rows = read_table(circulation_path, ("bib_id", "charge_date"))
-        for bib_id, n in Counter(row[0] for _, row in rows).items():
+        for bib_id, n in count_column(circulation_path, ("bib_id", "charge_date")).items():
             bib_id = bib_id.strip()
             record = records.get(bib_id)
             charges[record.bib_id if record else bib_id] += n

@@ -302,12 +302,13 @@ def load_outline(path: str | Path) -> ClassificationOutline:
 
     Bad lines are reported in the outline's diagnostics and skipped; a file
     yielding zero valid entries is an error.  When two entries carry the same
-    range, the first one in the file wins and a warning is recorded.
+    range, the first one in the file wins and a warning is recorded.  A
+    leading byte-order mark is ignored.
     """
     outline = ClassificationOutline()
     seen_ranges: dict[tuple, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line.strip() or line.lstrip().startswith("#"):

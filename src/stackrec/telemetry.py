@@ -241,7 +241,8 @@ def heatmap_points(
 
     bin mode: each point increments its cell.  gaussian mode: each point
     spreads a kernel truncated at 3 sigma, renormalized over in-grid cells so
-    every in-extent point contributes exactly mass 1.
+    every in-extent point contributes exactly mass 1.  A point outside the grid
+    is counted in out_of_extent and adds no mass.
     """
     values = GridRows(array("d", [0.0]) * spec.width for _ in range(spec.height))
     out_of_extent = 0
@@ -283,8 +284,6 @@ def heatmap_points(
                     target[c] += k / total
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if out_of_extent:
-        log.warning("heatmap: %d point(s) outside the grid extent", out_of_extent)
     return DensityGrid(spec, values, out_of_extent)
 
 

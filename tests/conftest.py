@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from stackrec import corpus, harness, lccn, locate, stacksmap
+from stackrec.config import read_table
 from stackrec.recommend import Recommender
 from stackrec.telemetry import GridSpec, PowerLawFit, SubjectDistribution, TooFewRanks
 
@@ -212,6 +214,12 @@ def reference_key(letters: str, class_int: int, frac: str, cutters, year: int | 
         *((0, 0) if year is None else (1, year)),
         suffix or "",
     )
+
+
+# The circulation count as load_corpus made it before it called
+# config.count_column, one read_table row at a time: the oracle for count_column.
+def reference_charges(path) -> Counter:
+    return Counter(row[0] for _, row in read_table(path, ("bib_id", "charge_date")))
 
 
 # A charge's stamp as gen_corpus wrote it before it read stamps from tables:

@@ -496,7 +496,8 @@ def test_study_of_the_report_logs_writes_the_report_files_byte_for_byte(tmp_path
 
 def test_study_of_served_logs_is_not_aborted_by_any_one_line(tmp_path, seed7_report):
     """A refused point, a point off the map and two malformed lines: the study is
-    written, and the malformed lines are warned of once."""
+    written, and the malformed lines and the point off the grid are each warned
+    of once."""
     served = tmp_path / "served.jsonl"
     gw = Gateway.from_config(ServiceConfig.from_json(seed7_report / "fixtures" / "service.json"), served,
                              clock=lambda: datetime(2017, 3, 1, 12))
@@ -517,6 +518,9 @@ def test_study_of_served_logs_is_not_aborted_by_any_one_line(tmp_path, seed7_rep
     assert done.returncode == 0, done.stderr
     assert [line for line in done.stderr.splitlines() if "malformed" in line] == [
         "warning: 2 malformed log line(s)"
+    ]
+    assert [line for line in done.stderr.splitlines() if "outside" in line] == [
+        "warning: 1 point(s) outside the grid"
     ]
     assert sorted(p.name for p in out.iterdir()) == sorted(STUDY_FILES)
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import csv
 import re
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackrec import corpus, locate, stacksmap
-from stackrec.config import DATA_FILES, ServiceConfig, read_table
+from stackrec.config import DATA_FILES, ServiceConfig, count_column, read_table
 
 from conftest import REFERENCE
 
@@ -114,6 +115,14 @@ def test_read_table_reads_an_absent_optional_column_as_blank(tmp_path):
     path.write_text("beacon_id,x,y\nb1,1,2\nb2,3,4,extra\n", encoding="utf-8")
     assert list(read_table(path, ("beacon_id",), optional=("tx_power",))) == [
         (2, ("b1", "")), (3, ("b2", ""))]
+
+
+def test_count_column_counts_either_column_order_and_a_short_row_as_blank(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("bib_id,charge_date\nb1,d\nb1,d\n\nb2\n", encoding="utf-8")
+    second.write_text("charge_date,bib_id\nd,b1\nd,b1\n\nd\n", encoding="utf-8")
+    assert count_column(first, ("bib_id", "charge_date")) == Counter({"b1": 2, "b2": 1})
+    assert count_column(second, ("bib_id", "charge_date")) == Counter({"b1": 2, "": 1})
 
 
 def test_read_table_refuses_a_field_over_the_csv_limit_naming_the_file(tmp_path):

@@ -5,7 +5,9 @@ that names the file.
 The mutations work on the rows of tests/fixtures/reference, once as text
 (a field replaced, a line dropped, repeated, inserted or cut short) and once
 as bytes (bytes overwritten or inserted, invalid UTF-8 among them).  The row
-counts come from the text itself, not from config.read_table.
+counts come from the text itself, not from config.read_table.  The
+circulation count is also checked against its row-by-row oracle, on these
+mutations and on tables made to reach every path of config.count_column.
 """
 
 import csv
@@ -20,54 +22,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackrec import corpus, lccn, locate, stacksmap
+from stackrec.config import count_column, csv_field
 
-from conftest import REFERENCE
-
-
-# Each loader, by the reference file it reads: it returns the number of rows
-# the load accounted for (loaded or in diagnostics) and the coordinates it loaded.
-def _catalog(path):
-    store = corpus.load_corpus(path)
-    return len(store.records) + len(store.diagnostics), ()
+from conftest import REFERENCE, reference_charges
 
 
-def _circulation(path):
-    return sum(corpus.load_corpus(REFERENCE / "catalog.csv", path).charges.values()), ()
+# Each loader, by the reference file it reads.
+LOADERS = {
+    "catalog.csv": corpus.load_corpus,
+    "circulation.csv": lambda path: corpus.load_corpus(REFERENCE / "catalog.csv", path),
+    "articles.csv": lambda path: corpus.load_corpus(REFERENCE / "catalog.csv", articles_path=path),
+    "databases.csv": lambda path: corpus.load_corpus(REFERENCE / "catalog.csv", databases_path=path),
+    "stackmap.csv": stacksmap.load_stackmap,
+    "beacons.csv": locate.load_beacons,
+    "outline.tsv": lccn.load_outline,
+}
 
 
-def _articles(path):
-    return len(corpus.load_corpus(REFERENCE / "catalog.csv", articles_path=path).articles), ()
-
-
-def _databases(path):
-    store = corpus.load_corpus(REFERENCE / "catalog.csv", databases_path=path)
-    return sum(len(entry.subject_ranges) for entry in store.databases) + len(store.diagnostics), ()
-
-
-def _stackmap(path):
-    m = stacksmap.load_stackmap(path)
+# What each load accounted for, by the reference file it read: the number of
+# rows (loaded or in diagnostics) and the coordinates it loaded.
+def _shelves(m):
     bounds = [s.bounds for s in m.shelves]
     return len(m.shelves) + len(m.diagnostics), [c for b in bounds for c in (b.x_min, b.y_min, b.x_max, b.y_max)]
 
 
-def _beacons(path):
-    beacons = locate.load_beacons(path)
-    return len(beacons), [c for b in beacons for c in (b.x, b.y, b.tx_power)]
-
-
-def _outline(path):
-    outline = lccn.load_outline(path)
-    return len(outline.entries) + len(outline.diagnostics), ()
-
-
-LOADERS = {
-    "catalog.csv": _catalog,
-    "circulation.csv": _circulation,
-    "articles.csv": _articles,
-    "databases.csv": _databases,
-    "stackmap.csv": _stackmap,
-    "beacons.csv": _beacons,
-    "outline.tsv": _outline,
+ACCOUNTED = {
+    "catalog.csv": lambda store: (len(store.records) + len(store.diagnostics), ()),
+    "circulation.csv": lambda store: (sum(store.charges.values()), ()),
+    "articles.csv": lambda store: (len(store.articles), ()),
+    "databases.csv": lambda store: (
+        sum(len(entry.subject_ranges) for entry in store.databases) + len(store.diagnostics), ()
+    ),
+    "stackmap.csv": _shelves,
+    "beacons.csv": lambda beacons: (len(beacons), [c for b in beacons for c in (b.x, b.y, b.tx_power)]),
+    "outline.tsv": lambda outline: (len(outline.entries) + len(outline.diagnostics), ()),
 }
 
 
@@ -85,11 +73,11 @@ def _check(name: str, data: bytes) -> None:
         path = Path(tmp) / name
         path.write_bytes(data)
         try:
-            accounted, coordinates = LOADERS[name](path)
+            accounted, coordinates = ACCOUNTED[name](LOADERS[name](path))
         except ValueError as exc:
             assert str(path) in str(exc)
             return
-    assert accounted == _data_rows(name, data.decode("utf-8"))
+    assert accounted == _data_rows(name, data.decode("utf-8-sig"))
     assert all(math.isfinite(c) for c in coordinates)
 
 
@@ -171,3 +159,51 @@ def test_a_table_that_is_not_utf8_names_its_file(tmp_path, name):
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
         LOADERS[name](path)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_table_that_starts_with_a_byte_order_mark_loads_as_without_one(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes((REFERENCE / name).read_bytes())
+    plain = LOADERS[name](path)
+    path.write_bytes(b"\xef\xbb\xbf" + (REFERENCE / name).read_bytes())
+    assert LOADERS[name](path) == plain
+
+
+_CIRCULATION = ("bib_id", "charge_date")
+# Fields that end up in either column: blanks, padded ids, and quoted fields
+# that hold a comma, a quote or a line break.
+_CIRCULATION_FIELDS = st.sampled_from([
+    "uiu_8378456", "uiu_1", " uiu_1 ", "", "a,b", "a\nb", "a\r\nb", 'x"y', "2016-09-03T10:00:00",
+])
+
+
+@st.composite
+def _circulation_table(draw) -> bytes:
+    """A circulation table with its two columns in either order, perhaps a name
+    repeated or another column, and short, long and blank rows."""
+    header = draw(st.permutations(_CIRCULATION))
+    for _ in range(draw(st.integers(0, 2))):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from([*_CIRCULATION, " bib_id", "note"])))
+    rows = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = draw(st.lists(_CIRCULATION_FIELDS, max_size=len(header) + 1))
+        rows.append(",".join(map(csv_field, fields)))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + draw(st.sampled_from(["\n", "\r\n"])).join(rows) + "\n").encode("utf-8")
+
+
+def _counted(path, count):
+    try:
+        return count(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_text_mutation("circulation.csv") | _byte_mutation("circulation.csv") | _circulation_table())
+def test_count_column_counts_as_its_row_by_row_oracle_or_refuses_alike(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "circulation.csv"
+        path.write_bytes(data)
+        assert _counted(path, lambda p: count_column(p, _CIRCULATION)) == _counted(path, reference_charges)
