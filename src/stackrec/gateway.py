@@ -124,43 +124,46 @@ class ApiLogEntry:
 
 
 class TransactionLog:
-    """Append-only JSON Lines sink with line-atomic writes."""
+    """Append-only JSON Lines sink: each line is one unbuffered write.
+
+    Nothing waits in a buffer, so there is nothing to flush and ``close``
+    can neither lose a line nor fail on one.  While the file ends inside a
+    line, cut short by a crash or by a write that stopped short, the next
+    line is written with a newline in front, so that the cut line alone is
+    malformed.  A line cut just before its own newline is whole once that
+    newline ends it.  ``write_errors`` counts the lines that did not reach
+    the file whole, so the lines that parse plus ``write_errors`` equal the
+    appends.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
-        _end_torn_line(self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._lock = threading.Lock()  # guards the count, the flag and the order of lines
+        self._fh = open(self.path, "a+b", buffering=0)
+        size = self._fh.seek(0, os.SEEK_END)
+        self._fh.seek(max(size - 1, 0))
+        self._inside_line = self._fh.read(1) not in (b"", b"\n")
+        if self._inside_line:
+            log.warning("transaction log %s ends inside a line; the next line starts a new one", self.path)
         self.write_errors = 0
 
     def append(self, entry: ApiLogEntry) -> None:
-        line = entry.to_json() + "\n"
+        line = (entry.to_json() + "\n").encode("utf-8")
         with self._lock:
+            data = b"\n" + line if self._inside_line else line
             try:
-                self._fh.write(line)
-                self._fh.flush()
+                written = self._fh.write(data)  # one system call: it may stop short
             except OSError:
-                self.write_errors += 1  # counted under the lock, so no concurrent count is lost
+                written = 0
                 log.exception("transaction log write failed")
+            if written:  # after a failed or empty write the file ends where it did
+                self._inside_line = data[written - 1] != ord("\n")
+            if written < len(data) - 1:
+                self.write_errors += 1  # counted under the lock, so no concurrent count is lost
 
     def close(self) -> None:
         with self._lock:
             self._fh.close()
-
-
-def _end_torn_line(path: Path) -> None:
-    """End a last line cut short, by a crash say, with a newline.
-
-    Otherwise the next appended line would join it and both would be lost as
-    one malformed line; this way the torn line alone is malformed.
-    """
-    with open(path, "a+b") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        if size:
-            fh.seek(size - 1)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
-                log.warning("transaction log %s ended inside a line; a newline now ends it", path)
 
 
 def _loggable(text: str) -> str:

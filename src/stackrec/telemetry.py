@@ -407,8 +407,8 @@ def time_series(entries: list[ApiLogEntry], module: str) -> list[tuple[str, int]
 
 @dataclass
 class Study:
-    annotated: list[AnnotatedEntry]     # the gateway entries
-    recommend: list[AnnotatedEntry]     # those of the recommend module
+    annotated: list[AnnotatedEntry]     # the answered map_data and popularnear entries
+    recommend: list[AnnotatedEntry]     # the popularnear ones
     grid: DensityGrid                   # recommend points, binned
     smooth: DensityGrid                 # recommend points, Gaussian-smoothed
     subjects: SubjectDistribution       # of the recommended items
@@ -422,10 +422,15 @@ def study(gateway_entries: list[ApiLogEntry], module_entries: list[ApiLogEntry],
           corpus_: CorpusStore, outline: ClassificationOutline, stackmap_: StackMap) -> Study:
     """The study's analysis of the gateway's entries and the other modules' entries.
 
-    The heat maps and subjects cover the recommend entries, annotated against
-    the library; the traces follow the bib ids the gateway returned, over all
-    entries, as do the query mining and the monthly series.  Writes no file.
+    Of the gateway's entries the study takes only the answered (2xx)
+    ``map_data`` and ``popularnear`` ones: a refused request and a locate post
+    name no item.  The heat maps and subjects cover the recommend entries,
+    annotated against the library; the traces follow the bib ids the gateway
+    returned, over all entries, as do the query mining and the monthly
+    series.  Writes no file.
     """
+    studied = ("/api/wayfinder/map_data/", "/api/recommend/popularnear")
+    gateway_entries = [e for e in gateway_entries if 200 <= e.status < 300 and e.uri.startswith(studied)]
     annotated = annotate(gateway_entries, corpus_, outline, stackmap_)
     recommend = [a for a in annotated if a.entry.module == "recommend"]
     spec = GridSpec.covering(stackmap_.map_extent, CELL_SIZE, margin=CELL_SIZE)
@@ -474,9 +479,8 @@ def write_wayfinder_table(annotated: list[AnnotatedEntry], path: str | Path) -> 
     """Wayfinding table: uri, hit count, shelf target, call number (one row per uri)."""
     groups: dict[str, list[AnnotatedEntry]] = {}
     for e in annotated:
-        if e.entry.module != "wayfinder" or not e.entry.uri.startswith("/api/wayfinder/map_data/"):
-            continue
-        groups.setdefault(e.entry.uri, []).append(e)
+        if e.entry.module == "wayfinder":
+            groups.setdefault(e.entry.uri, []).append(e)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("uri,sum-records,X,Y,shelf-number,call-number\n")
         for uri, entries in groups.items():
@@ -490,10 +494,7 @@ def write_wayfinder_table(annotated: list[AnnotatedEntry], path: str | Path) -> 
 
 def write_recommend_table(annotated: list[AnnotatedEntry], path: str | Path) -> None:
     """Recommendation table: uri plus one bib-id column per returned item."""
-    rows = [
-        e for e in annotated
-        if e.entry.module == "recommend" and 200 <= e.entry.status < 300
-    ]
+    rows = [e for e in annotated if e.entry.module == "recommend"]
     max_ids = max((len(e.entry.bib_ids) for e in rows), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("uri" + ",bib-id" * max_ids + "\n")
@@ -517,7 +518,7 @@ def write_study(result: Study, out_dir: str | Path) -> dict:
     The files are the wayfinder and recommend tables, the bin grid as CSV and
     PGM, the smoothed grid, the subject distribution, one monthly series per
     COUNTED_MODULES, and the summary as summary.json.  The request counts are
-    those of the gateway entries the study was given.
+    those of the gateway entries the study took.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

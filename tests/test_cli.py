@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import stackrec
-from stackrec import cli
+from stackrec import cli, telemetry
 from stackrec.config import ServiceConfig
 from stackrec.gateway import ApiLogEntry, Gateway
 from stackrec.harness import ReportConfig
@@ -524,10 +524,10 @@ def test_study_of_served_logs_is_not_aborted_by_any_one_line(tmp_path, seed7_rep
     ]
     assert sorted(p.name for p in out.iterdir()) == sorted(STUDY_FILES)
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["requests"] == 602
-    assert summary["recommend_requests"] == ReportConfig.recommend_requests + 2
+    # the study leaves the refused point out, and the one off the map falls outside the grid
+    assert summary["requests"] == 601
+    assert summary["recommend_requests"] == ReportConfig.recommend_requests + 1
     assert summary["heatmap_out_of_extent"] == 1
-    # the refused point has no place on the grid, and the one off the map falls outside it
     assert summary["heatmap_mass"] == ReportConfig.recommend_requests
 
 
@@ -571,6 +571,46 @@ def test_serve_stops_on_sigterm_with_status_0_and_a_closed_log(tmp_path):
             proc.kill()
             proc.wait()
     assert len(log.read_text(encoding="utf-8").splitlines()) == 1
+
+
+# The limit the child sets on the files it writes, in bytes: some seven map_data lines.
+_SERVE_UNDER_A_LIMIT = """
+import resource, sys
+from stackrec import cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (1500, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_serve_under_a_file_size_limit_answers_every_request_and_stops_with_status_0(tmp_path):
+    """The log reaches the limit mid-line: every request is still answered, the
+    close on SIGTERM is clean, and the cut line alone is malformed."""
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(stackrec.__file__).parents[1])}
+    log = tmp_path / "api.jsonl"
+    with subprocess.Popen(
+        [sys.executable, "-c", _SERVE_UNDER_A_LIMIT, "serve", "--config", str(REFERENCE / "config.json"),
+         "--port", "0", "--log", str(log)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no output within 30 s"
+            line = proc.stdout.readline()
+            assert line.startswith("serving on http://"), line + proc.stderr.read()
+            url = line.split()[2].rstrip(",")
+            for _ in range(20):
+                with urllib.request.urlopen(url + "/api/wayfinder/map_data/uiu_undergrad/uiu_8127460",
+                                            timeout=10) as resp:
+                    assert resp.status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+    parsed = telemetry.parse_logs([log])
+    assert 0 < len(parsed.entries) < 20
+    assert len(parsed.malformed) <= 1
+    assert log.stat().st_size <= 1500
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,15 @@ import itertools
 import json
 import logging
 import math
+import os
 import random
 import re
 import socket
 import string
 import struct
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
@@ -259,6 +262,109 @@ def test_concurrent_failing_appends_are_each_counted(tmp_path, caplog):
         list(pool.map(lambda _: [txn_log.append(entry) for _ in range(n_appends)],
                       range(n_threads)))
     assert txn_log.write_errors == n_threads * n_appends
+
+
+_APPENDS_UNDER_A_LIMIT = """
+import json, resource, sys
+from datetime import datetime
+from stackrec.gateway import ApiLogEntry, TransactionLog
+
+path, appends, lowered, restored = sys.argv[1], *map(int, sys.argv[2:])
+entries = [ApiLogEntry(datetime(2024, 1, 1, 0, i), "recommend", f"/x/{i:02d}") for i in range(appends)]
+line_bytes = len(entries[0].to_json()) + 1
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+txn_log = TransactionLog(path)
+for i, entry in enumerate(entries):
+    if i == lowered:  # the file may grow to the middle of this append's line
+        resource.setrlimit(resource.RLIMIT_FSIZE, (int((lowered + 0.5) * line_bytes), hard))
+    if i == restored:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    txn_log.append(entry)
+txn_log.close()
+print(json.dumps({"write_errors": txn_log.write_errors}))
+"""
+
+
+@pytest.mark.parametrize("appends, lowered, restored", [(15, 5, 10), (6, 3, 6)],
+                         ids=["limit-raised-again", "limit-still-set-at-close"])
+def test_appends_under_a_file_size_limit_count_exactly_the_lines_lost(tmp_path, appends, lowered,
+                                                                      restored):
+    """A process lowers its own RLIMIT_FSIZE to the middle of a line: the append
+    there is cut, those after it fail, and the close is clean.  CPython ignores
+    SIGXFSZ, so each write past the limit raises or stops short."""
+    pytest.importorskip("resource")
+    path = tmp_path / "api.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(telemetry.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _APPENDS_UNDER_A_LIMIT, str(path), str(appends), str(lowered), str(restored)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    write_errors = json.loads(done.stdout)["write_errors"]
+    parsed = telemetry.parse_logs([path])
+    assert len(parsed.entries) + write_errors == appends
+    kept = [*range(lowered), *range(restored, appends)]
+    assert [e.uri for e in parsed.entries] == [f"/x/{i:02d}" for i in kept]
+    assert [line_no for _, line_no, _ in parsed.malformed] == [lowered + 1]  # the cut line alone
+
+
+class _ShortFile:
+    """A log file whose writes store the first bytes of what they are given, or raise.
+
+    Each outcome is a count of bytes to store, a count less than a whole write
+    when negative (-1 stops just before the newline), or None to raise.
+    """
+
+    def __init__(self, content: bytes, outcomes):
+        self.content = bytearray(content)
+        self.outcomes = iter(outcomes)
+
+    def write(self, data):
+        outcome = next(self.outcomes)
+        if outcome is None:
+            raise OSError("disk full")
+        written = min(outcome, len(data)) if outcome >= 0 else len(data) + outcome
+        self.content += data[:written]
+        return written
+
+    def close(self):
+        pass
+
+
+_START = ApiLogEntry(datetime(2024, 1, 1), "recommend", "/start").to_json()
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.sampled_from(["", _START + "\n", _START[:30], _START]),
+       outcomes=st.lists(st.none() | st.integers(-3, 160), max_size=12))
+def test_lines_that_parse_plus_write_errors_equal_the_appends(start, outcomes):
+    """Whether the file starts whole, cut inside a line or cut just before a
+    newline, and whatever each write stores, the appended lines that parse are
+    the appends in order less write_errors of them, and a malformed line is the
+    start's cut line or one that a write cut."""
+    appended = [ApiLogEntry(datetime(2024, 1, 1), "recommend", f"/x/{i}") for i in range(len(outcomes))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "api.jsonl"
+        path.write_text(start, encoding="utf-8")
+        txn_log = TransactionLog(path)
+        txn_log._fh.close()
+        txn_log._fh = fake = _ShortFile(start.encode("utf-8"), outcomes)
+        logging.disable(logging.CRITICAL)  # no traceback per failure
+        try:
+            for entry in appended:
+                txn_log.append(entry)
+        finally:
+            logging.disable(logging.NOTSET)
+        txn_log.close()
+        path.write_bytes(fake.content)
+        parsed = telemetry.parse_logs([path])
+    after_start = [e for e in parsed.entries if e.uri != "/start"]
+    assert len(after_start) + txn_log.write_errors == len(appended)
+    uris = {e.uri for e in after_start}
+    assert after_start == [e for e in appended if e.uri in uris]  # in the order appended
+    # the start's whole line, ended by its own newline or by the next line's
+    assert len(parsed.entries) - len(after_start) == (start in (_START, _START + "\n"))
+    assert len(parsed.malformed) <= (start == _START[:30]) + txn_log.write_errors
 
 
 # --- live HTTP -------------------------------------------------------------

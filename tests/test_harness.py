@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackrec import corpus, harness, lccn, locate, stacksmap, telemetry
+from stackrec.config import ServiceConfig
+from stackrec.gateway import Gateway
 from stackrec.harness import (
     ZIPF_EXPONENT,
     FixtureSet,
@@ -316,6 +319,39 @@ def test_study_of_the_seed7_logs_writes_no_file_and_gives_the_golden_figures(tmp
     _assert_json_close(got, {key: golden[key] for key in got})
     # the smoothed grid spreads each recommend point's unit mass
     assert result.smooth.total_mass == pytest.approx(len(result.recommend), rel=1e-12)
+
+
+def test_refused_requests_and_locate_posts_leave_the_seed7_study_as_it_is(tmp_path):
+    """Two refused popularnear, a refused map_data, and an answered and a
+    refused locate post, added to the seed-7 logs: the study writes the
+    report's own files, byte for byte."""
+    report = tmp_path / "report"
+    run_report(ReportConfig(out_dir=str(report), seed=7))
+    extra = tmp_path / "extra.jsonl"
+    gw = Gateway.from_config(ServiceConfig.from_json(report / "fixtures" / "service.json"), extra,
+                             clock=lambda: datetime(2017, 3, 1, 12))
+    try:
+        assert gw.handle_popular_near("nan", "200")[0] == 400
+        assert gw.handle_popular_near("200", None)[0] == 400
+        assert gw.handle_map_data("uiu_undergrad", "uiu_0")[0] == 404
+        assert gw.handle_locate({"observations": [{"beacon_id": "b01", "rssi": -60}]})[0] == 200
+        assert gw.handle_locate([])[0] == 400
+    finally:
+        gw.txn_log.close()
+    assert len(telemetry.parse_logs([extra]).entries) == 5
+    fixtures = report / "fixtures"
+    result = telemetry.study(
+        telemetry.parse_logs([report / "gateway.jsonl", extra]).entries,
+        telemetry.parse_logs([report / "modules.jsonl"]).entries,
+        corpus.load_corpus(fixtures / "catalog.csv"), lccn.load_outline(fixtures / "outline.tsv"),
+        stacksmap.load_stackmap(fixtures / "stackmap.csv"),
+    )
+    out = tmp_path / "study"
+    telemetry.write_study(result, out)
+    written = sorted(p.name for p in out.iterdir())
+    assert len(written) == 11
+    for name in written:
+        assert (out / name).read_bytes() == (report / name).read_bytes(), name
 
 
 def test_report_parses_a_log_once(tmp_path, monkeypatch):
